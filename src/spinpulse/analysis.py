@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequence import bb1_phases
+from .sequence import bb1_sequence
 from .simulator import Signal, echo_train
 from .su2 import RotationSpec, compose, fidelity, rotation
 
@@ -74,17 +74,14 @@ def bb1_fidelity(
     every pulse carries the fractional amplitude error ``epsilon``.  With
     exact phases and zero error the value is 1 to machine precision.
     """
-    phi1, phi2 = bb1_phases(theta)
     d1, d2 = offsets
-    specs = [
-        RotationSpec(theta, 0.0, epsilon),
-        RotationSpec(math.pi, phi1 + d1, epsilon),
-        RotationSpec(2.0 * math.pi, phi2 + d2, epsilon),
-        RotationSpec(math.pi, phi1 + d1, epsilon),
-    ]
-    net = rotation(specs[0])
-    for spec in specs[1:]:
-        net = compose(net, rotation(spec))
+    # Offsets go by position: both pi pulses share the first channel even
+    # where a correction phase coincides with the target pulse's (theta=2pi)
+    # or with the other correction phase (theta=4pi).
+    target, *block = bb1_sequence(theta)
+    net = rotation(RotationSpec(target.theta, target.phi, epsilon))
+    for pulse, offset in zip(block, (d1, d2, d1)):
+        net = compose(net, rotation(RotationSpec(pulse.theta, pulse.phi + offset, epsilon)))
     return fidelity(rotation(RotationSpec(theta, 0.0, 0.0)), net)
 
 
@@ -254,20 +251,26 @@ def estimate_rotation_error(
     recorded with composite refocusing pulses the estimate reads as the
     residual error of the corrected rotation.
 
-    Returns ``(eps_hat, residual)`` where ``residual`` is the RMS misfit
-    of the even-echo ratios at the optimum.
+    Both trains must sample the echo times ``t_k = 2*tau*k`` (to a
+    relative 1e-9), with ``tau`` read from the first CP echo.
+
+    Returns ``(eps_hat, residual)`` as floats, where ``residual`` is the
+    RMS misfit of the even-echo ratios at the optimum.
     """
     if len(cp.samples) != len(cpmg.samples):
         raise ValueError("CP and CPMG signals must have the same length")
     if len(cp.samples) < 4:
         raise ValueError("need at least two even echoes to fit")
+    n = len(cp.samples)
+    tau = cp.samples[0][0] / 2.0
+    t_k = 2.0 * tau * np.arange(1, n + 1)
+    for name, signal in (("CP", cp), ("CPMG", cpmg)):
+        if not np.all(np.abs(signal.x - t_k) <= 1e-9 * np.abs(t_k)):
+            raise ValueError(f"{name} echo times must be t_k = 2*tau*k with tau = {tau!r}")
     data_cpmg = _even_echoes(cpmg)
     if np.any(data_cpmg <= 0):
         raise ValueError("CPMG amplitudes must be positive to form the ratio")
     data_ratio = _even_echoes(cp) / data_cpmg
-
-    n = len(cp.samples)
-    tau = cp.samples[0][0] / 2.0
 
     def sse(eps: float) -> float:
         r = _model_ratio(eps, n, tau)
@@ -294,7 +297,7 @@ def estimate_rotation_error(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = sse(d)
-    eps_hat = 0.5 * (a + b)
+    eps_hat = float(0.5 * (a + b))
     return eps_hat, math.sqrt(sse(eps_hat))
 
 

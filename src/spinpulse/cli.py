@@ -9,7 +9,9 @@ unit-suffixed literals as the DSL: ``1pi``, ``90deg``, ``1.2rad``.
 
 An optional ``--config FILE`` reads ``key=value`` lines (same names as
 the long flags, ``#`` comments allowed); explicit flags override file
-values.  Identical configurations produce byte-identical outputs.
+values.  A switch such as ``bb1`` takes ``true/false``, ``1/0``,
+``yes/no`` or ``on/off`` in any case; any other value is an error.
+Identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
 """
@@ -24,6 +26,7 @@ from typing import Optional
 from . import __version__
 from .analysis import (
     EseemRatioSpec,
+    _simple_fidelity,
     bb1_fidelity,
     eseem_ratio,
     estimate_rotation_error,
@@ -35,8 +38,8 @@ from .dsl import ParseError, format_program, parse_angle_literal, parse_program,
 from .errors import DELTA_ZERO, EnsembleSpec, Gaussian, Uniform
 from .simulator import (
     DEFAULT_DETUNING_NODES,
-    DEFAULT_DETUNING_SPAN,
     Signal,
+    default_echo_ensemble,
     echo_train,
     rabi_trace,
 )
@@ -133,7 +136,7 @@ def cmd_fidelity(args) -> int:
     else:
         if offsets != (0.0, 0.0):
             raise ValueError("--dphi1/--dphi2 apply to the composite sequence; add --bb1")
-        f = _simple(args)
+        f = _simple_fidelity(args.theta, args.epsilon)
     config = {
         "theta_rad": args.theta,
         "epsilon": args.epsilon,
@@ -147,15 +150,6 @@ def cmd_fidelity(args) -> int:
     else:
         _emit(args, f"F={f:.11e} 1-F={1.0 - f:.11e}\n")
     return 0
-
-
-def _simple(args) -> float:
-    from .su2 import RotationSpec, fidelity, rotation
-
-    return fidelity(
-        rotation(RotationSpec(args.theta, 0.0, 0.0)),
-        rotation(RotationSpec(args.theta, 0.0, args.epsilon)),
-    )
 
 
 def cmd_scan(args) -> int:
@@ -243,10 +237,7 @@ def cmd_echo(args) -> int:
             nodes=args.nodes,
         )
     elif args.nodes != DEFAULT_DETUNING_NODES:
-        span = DEFAULT_DETUNING_SPAN / args.tau
-        ensemble = EnsembleSpec(
-            epsilon_dist=DELTA_ZERO, detuning_dist=Uniform(-span, span), nodes=args.nodes
-        )
+        ensemble = default_echo_ensemble(args.tau, args.nodes)
     signal = echo_train(
         args.mode,
         args.n,
@@ -448,6 +439,10 @@ def _load_config(path: str) -> dict:
     return values
 
 
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
+
+
 def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> None:
     actions = {a.dest: a for a in subparser._actions}
     defaults = {}
@@ -457,7 +452,12 @@ def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> None:
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[dest] = text.lower() in ("1", "true", "yes", "on")
+            flag = text.lower()
+            if flag not in _TRUE + _FALSE:
+                raise ValueError(
+                    f"config key {key!r}: expected one of {', '.join(_TRUE + _FALSE)}, got {text!r}"
+                )
+            defaults[dest] = flag in _TRUE
         elif action.type is not None:
             try:
                 defaults[dest] = action.type(text)

@@ -45,6 +45,7 @@ __all__ = [
 PHASE_MATCH_TOL = 1e-9
 
 WEIGHT_SUM_TOL = 1e-12
+NODE_WEIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,10 @@ def _dist_nodes(dist: Distribution, n: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.array([w for _, w in dist.atoms])
         return values, weights
     if isinstance(dist, Gaussian):
-        x, w = np.polynomial.hermite.hermgauss(n)
+        # Overflow at large n leaves non-finite weights, which
+        # ensemble_nodes reports as an error; numpy's warnings add nothing.
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(n)
         return dist.mean + math.sqrt(2.0) * dist.sigma * x, w / math.sqrt(math.pi)
     if isinstance(dist, Uniform):
         x, w = np.polynomial.legendre.leggauss(n)
@@ -180,15 +184,24 @@ def ensemble_nodes(spec: EnsembleSpec) -> list[tuple[float, float, float]]:
     """Deterministic (epsilon, delta, weight) nodes for an ensemble.
 
     The product grid of the two marginal node sets, epsilon-major, with
-    weights multiplying; the weights sum to 1 within 1e-10.
+    weights multiplying; the weights sum to 1 within 1e-10.  Raises
+    ``ValueError`` when the quadrature cannot meet that (Gauss-Hermite
+    overflows beyond about 370 nodes).
     """
     evals, ewts = _dist_nodes(spec.epsilon_dist, spec.nodes)
     dvals, dwts = _dist_nodes(spec.detuning_dist, spec.nodes)
-    return [
+    nodes = [
         (float(e), float(d), float(we * wd))
         for e, we in zip(evals, ewts)
         for d, wd in zip(dvals, dwts)
     ]
+    weights = [w for _, _, w in nodes]
+    if not all(map(math.isfinite, weights)) or abs(math.fsum(weights) - 1.0) > NODE_WEIGHT_TOL:
+        raise ValueError(
+            f"quadrature with {spec.nodes} nodes gives weights that are not finite "
+            "or do not sum to 1 within 1e-10; use fewer nodes"
+        )
+    return nodes
 
 
 def _dist_samples(dist: Distribution, count: int, rng: np.random.Generator) -> np.ndarray:

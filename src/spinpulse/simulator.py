@@ -2,9 +2,12 @@
 
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
 detuning phase (z-rotation by ``delta * tau``); ``Repeat`` unrolls;
-``Acquire`` marks sampling points.  Ensemble members are propagated
-independently and reduced with a fixed-order weighted accumulation, so
-results are bit-identical run to run.
+``Acquire`` marks sampling points.  One engine interprets every program:
+it propagates a batch of ensemble members at once, and ``propagate``,
+``rabi_trace`` and ``echo_train`` all run through it (``propagate`` is
+the one-member batch).  Ensemble reductions are correctly rounded
+(``math.fsum``), so they do not depend on node order and results are
+bit-identical run to run.
 
 Experiments:
 
@@ -38,12 +41,11 @@ from .errors import (
     Gaussian,
     NO_ERROR,
     Uniform,
-    apply_error,
     ensemble_nodes,
     monte_carlo_nodes,
 )
-from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, rotation
+from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_rabi_program, bb1_sequence
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
     "SpinState",
@@ -167,8 +169,8 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
             mats = _pulse_matrices(el.theta, phi, eps)
             psi = np.einsum("nij,nj->ni", mats, psi)
         elif isinstance(el, Delay):
-            half = 0.5 * delta * el.tau
-            psi = psi * np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=1)
+            phase = np.exp(0.5j * delta * el.tau)
+            psi = psi * np.stack([phase, phase.conj()], axis=1)
         elif isinstance(el, Repeat):
             for _ in range(el.count):
                 psi = _walk(el.body, error, eps, delta, psi, snapshots)
@@ -190,23 +192,6 @@ def _propagate_nodes(
     return psi, snapshots
 
 
-def _apply_elements(elements, e: ErrorModel, delta: float, v: np.ndarray) -> np.ndarray:
-    for el in elements:
-        if isinstance(el, Pulse):
-            v = rotation(apply_error(el, e)).matrix @ v
-        elif isinstance(el, Delay):
-            half = 0.5 * delta * el.tau
-            v = v * np.array([np.exp(1j * half), np.exp(-1j * half)])
-        elif isinstance(el, Repeat):
-            for _ in range(el.count):
-                v = _apply_elements(el.body, e, delta, v)
-        elif isinstance(el, Acquire):
-            pass
-        else:
-            raise TypeError(f"unknown sequence element {el!r}")
-    return v
-
-
 def propagate(
     program: PulseProgram,
     e: ErrorModel = NO_ERROR,
@@ -220,7 +205,10 @@ def propagate(
     collect sampled signals.
     """
     state = initial if initial is not None else SpinState.spin_up()
-    v = _apply_elements(program.elements, e, float(delta), state.vector)
+    final, _ = _propagate_nodes(
+        program.elements, e, np.array([e.epsilon]), np.array([float(delta)]), state.vector
+    )
+    v = final[0]
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
@@ -230,13 +218,15 @@ def _nodes_for(spec: EnsembleSpec, mc_samples: Optional[int], mc_seed: int):
     return monte_carlo_nodes(spec, mc_samples, mc_seed)
 
 
-def _weighted_sum(weights, per_node: np.ndarray) -> float:
-    # Fixed-order accumulation keeps the reduction bit-identical no matter
-    # how the per-node work was scheduled.
-    acc = 0.0
-    for w, v in zip(weights, per_node):
-        acc += w * v
-    return float(acc)
+def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
+    # Correctly rounded, so the result does not depend on node order.
+    return math.fsum((weights * per_node).tolist())
+
+
+def _transverse(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<sx>, <sy>) of every row of an (M, 2) state batch."""
+    cross = np.conj(psi[:, 0]) * psi[:, 1]
+    return 2.0 * cross.real, 2.0 * cross.imag
 
 
 def _dist_dict(dist) -> dict:
@@ -262,21 +252,6 @@ def _ensemble_dict(spec: EnsembleSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rabi_elements(theta: float, use_bb1: bool):
-    if not use_bb1:
-        return (Pulse(theta, 0.0),) if theta > 0 else ()
-    n = int(math.floor(theta / math.pi + 1e-12))
-    remainder = theta - n * math.pi
-    if remainder < 0.0:
-        remainder = 0.0
-    elements = []
-    if remainder > 1e-15:
-        elements.append(Pulse(remainder, 0.0))
-    if n > 0:
-        elements.append(Repeat(n, tuple(bb1_sequence(math.pi))))
-    return tuple(elements)
-
-
 def rabi_trace(
     max_angle: float,
     step: float,
@@ -300,7 +275,7 @@ def rabi_trace(
     nodes = _nodes_for(ensemble, mc_samples, mc_seed)
     eps = np.array([n[0] for n in nodes])
     delta = np.array([n[1] for n in nodes])
-    weights = [n[2] for n in nodes]
+    weights = np.array([n[2] for n in nodes])
     psi0 = SpinState.spin_up().vector
 
     samples = []
@@ -309,7 +284,12 @@ def rabi_trace(
         theta = k * step
         if theta > max_angle * (1 + 1e-12):
             break
-        elements = _rabi_elements(theta, use_bb1)
+        if use_bb1:
+            n = int(math.floor(theta / math.pi + 1e-12))
+            remainder = theta - n * math.pi
+            elements = bb1_rabi_program(n, remainder if remainder > 1e-15 else 0.0).elements
+        else:
+            elements = (Pulse(theta, 0.0),)
         final, _ = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
         sz = np.abs(final[:, 0]) ** 2 - np.abs(final[:, 1]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
@@ -400,24 +380,19 @@ def echo_train(
 
     # Zero-error reference run fixes the per-echo detection axis.
     _, ref_snaps = _propagate_nodes(elements, NO_ERROR, np.zeros(1), np.zeros(1), psi0)
-    axes = []
-    for snap in ref_snaps:
-        v = snap[0]
-        bx = float(np.real(v.conj() @ (SIGMA_X @ v)))
-        by = float(np.real(v.conj() @ (SIGMA_Y @ v)))
-        r = math.hypot(bx, by)
-        axes.append((bx / r, by / r))
+    ref_x, ref_y = _transverse(np.concatenate(ref_snaps))
+    r = np.hypot(ref_x, ref_y)
+    axes = zip((ref_x / r).tolist(), (ref_y / r).tolist())
 
     nodes = _nodes_for(spec, mc_samples, mc_seed)
     delta = np.array([n[1] for n in nodes])
-    weights = [n[2] for n in nodes]
+    weights = np.array([n[2] for n in nodes])
     eps = np.full(delta.shape, float(epsilon))
     _, snaps = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
 
     samples = []
     for k, (snap, (ax, ay)) in enumerate(zip(snaps, axes), start=1):
-        bx = np.real(np.conj(snap[:, 0]) * snap[:, 1] + np.conj(snap[:, 1]) * snap[:, 0])
-        by = np.real(1j * (np.conj(snap[:, 1]) * snap[:, 0] - np.conj(snap[:, 0]) * snap[:, 1]))
+        bx, by = _transverse(snap)
         proj = bx * ax + by * ay
         amp = abs(_weighted_sum(weights, proj))
         t_k = 2.0 * tau * k

@@ -104,6 +104,31 @@ def echo_train_oracle(
     return np.abs(amps)
 
 
+def propagate_oracle(
+    elements, epsilon: float, offsets, delta: float, psi0: np.ndarray
+) -> np.ndarray:
+    """Brute-force 2x2 product for a pulse program, one spin.
+
+    ``offsets`` is a list of ``(nominal_phase, dphi)`` channels; a pulse
+    whose phase lies within 1e-9 of a channel picks up its offset.
+    Elements are recognised by type name, so the package's own
+    interpreter is never involved."""
+    psi = np.array(psi0, dtype=complex)
+    for el in elements:
+        kind = type(el).__name__
+        if kind == "Pulse":
+            dphi = next((d for p, d in offsets if abs(p - el.phi) <= 1e-9), 0.0)
+            psi = _rot(el.theta, el.phi + dphi, epsilon) @ psi
+        elif kind == "Delay":
+            psi = _zrot(delta * el.tau) @ psi
+        elif kind == "Repeat":
+            for _ in range(el.count):
+                psi = propagate_oracle(el.body, epsilon, offsets, delta, psi)
+        elif kind != "Acquire":
+            raise TypeError(f"unknown element {el!r}")
+    return psi
+
+
 def gaussian_rabi_closed_form(theta: float, sigma: float) -> float:
     """Gaussian average of -cos((1+eps)*theta): the damped nutation signal."""
     return -math.cos(theta) * math.exp(-0.5 * sigma * sigma * theta * theta)

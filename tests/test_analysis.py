@@ -26,6 +26,19 @@ BB1_PI_INFIDELITY_AT_10PCT = 4.622436554191367e-06
 BB1_MEASURED_PHASE_FIDELITY = 0.9999460011510224
 
 
+def bb1_fidelity_expm(theta, eps, d1=0.0, d2=0.0):
+    """Positional-offset oracle: matrix exponentials composed with raw
+    numpy products; the two pi pulses carry d1, the 2pi pulse d2."""
+    from oracles import rotation_expm
+
+    phi1 = math.acos(-theta / (4 * math.pi))
+    net = rotation_expm(theta, 0.0, eps)
+    for th, ph in [(math.pi, phi1 + d1), (2 * math.pi, 3 * phi1 + d2), (math.pi, phi1 + d1)]:
+        net = rotation_expm(th, ph, eps) @ net
+    target = rotation_expm(theta, 0.0, 0.0)
+    return abs(np.trace(target @ net.conj().T)) / 2.0
+
+
 class TestBb1Fidelity:
     def test_exact_at_zero_error(self):
         for theta in (0.2, math.pi / 2, math.pi, 2.5):
@@ -47,6 +60,16 @@ class TestBb1Fidelity:
         target = rotation_expm(math.pi, 0.0, 0.0)
         f_oracle = abs(np.trace(target @ net.conj().T)) / 2.0
         assert bb1_fidelity(math.pi, 0.1) == pytest.approx(f_oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [2 * math.pi, 4 * math.pi])
+    def test_offsets_by_position_at_coinciding_phases(self, theta):
+        # At 2pi the 2pi pulse's phase coincides with the target pulse's,
+        # and at 4pi phi1 and phi2 coincide: offsets still follow position.
+        for eps in (0.0, 0.05, 0.1):
+            for d1, d2 in ((0.01, -0.02), (0.03, 0.01), (-0.02, 0.0)):
+                assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
+                    bb1_fidelity_expm(theta, eps, d1, d2), abs=1e-12
+                )
 
     def test_measured_phase_scenario(self):
         f = bb1_fidelity(math.pi, 0.1, (0.007 * math.pi, 0.001 * math.pi))
@@ -211,6 +234,25 @@ class TestEstimator:
         cpmg = echo_train("cpmg", 16, 0.1, t2_envelope=64.0)
         eps_hat, _ = estimate_rotation_error(cp, cpmg)
         assert abs(eps_hat - 0.1) <= 0.01
+
+    def test_returns_plain_floats(self):
+        cp = echo_train("cp", 4, 0.05)
+        cpmg = echo_train("cpmg", 4, 0.05)
+        eps_hat, residual = estimate_rotation_error(cp, cpmg)
+        assert type(eps_hat) is float and type(residual) is float
+
+    def test_mismatched_time_axes_rejected(self):
+        cp = echo_train("cp", 8, 0.1, tau=1.0)
+        cpmg = echo_train("cpmg", 8, 0.1, tau=1.3)
+        with pytest.raises(ValueError, match="CPMG echo times"):
+            estimate_rotation_error(cp, cpmg)
+
+    def test_uneven_time_axis_rejected(self):
+        cp = echo_train("cp", 4, 0.1)
+        cpmg = echo_train("cpmg", 4, 0.1)
+        cp.samples[2] = (6.5, cp.samples[2][1])
+        with pytest.raises(ValueError, match="CP echo times"):
+            estimate_rotation_error(cp, cpmg)
 
     def test_mismatched_lengths_rejected(self):
         cp = echo_train("cp", 8, 0.1)

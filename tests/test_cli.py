@@ -144,6 +144,14 @@ class TestRabiCommand:
         assert doc["meta"]["config"]["provenance"]["program"] == "bb1_rabi"
         assert doc["meta"]["version"]
 
+    def test_overflowing_quadrature_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi", "--nodes", "400"
+        )
+        assert code == 2
+        assert out == ""
+        assert "400 nodes" in err
+
     def test_corrected_long_trace_keeps_contrast(self, capsys):
         code, out, _ = run(
             capsys,
@@ -217,6 +225,29 @@ class TestConfigFile:
         code, out, _ = run(capsys, "fidelity", "--config", str(cfg), "--epsilon", "0.1")
         f_cli = float(out.split()[0].split("=")[1])
         assert f_cli == pytest.approx(math.cos(0.05 * math.pi), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "text,bb1",
+        [("true", True), ("TRUE", True), ("1", True), ("yes", True), ("On", True),
+         ("false", False), ("False", False), ("0", False), ("no", False), ("OFF", False)],
+    )
+    def test_switch_values(self, capsys, tmp_path, text, bb1):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"theta=1pi\nepsilon=0.1\nbb1={text}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "fidelity", "--config", str(cfg))
+        assert code == 0
+        infid = float(out.split()[1].split("=")[1])
+        expected = 4.6224e-6 if bb1 else 1.0 - math.cos(0.05 * math.pi)
+        assert infid == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
+    def test_bad_switch_value_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"theta=1pi\nepsilon=0.1\nbb1={text}\n", encoding="utf-8")
+        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "'bb1'" in err and repr(text) in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -117,6 +117,13 @@ class TestDistributions:
         with pytest.raises(ValueError):
             EnsembleSpec(Gaussian(0, 0.1), nodes=0)
 
+    def test_overflowing_quadrature_rejected(self):
+        # Gauss-Hermite weights overflow to nan near 373 nodes; 300 is fine
+        nodes = ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=300))
+        assert math.fsum(w for _, _, w in nodes) == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(ValueError, match="400 nodes"):
+            ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=400))
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):

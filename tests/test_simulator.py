@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import (
     Acquire,
@@ -22,8 +24,8 @@ from spinpulse import (
     propagate,
     rabi_trace,
 )
-from spinpulse.simulator import _apply_elements, _propagate_nodes
-from oracles import echo_train_oracle, gaussian_rabi_closed_form
+from spinpulse.simulator import _propagate_nodes
+from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
 GAUSS5 = EnsembleSpec(Gaussian(0.0, 0.05), nodes=41)
@@ -68,20 +70,54 @@ class TestPropagate:
         assert bloch(s)[2] == pytest.approx(-math.cos(0.1 * math.pi), abs=1e-12)
 
     def test_norm_preserved_through_long_program(self):
+        # the engine itself, not propagate, which normalises its result
         rng = random.Random(99)
         elements = random_elements(rng, 1000)
-        v = _apply_elements(elements, ErrorModel(epsilon=0.2), 0.7, SpinState.spin_up().vector)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-10
-
-    def test_vectorized_path_matches_scalar_path(self):
-        rng = random.Random(5)
-        elements = random_elements(rng, 60)
-        model = ErrorModel(epsilon=0.13)
-        scalar = _apply_elements(elements, model, 0.4, SpinState.spin_up().vector)
-        batch, _ = _propagate_nodes(
-            elements, model, np.array([0.13]), np.array([0.4]), SpinState.spin_up().vector
+        final, _ = _propagate_nodes(
+            elements, ErrorModel(epsilon=0.2), np.array([0.2]), np.array([0.7]),
+            SpinState.spin_up().vector,
         )
-        assert np.max(np.abs(batch[0] - scalar)) < 1e-12
+        assert abs(np.linalg.norm(final[0]) - 1.0) < 1e-10
+
+    def test_engine_matches_oracle_on_random_programs(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            program = random_program(rng)
+            phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
+            offsets = [(p, rng.uniform(-0.2, 0.2)) for p in phases if rng.random() < 0.7]
+            model = ErrorModel(rng.uniform(-0.3, 0.3), offsets)
+            delta = rng.uniform(-5.0, 5.0)
+            initial = SpinState(math.cos(0.4), math.sin(0.4) * np.exp(0.3j))
+            got = propagate(program, model, delta, initial).vector
+            ref = propagate_oracle(
+                program.elements, model.epsilon, offsets, delta, initial.vector
+            )
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=st.lists(
+            st.one_of(
+                st.builds(
+                    Pulse,
+                    st.floats(0.0, 4 * math.pi),
+                    st.floats(0.0, 2 * math.pi, exclude_max=True),
+                ),
+                st.builds(Delay, st.floats(0.0, 1.0)),
+                st.just(Acquire()),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        count=st.integers(1, 6),
+        epsilon=st.floats(-0.3, 0.3),
+        delta=st.floats(-5.0, 5.0),
+    )
+    def test_repeat_equals_unrolled_body(self, body, count, epsilon, delta):
+        model = ErrorModel(epsilon)
+        repeated = propagate(PulseProgram((Repeat(count, tuple(body)),)), model, delta)
+        unrolled = propagate(PulseProgram(tuple(body) * count), model, delta)
+        assert np.max(np.abs(repeated.vector - unrolled.vector)) < 1e-12
 
 
 class TestBloch:
