@@ -33,7 +33,6 @@ from .errors import (
     Discrete,
     ErrorModel,
     EnsembleSpec,
-    apply_error,
     ensemble_nodes,
     monte_carlo_nodes,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "Discrete",
     "ErrorModel",
     "EnsembleSpec",
-    "apply_error",
     "ensemble_nodes",
     "monte_carlo_nodes",
     "SpinState",

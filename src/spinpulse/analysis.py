@@ -6,9 +6,10 @@ error so that the leading infidelity term is of order ``epsilon**6``
 when the correction phases are set exactly; small per-channel phase
 offsets ``(dphi1, dphi2)`` degrade this.  ``phase_sensitivity_prediction``
 evaluates the closed-form second/fourth-order model of that degradation,
-``bb1_fidelity`` computes the same quantity by direct matrix
-composition, and ``verify_eq5_coefficients`` extracts the quadratic
-coefficients of the model numerically from the direct computation.
+``bb1_fidelity`` computes the same quantity by running the sequence
+through the propagation engine, and ``verify_eq5_coefficients``
+extracts the quadratic coefficients of the model numerically from the
+direct computation.
 
 ``estimate_rotation_error`` recovers the refocusing-pulse amplitude
 error from a CP/CPMG echo-train pair by fitting the per-even-echo ratio
@@ -27,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequence import bb1_sequence
-from .simulator import Signal, echo_train
-from .su2 import RotationSpec, compose, fidelity, rotation
+from .errors import NO_ERROR, EnsembleSpec, Gaussian, ensemble_nodes
+from .sequence import Pulse, bb1_sequence
+from .simulator import Signal, _propagate_nodes, echo_train
+from .su2 import IDENTITY, RotationSpec, _fidelities, rotation
 
 __all__ = [
     "FidelityScan",
@@ -65,6 +67,24 @@ class FidelityScan:
             raise ValueError("infidelity must be >= -1e-12")
 
 
+def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
+    """Fidelity of ``pulses`` against the ideal ``theta`` rotation about x,
+    for every amplitude error in ``eps``: the engine propagates the
+    identity over the whole array at once."""
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("epsilon must be finite")
+    net, _ = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
+    return _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
+
+
+def _bb1_pulses(theta: float, offsets: tuple[float, float] = (0.0, 0.0)) -> list[Pulse]:
+    d1, d2 = offsets
+    # Offsets go by position: both pi pulses share the first channel even
+    # where a correction phase coincides with the target pulse's (theta=2pi)
+    # or with the other correction phase (theta=4pi).
+    return [Pulse(p.theta, p.phi + d) for p, d in zip(bb1_sequence(theta), (0.0, d1, d2, d1))]
+
+
 def bb1_fidelity(
     theta: float, epsilon: float, offsets: tuple[float, float] = (0.0, 0.0)
 ) -> float:
@@ -74,21 +94,11 @@ def bb1_fidelity(
     every pulse carries the fractional amplitude error ``epsilon``.  With
     exact phases and zero error the value is 1 to machine precision.
     """
-    d1, d2 = offsets
-    # Offsets go by position: both pi pulses share the first channel even
-    # where a correction phase coincides with the target pulse's (theta=2pi)
-    # or with the other correction phase (theta=4pi).
-    target, *block = bb1_sequence(theta)
-    net = rotation(RotationSpec(target.theta, target.phi, epsilon))
-    for pulse, offset in zip(block, (d1, d2, d1)):
-        net = compose(net, rotation(RotationSpec(pulse.theta, pulse.phi + offset, epsilon)))
-    return fidelity(rotation(RotationSpec(theta, 0.0, 0.0)), net)
+    return float(_fidelities_over(theta, _bb1_pulses(theta, offsets), np.array([epsilon]))[0])
 
 
 def _simple_fidelity(theta: float, epsilon: float) -> float:
-    return fidelity(
-        rotation(RotationSpec(theta, 0.0, 0.0)), rotation(RotationSpec(theta, 0.0, epsilon))
-    )
+    return float(_fidelities_over(theta, [Pulse(theta, 0.0)], np.array([epsilon]))[0])
 
 
 def scan_order(
@@ -114,10 +124,8 @@ def scan_order(
     if n_points < 5:
         raise ValueError("n_points must be >= 5")
     eps = np.geomspace(lo, hi, n_points)
-    if use_bb1:
-        infid = np.array([1.0 - bb1_fidelity(theta, e) for e in eps])
-    else:
-        infid = np.array([1.0 - _simple_fidelity(theta, e) for e in eps])
+    pulses = _bb1_pulses(theta) if use_bb1 else [Pulse(theta, 0.0)]
+    infid = 1.0 - _fidelities_over(theta, pulses, eps)
     scan = FidelityScan(theta=theta, points=tuple(zip(eps.tolist(), infid.tolist())))
 
     usable = infid > DEGENERATE_INFIDELITY
@@ -206,17 +214,16 @@ def verify_eq5_coefficients(
 def ensemble_mean_fidelity(sigma_theta: float, nodes: int = 201) -> float:
     """Mean pi-pulse fidelity under a Gaussian spread of absolute angle errors.
 
-    Gauss-Hermite average of ``|cos(err/2)|`` for ``err ~ N(0, sigma^2)``.
-    For small spreads this approaches ``1 - sigma^2/8``.
+    Gauss-Hermite average of ``|cos(err/2)|`` for ``err ~ N(0, sigma^2)``,
+    on the nodes of ``ensemble_nodes``; raises ``ValueError`` where they
+    cannot be trusted.  For small spreads this approaches ``1 - sigma^2/8``.
     """
     if sigma_theta < 0 or not math.isfinite(sigma_theta):
         raise ValueError("sigma_theta must be finite and >= 0")
     if sigma_theta == 0.0:
         return 1.0
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    err = math.sqrt(2.0) * sigma_theta * x
-    vals = np.abs(np.cos(err / 2.0))
-    return float(np.sum((w / math.sqrt(math.pi)) * vals))
+    err, _, w = np.array(ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma_theta), nodes=nodes))).T
+    return math.fsum((w * np.abs(np.cos(err / 2.0))).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -90,19 +90,15 @@ def _csv_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(meta: dict, rows) -> str:
-    return json.dumps({"meta": meta, "data": rows}, indent=2) + "\n"
-
-
-def _meta(args, command: str, config: dict) -> dict:
-    return {"tool": "spinpulse", "version": __version__, "command": command, "config": config}
-
-
-def _emit_rows(args, command: str, config: dict, rows: list[dict]) -> None:
+def _emit_rows(
+    args, command: str, config: dict, rows: list[dict], text: Optional[str] = None
+) -> None:
+    """The JSON artifact with --json, else ``text`` (default: the rows as CSV)."""
     if args.json:
-        _emit(args, _json_text(_meta(args, command, config), rows))
+        meta = {"tool": "spinpulse", "version": __version__, "command": command, "config": config}
+        _emit(args, json.dumps({"meta": meta, "data": rows}, indent=2) + "\n")
     else:
-        _emit(args, _csv_text(rows))
+        _emit(args, _csv_text(rows) if text is None else text)
 
 
 def _require(args, *names: str) -> None:
@@ -145,10 +141,7 @@ def cmd_fidelity(args) -> int:
         "dphi2_rad": args.dphi2,
     }
     rows = [{"fidelity": f, "infidelity": 1.0 - f}]
-    if args.json:
-        _emit(args, _json_text(_meta(args, "fidelity", config), rows))
-    else:
-        _emit(args, f"F={f:.11e} 1-F={1.0 - f:.11e}\n")
+    _emit_rows(args, "fidelity", config, rows, f"F={f:.11e} 1-F={1.0 - f:.11e}\n")
     return 0
 
 
@@ -299,10 +292,10 @@ def cmd_estimate_error(args) -> int:
     eps_hat, residual = estimate_rotation_error(cp, cpmg, eps_max=args.eps_max)
     config = {"cp": args.cp, "cpmg": args.cpmg, "eps_max": args.eps_max}
     rows = [{"epsilon_hat": eps_hat, "residual": residual}]
-    if args.json:
-        _emit(args, _json_text(_meta(args, "estimate-error", config), rows))
-    else:
-        _emit(args, f"epsilon_hat={eps_hat:.11e} residual={residual:.11e}\n")
+    _emit_rows(
+        args, "estimate-error", config, rows,
+        f"epsilon_hat={eps_hat:.11e} residual={residual:.11e}\n",
+    )
     return 0
 
 
@@ -319,10 +312,7 @@ def cmd_eseem_ratio(args) -> int:
             "magic_angle_rad": magic_refocus_angle(),
         }
     ]
-    if args.json:
-        _emit(args, _json_text(_meta(args, "eseem-ratio", config), rows))
-    else:
-        _emit(args, f"ratio={ratio:.11e}\n")
+    _emit_rows(args, "eseem-ratio", config, rows, f"ratio={ratio:.11e}\n")
     return 0
 
 

@@ -110,22 +110,25 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _scaled_angle(number: str, unit: str | None) -> float:
+    if unit is None:
+        raise ValueError("angle unit required (pi, deg, or rad)")
+    scale = ANGLE_UNITS.get(unit.lower())
+    if scale is None:
+        raise ValueError(f"unknown angle unit {unit!r} (expected pi, deg, or rad)")
+    return float(number) * scale
+
+
 def parse_angle_literal(text: str) -> float:
     """Parse a unit-suffixed angle literal such as ``1pi``, ``90deg``, ``1.2rad``.
 
     Used for DSL angles and for command-line flag values.  Raises
     ``ValueError`` if the unit is missing or unknown.
     """
-    m = re.fullmatch(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z_]\w*)?", text.strip())
-    if m is None:
+    m = _TOKEN_RE.fullmatch(text.strip())
+    if m is None or m.group("number") is None:
         raise ValueError(f"malformed angle literal {text!r}")
-    value, unit = m.group(1), m.group(2)
-    if unit is None:
-        raise ValueError("angle unit required (pi, deg, or rad)")
-    scale = ANGLE_UNITS.get(unit.lower())
-    if scale is None:
-        raise ValueError(f"unknown angle unit {unit!r} (expected pi, deg, or rad)")
-    return float(value) * scale
+    return _scaled_angle(m.group("number"), m.group("unit"))
 
 
 class _Parser:
@@ -161,12 +164,10 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "number":
             self.fail("expected an angle (number with pi/deg/rad unit)", tok)
-        if tok.unit is None:
-            self.fail("angle unit required (pi, deg, or rad)", tok)
-        scale = ANGLE_UNITS.get(tok.unit.lower())
-        if scale is None:
-            self.fail(f"unknown angle unit {tok.unit!r} (expected pi, deg, or rad)", tok)
-        return float(tok.text) * scale
+        try:
+            return _scaled_angle(tok.text, tok.unit)
+        except ValueError as exc:
+            self.fail(str(exc), tok)
 
     def keyed_angle(self, key: str) -> tuple[float, _Token]:
         self.expect_ident(key)

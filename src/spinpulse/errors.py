@@ -23,9 +23,6 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .sequence import Pulse
-from .su2 import RotationSpec
-
 __all__ = [
     "Gaussian",
     "Uniform",
@@ -36,7 +33,7 @@ __all__ = [
     "NO_ERROR",
     "EnsembleSpec",
     "PHASE_MATCH_TOL",
-    "apply_error",
+    "MAX_NODES",
     "ensemble_nodes",
     "monte_carlo_nodes",
 ]
@@ -46,6 +43,11 @@ PHASE_MATCH_TOL = 1e-9
 
 WEIGHT_SUM_TOL = 1e-12
 NODE_WEIGHT_TOL = 1e-10
+
+# Largest quadrature order accepted.  The companion-matrix eigensolve
+# grows as n^3 (leggauss takes ~0.1 s at 1024 nodes, ~0.7 s at 2048),
+# Gauss-Hermite already fails past ~370 nodes, and the echo default is 257.
+MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -135,21 +137,13 @@ class ErrorModel:
 NO_ERROR = ErrorModel()
 
 
-def apply_error(p: Pulse, e: ErrorModel) -> RotationSpec:
-    """Turn a nominal pulse into the rotation it actually performs.
-
-    The nominal angle is kept (the amplitude error lives in the spec's
-    ``epsilon``) and the phase picks up the offset of its channel, if any.
-    """
-    return RotationSpec(theta=p.theta, phi=p.phi + e.offset_for(p.phi), epsilon=e.epsilon)
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Distributions over amplitude error and detuning, plus node count.
 
-    ``nodes`` is the quadrature order used per continuous distribution;
-    ``Discrete`` distributions contribute their atoms regardless of it.
+    ``nodes`` is the quadrature order used per continuous distribution,
+    an integer in [1, ``MAX_NODES``]; ``Discrete`` distributions
+    contribute their atoms regardless of it.
     """
 
     epsilon_dist: Distribution
@@ -157,8 +151,8 @@ class EnsembleSpec:
     nodes: int = 41
 
     def __post_init__(self):
-        if not isinstance(self.nodes, int) or self.nodes < 1:
-            raise ValueError("node count must be an integer >= 1")
+        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= MAX_NODES:
+            raise ValueError(f"node count must be an integer in [1, {MAX_NODES}]")
 
 
 def _dist_nodes(dist: Distribution, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,14 @@
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
 detuning phase (z-rotation by ``delta * tau``); ``Repeat`` unrolls;
 ``Acquire`` marks sampling points.  One engine interprets every program:
-it propagates a batch of ensemble members at once, and ``propagate``,
-``rabi_trace`` and ``echo_train`` all run through it (``propagate`` is
-the one-member batch).  Ensemble reductions are correctly rounded
-(``math.fsum``), so they do not depend on node order and results are
-bit-identical run to run.
+it propagates a batch of ensemble members at once, each carrying a
+block of columns - one column is a state, the two columns of the
+identity are the whole propagator - and ``propagate``, ``rabi_trace``,
+``echo_train`` and the analysis fidelities all run through it
+(``propagate`` is the one-member batch).  Its pulse matrices come from
+the one batched rotation formula in ``su2``.  Ensemble reductions are
+correctly rounded (``math.fsum``), so they do not depend on node order
+and results are bit-identical run to run.
 
 Experiments:
 
@@ -45,7 +48,7 @@ from .errors import (
     monte_carlo_nodes,
 )
 from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_rabi_program, bb1_sequence
-from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, _rotations
 
 __all__ = [
     "SpinState",
@@ -130,6 +133,8 @@ class Signal:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.samples):
+            raise ValueError("sample x and y values must be finite")
         xs = [x for x, _ in self.samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("sample x values must be strictly increasing")
@@ -148,29 +153,14 @@ class Signal:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_matrices(theta: float, phi: float, eps: np.ndarray) -> np.ndarray:
-    """Rotation matrices for one pulse across all nodes, shape (M, 2, 2)."""
-    a = 0.5 * theta * (1.0 + eps)
-    c = np.cos(a)
-    s = np.sin(a)
-    e_minus = complex(math.cos(phi), -math.sin(phi))
-    out = np.empty((eps.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = 1j * s * e_minus
-    out[:, 1, 0] = 1j * s * e_minus.conjugate()
-    out[:, 1, 1] = c
-    return out
-
-
 def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray:
     for el in elements:
         if isinstance(el, Pulse):
             phi = el.phi + error.offset_for(el.phi)
-            mats = _pulse_matrices(el.theta, phi, eps)
-            psi = np.einsum("nij,nj->ni", mats, psi)
+            psi = _rotations(el.theta, phi, eps) @ psi
         elif isinstance(el, Delay):
             phase = np.exp(0.5j * delta * el.tau)
-            psi = psi * np.stack([phase, phase.conj()], axis=1)
+            psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
         elif isinstance(el, Repeat):
             for _ in range(el.count):
                 psi = _walk(el.body, error, eps, delta, psi, snapshots)
@@ -182,12 +172,13 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
 
 
 def _propagate_nodes(
-    elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray, psi0: np.ndarray
+    elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray, block0: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Propagate all nodes through a program; returns final states and
-    (M, 2) snapshots taken at each ``Acquire``."""
+    """Propagate a (2, K) column block through a program at every node;
+    returns the final (M, 2, K) blocks and the snapshots taken at each
+    ``Acquire``.  ``block0 = IDENTITY`` yields the propagators."""
     snapshots: list[np.ndarray] = []
-    psi = np.broadcast_to(psi0, (eps.size, 2)).copy()
+    psi = np.broadcast_to(block0, (eps.size, *block0.shape)).copy()
     psi = _walk(elements, error, eps, delta, psi, snapshots)
     return psi, snapshots
 
@@ -206,16 +197,19 @@ def propagate(
     """
     state = initial if initial is not None else SpinState.spin_up()
     final, _ = _propagate_nodes(
-        program.elements, e, np.array([e.epsilon]), np.array([float(delta)]), state.vector
+        program.elements, e, np.array([e.epsilon]), np.array([float(delta)]), state.vector[:, None]
     )
-    v = final[0]
+    v = final[0, :, 0]
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
-def _nodes_for(spec: EnsembleSpec, mc_samples: Optional[int], mc_seed: int):
+def _nodes_for(spec: EnsembleSpec, mc_samples: Optional[int], mc_seed: int) -> np.ndarray:
+    """The (eps, delta, weights) node arrays, stacked as rows."""
     if mc_samples is None:
-        return ensemble_nodes(spec)
-    return monte_carlo_nodes(spec, mc_samples, mc_seed)
+        nodes = ensemble_nodes(spec)
+    else:
+        nodes = monte_carlo_nodes(spec, mc_samples, mc_seed)
+    return np.array(nodes).T
 
 
 def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
@@ -224,8 +218,8 @@ def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
 
 
 def _transverse(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<sx>, <sy>) of every row of an (M, 2) state batch."""
-    cross = np.conj(psi[:, 0]) * psi[:, 1]
+    """(<sx>, <sy>) of every member of an (M, 2, 1) state batch."""
+    cross = np.conj(psi[:, 0, 0]) * psi[:, 1, 0]
     return 2.0 * cross.real, 2.0 * cross.imag
 
 
@@ -272,11 +266,8 @@ def rabi_trace(
         raise ValueError("step must be positive")
     if not math.isfinite(max_angle) or max_angle < 0:
         raise ValueError("max_angle must be finite and >= 0")
-    nodes = _nodes_for(ensemble, mc_samples, mc_seed)
-    eps = np.array([n[0] for n in nodes])
-    delta = np.array([n[1] for n in nodes])
-    weights = np.array([n[2] for n in nodes])
-    psi0 = SpinState.spin_up().vector
+    eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
+    psi0 = SpinState.spin_up().vector[:, None]
 
     samples = []
     k = 0
@@ -291,7 +282,7 @@ def rabi_trace(
         else:
             elements = (Pulse(theta, 0.0),)
         final, _ = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
-        sz = np.abs(final[:, 0]) ** 2 - np.abs(final[:, 1]) ** 2
+        sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
         k += 1
 
@@ -376,7 +367,7 @@ def echo_train(
     cycle = _echo_cycle(refocus_phase, use_bb1, tau)
     elements = (Repeat(n_refocus, cycle),) if n_refocus > 1 else cycle
 
-    psi0 = _pulse_matrices(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector
+    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
 
     # Zero-error reference run fixes the per-echo detection axis.
     _, ref_snaps = _propagate_nodes(elements, NO_ERROR, np.zeros(1), np.zeros(1), psi0)
@@ -384,9 +375,7 @@ def echo_train(
     r = np.hypot(ref_x, ref_y)
     axes = zip((ref_x / r).tolist(), (ref_y / r).tolist())
 
-    nodes = _nodes_for(spec, mc_samples, mc_seed)
-    delta = np.array([n[1] for n in nodes])
-    weights = np.array([n[2] for n in nodes])
+    _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
     eps = np.full(delta.shape, float(epsilon))
     _, snaps = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
 

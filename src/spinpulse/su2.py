@@ -4,6 +4,12 @@ Provides the rotation constructor for an in-plane axis with a fractional
 amplitude error, time-ordered composition, the half-trace fidelity metric,
 and an axis/angle decomposition for residual-error diagnostics.
 
+Rotation matrices and the fidelity are each defined once, batched over an
+array of amplitude errors (``_rotations`` and ``_fidelities``); the
+propagation engine and the analysis fidelities use them directly, and
+``rotation`` and ``fidelity`` are their one-member cases, validated once
+at the public boundary.
+
 Conventions used throughout the package:
 
 * A rotation of nominal angle ``theta`` about the in-plane axis at azimuth
@@ -119,15 +125,22 @@ class RotationSpec:
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
-def _rotation_matrix(theta: float, phi: float, epsilon: float) -> np.ndarray:
-    # cos(a) I + i sin(a) (sx cos(phi) + sy sin(phi)), a = theta(1+eps)/2
-    a = 0.5 * theta * (1.0 + epsilon)
-    c = math.cos(a)
-    s = math.sin(a)
+def _rotations(theta: float, phi: float, eps: np.ndarray) -> np.ndarray:
+    """Rotation matrices of one pulse for every amplitude error in ``eps``,
+    shape (M, 2, 2): ``cos(a) I + i sin(a) (sx cos(phi) + sy sin(phi))``
+    with ``a = theta(1+eps)/2``."""
+    # Halving last keeps the error exactly foldable into the angle, even
+    # for subnormal theta.
+    a = 0.5 * (theta * (1.0 + eps))
+    c = np.cos(a)
+    s = np.sin(a)
     e_minus = complex(math.cos(phi), -math.sin(phi))
-    return np.array(
-        [[c, 1j * s * e_minus], [1j * s * e_minus.conjugate(), c]], dtype=complex
-    )
+    out = np.empty((eps.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = 1j * s * e_minus
+    out[:, 1, 0] = 1j * s * e_minus.conjugate()
+    out[:, 1, 1] = c
+    return out
 
 
 def rotation(spec: RotationSpec) -> Unitary2:
@@ -137,7 +150,7 @@ def rotation(spec: RotationSpec) -> Unitary2:
     in closed form.  A zero angle gives the identity; a 2*pi rotation
     gives minus the identity (spinor sign).
     """
-    return Unitary2.from_matrix(_rotation_matrix(spec.theta, spec.phi, spec.epsilon))
+    return Unitary2.from_matrix(_rotations(spec.theta, spec.phi, np.array([spec.epsilon]))[0])
 
 
 def compose(first: Unitary2, second: Unitary2) -> Unitary2:
@@ -148,6 +161,13 @@ def compose(first: Unitary2, second: Unitary2) -> Unitary2:
     return Unitary2.from_matrix(second.matrix @ first.matrix)
 
 
+def _fidelities(ideal: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Half-trace overlaps ``|Tr(ideal . actual^dagger)| / 2``, clamped to 1,
+    of a (2, 2) ``ideal`` with each matrix of an (M, 2, 2) ``actual``."""
+    tr = np.trace(ideal @ np.swapaxes(actual.conj(), -1, -2), axis1=-2, axis2=-1)
+    return np.minimum(0.5 * np.abs(tr), 1.0)
+
+
 def fidelity(ideal: Unitary2, actual: Unitary2) -> float:
     """Half-trace overlap |Tr(ideal . actual^-1)| / 2, in [0, 1].
 
@@ -155,8 +175,7 @@ def fidelity(ideal: Unitary2, actual: Unitary2) -> float:
     unitaries give 1; for two rotations about the same axis differing by
     an angle ``d`` the value is ``|cos(d/2)|``.
     """
-    tr = np.trace(ideal.matrix @ actual.matrix.conj().T)
-    return float(min(0.5 * abs(tr), 1.0))
+    return float(_fidelities(ideal.matrix, actual.matrix[None])[0])
 
 
 def axis_angle(u: Unitary2) -> tuple[np.ndarray, float]:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinpulse import (
     EseemRatioSpec,
@@ -70,6 +71,22 @@ class TestBb1Fidelity:
                 assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
                     bb1_fidelity_expm(theta, eps, d1, d2), abs=1e-12
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, 4 * math.pi),
+        eps=st.floats(-0.3, 0.3),
+        d1=st.floats(-0.05, 0.05),
+        d2=st.floats(-0.05, 0.05),
+    )
+    def test_matches_expm_route(self, theta, eps, d1, d2):
+        assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
+            bb1_fidelity_expm(theta, eps, d1, d2), abs=1e-12
+        )
+
+    def test_non_finite_error_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            bb1_fidelity(math.pi, math.nan)
 
     def test_measured_phase_scenario(self):
         f = bb1_fidelity(math.pi, 0.1, (0.007 * math.pi, 0.001 * math.pi))
@@ -213,6 +230,9 @@ class TestEnsembleMeanFidelity:
     def test_validation(self):
         with pytest.raises(ValueError):
             ensemble_mean_fidelity(-0.1)
+        # Gauss-Hermite weights overflow at 400 nodes: an error, not nan
+        with pytest.raises(ValueError, match="400 nodes"):
+            ensemble_mean_fidelity(0.1, nodes=400)
 
 
 class TestEstimator:

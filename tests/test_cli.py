@@ -152,6 +152,14 @@ class TestRabiCommand:
         assert out == ""
         assert "400 nodes" in err
 
+    def test_node_count_above_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi", "--nodes", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "node count" in err
+
     def test_corrected_long_trace_keeps_contrast(self, capsys):
         code, out, _ = run(
             capsys,
@@ -199,6 +207,27 @@ class TestEchoCommand:
         assert code == 0
         eps_hat = float(out.split()[0].split("=")[1])
         assert eps_hat == pytest.approx(0.1, rel=0.1)
+
+    def test_estimate_error_rejects_nan_sample(self, capsys, tmp_path):
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "8", "--epsilon", "0.1",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        lines = (tmp_path / "cp.csv").read_text().split("\n")
+        lines[3] = lines[3].split(",")[0] + ",nan"
+        (tmp_path / "cp.csv").write_text("\n".join(lines))
+        code, out, err = run(
+            capsys,
+            "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"),
+            "--cpmg", str(tmp_path / "cpmg.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestEseemCommand:

@@ -9,22 +9,29 @@ from spinpulse import (
     ErrorModel,
     Gaussian,
     Pulse,
+    PulseProgram,
+    RotationSpec,
     Uniform,
-    apply_error,
     ensemble_nodes,
     monte_carlo_nodes,
+    propagate,
+    rotation,
 )
+from spinpulse.errors import MAX_NODES
 
 
 class TestApplyError:
+    """How an ErrorModel acts on a pulse: the angle is scaled by
+    ``1 + epsilon`` and the phase picks up ``offset_for(phi)``."""
+
     def test_no_error_is_identity(self):
-        p = Pulse(1.3, 0.7)
-        spec = apply_error(p, ErrorModel())
-        assert (spec.theta, spec.phi, spec.epsilon) == (1.3, 0.7, 0.0)
+        assert ErrorModel().offset_for(0.7) == 0.0
+        assert ErrorModel().epsilon == 0.0
 
     def test_amplitude_error_scales_effective_angle(self):
-        spec = apply_error(Pulse(math.pi, 0.0), ErrorModel(epsilon=0.1))
-        assert spec.theta * (1 + spec.epsilon) == pytest.approx(1.1 * math.pi)
+        got = propagate(PulseProgram((Pulse(math.pi, 0.0),)), ErrorModel(epsilon=0.1)).vector
+        want = rotation(RotationSpec(1.1 * math.pi, 0.0, 0.0)).matrix[:, 0]
+        assert np.max(np.abs(got - want)) < 1e-15
 
     def test_offsets_shift_only_matching_channels(self):
         phi1 = 0.580 * math.pi
@@ -33,20 +40,16 @@ class TestApplyError:
             epsilon=0.0,
             phase_offsets={phi1: 0.007 * math.pi, phi2: 0.001 * math.pi},
         )
-        assert apply_error(Pulse(math.pi, phi1), model).phi == pytest.approx(
-            phi1 + 0.007 * math.pi
-        )
-        assert apply_error(Pulse(2 * math.pi, phi2), model).phi == pytest.approx(
-            phi2 + 0.001 * math.pi
-        )
-        assert apply_error(Pulse(math.pi, 0.0), model).phi == 0.0
+        assert model.offset_for(phi1) == pytest.approx(0.007 * math.pi)
+        assert model.offset_for(phi2) == pytest.approx(0.001 * math.pi)
+        assert model.offset_for(0.0) == 0.0
 
     def test_phase_match_tolerance(self):
         model = ErrorModel(phase_offsets={1.0: 0.01})
-        assert apply_error(Pulse(1.0, 1.0 + 5e-10), model).phi == pytest.approx(1.01, abs=1e-9)
-        assert apply_error(Pulse(1.0, 1.0 + 5e-8), model).phi == pytest.approx(
-            1.0 + 5e-8, abs=1e-12
-        )
+        assert model.offset_for(1.0 + 5e-10) == 0.01
+        assert model.offset_for(1.0 - 0.999e-9) == 0.01
+        assert model.offset_for(1.0 + 1.001e-9) == 0.0
+        assert model.offset_for(1.0 + 5e-8) == 0.0
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +119,12 @@ class TestDistributions:
     def test_node_count_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(Gaussian(0, 0.1), nodes=0)
+
+    def test_node_count_bounded(self):
+        # constructing the spec alone must refuse; no quadrature is built
+        assert EnsembleSpec(Uniform(-1.0, 1.0), nodes=MAX_NODES).nodes == MAX_NODES
+        with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
+            EnsembleSpec(Uniform(-1.0, 1.0), nodes=10**6)
 
     def test_overflowing_quadrature_rejected(self):
         # Gauss-Hermite weights overflow to nan near 373 nodes; 300 is fine

@@ -25,6 +25,7 @@ from spinpulse import (
     rabi_trace,
 )
 from spinpulse.simulator import _propagate_nodes
+from spinpulse.su2 import IDENTITY
 from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
@@ -75,9 +76,28 @@ class TestPropagate:
         elements = random_elements(rng, 1000)
         final, _ = _propagate_nodes(
             elements, ErrorModel(epsilon=0.2), np.array([0.2]), np.array([0.7]),
-            SpinState.spin_up().vector,
+            SpinState.spin_up().vector[:, None],
         )
         assert abs(np.linalg.norm(final[0]) - 1.0) < 1e-10
+
+    def test_identity_block_equals_state_runs(self):
+        # the two-column run is the propagator: each column, and each
+        # Acquire snapshot of it, is the run started from that basis state
+        rng = random.Random(23)
+        eps = np.array([-0.2, 0.0, 0.15])
+        delta = np.array([1.3, -4.0, 2.5])
+        for _ in range(40):
+            program = random_program(rng)
+            phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
+            model = ErrorModel(0.0, [(p, rng.uniform(-0.2, 0.2)) for p in phases])
+            block, block_snaps = _propagate_nodes(program.elements, model, eps, delta, IDENTITY)
+            for col in range(2):
+                state, snaps = _propagate_nodes(
+                    program.elements, model, eps, delta, IDENTITY[:, col : col + 1]
+                )
+                assert len(snaps) == len(block_snaps)
+                for got, want in zip([block, *block_snaps], [state, *snaps]):
+                    assert np.max(np.abs(got[:, :, col : col + 1] - want)) < 1e-14
 
     def test_engine_matches_oracle_on_random_programs(self):
         rng = random.Random(5)
@@ -247,6 +267,23 @@ class TestEchoTrain:
         doubled = run(512)
         assert np.max(np.abs(base - doubled)) < 1e-6
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        use_bb1=st.booleans(),
+        tau=st.floats(0.1, 3.0),
+        span=st.floats(0.5, 20.0),
+        nodes=st.integers(1, 64),
+    )
+    def test_cp_equals_cpmg_without_error(self, n, use_bb1, tau, span, nodes):
+        spec = EnsembleSpec(
+            Discrete(((0.0, 1.0),)), detuning_dist=Uniform(-span, span), nodes=nodes
+        )
+        cp = echo_train("cp", n, 0.0, ensemble_detuning=spec, use_bb1=use_bb1, tau=tau)
+        cpmg = echo_train("cpmg", n, 0.0, ensemble_detuning=spec, use_bb1=use_bb1, tau=tau)
+        assert cp.x.tolist() == cpmg.x.tolist()
+        assert np.max(np.abs(cp.values - cpmg.values)) < 1e-12
+
     def test_echo_times_are_2k_tau(self):
         sig = echo_train("cp", 4, 0.0, tau=0.5)
         assert sig.x.tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -271,6 +308,13 @@ class TestSignal:
     def test_rejects_non_increasing_x(self):
         with pytest.raises(ValueError):
             Signal("x", "s", "y", [(0.0, 1.0), (0.0, 2.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Signal("x", "s", "y", [(0.0, 1.0), (1.0, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            Signal("x", "s", "y", [(0.0, 1.0), (bad, 2.0)])
 
     def test_provenance_present(self):
         sig = echo_train("cp", 2, 0.05)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spinpulse import (
     RotationSpec,
@@ -57,6 +57,7 @@ def test_rotation_is_unitary(theta, phi, eps):
 
 
 @given(angles, phases, errors)
+@example(theta=2.225073858507203e-309, phi=0.0, eps=0.125)  # subnormal theta
 def test_error_folds_into_angle_exactly(theta, phi, eps):
     a = rotation(RotationSpec(theta, phi, eps))
     b = rotation(RotationSpec(theta * (1.0 + eps), phi, 0.0))
