@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NO_ERROR, EnsembleSpec, Gaussian, ensemble_nodes
 from .sequence import Pulse, bb1_sequence
-from .simulator import Signal, _propagate_nodes, echo_train
+from .simulator import MAX_SAMPLES, Signal, _propagate_nodes, echo_train
 from .su2 import IDENTITY, RotationSpec, _fidelities, rotation
 
 __all__ = [
@@ -109,11 +109,11 @@ def scan_order(
 ) -> tuple[FidelityScan, float | None]:
     """Log-log slope of infidelity versus amplitude error.
 
-    Scans ``n_points`` log-spaced errors in ``eps_range`` for either the
-    exact-phase corrected sequence or a single uncorrected pulse, and
-    least-squares fits the slope of ``log(1-F)`` against ``log(eps)``.
-    The corrected sequence fits close to 6 (the surviving leading order),
-    an uncorrected pulse close to 2.
+    Scans ``n_points`` (at most ``MAX_SAMPLES``) log-spaced errors in
+    ``eps_range`` for either the exact-phase corrected sequence or a
+    single uncorrected pulse, and least-squares fits the slope of
+    ``log(1-F)`` against ``log(eps)``.  The corrected sequence fits close
+    to 6 (the surviving leading order), an uncorrected pulse close to 2.
 
     Returns ``(scan, slope)``; ``slope`` is None when the scan is
     degenerate (all infidelities below 1e-15, e.g. a zero-angle target).
@@ -121,8 +121,8 @@ def scan_order(
     lo, hi = eps_range
     if not (0.0 < lo < hi <= 0.3):
         raise ValueError("eps_range must satisfy 0 < lo < hi <= 0.3")
-    if n_points < 5:
-        raise ValueError("n_points must be >= 5")
+    if not 5 <= n_points <= MAX_SAMPLES:
+        raise ValueError(f"n_points must lie in [5, {MAX_SAMPLES}]")
     eps = np.geomspace(lo, hi, n_points)
     pulses = _bb1_pulses(theta) if use_bb1 else [Pulse(theta, 0.0)]
     infid = 1.0 - _fidelities_over(theta, pulses, eps)
@@ -222,7 +222,7 @@ def ensemble_mean_fidelity(sigma_theta: float, nodes: int = 201) -> float:
         raise ValueError("sigma_theta must be finite and >= 0")
     if sigma_theta == 0.0:
         return 1.0
-    err, _, w = np.array(ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma_theta), nodes=nodes))).T
+    err, _, w = ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma_theta), nodes=nodes)).T
     return math.fsum((w * np.abs(np.cos(err / 2.0))).tolist())
 
 

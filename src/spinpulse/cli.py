@@ -222,14 +222,13 @@ def cmd_rabi(args) -> int:
 
 def cmd_echo(args) -> int:
     _require(args, "mode", "n")
-    ensemble = None
     if args.span is not None:
         ensemble = EnsembleSpec(
             epsilon_dist=DELTA_ZERO,
             detuning_dist=Uniform(-args.span, args.span),
             nodes=args.nodes,
         )
-    elif args.nodes != DEFAULT_DETUNING_NODES:
+    else:
         ensemble = default_echo_ensemble(args.tau, args.nodes)
     signal = echo_train(
         args.mode,
@@ -335,14 +334,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     parser.add_argument("--version", action="version", version=f"spinpulse {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = subs.add_parser("parse", help="parse a pulse-program file; print canonical text")
     p.add_argument("file", help="program file in the pulse DSL")
     p.add_argument("--ast", action="store_true", help="emit the JSON AST")
     _add_common(p)
     p.set_defaults(func=cmd_parse)
-    registry["parse"] = p
 
     p = subs.add_parser("fidelity", help="fidelity of a simple or corrected rotation")
     p.add_argument("--theta", type=_angle, default=None, help="target angle (e.g. 1pi)")
@@ -352,7 +349,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--dphi2", type=_angle, default=0.0, help="offset on the second phase channel")
     _add_common(p)
     p.set_defaults(func=cmd_fidelity)
-    registry["fidelity"] = p
 
     p = subs.add_parser("scan", help="log-log infidelity-vs-error scan and slope")
     p.add_argument("--theta", type=_angle, default=None)
@@ -362,12 +358,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--simple", action="store_true", help="scan an uncorrected single pulse")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
-    registry["scan"] = p
 
     p = subs.add_parser("verify-eq5", help="extract phase-sensitivity coefficients numerically")
     _add_common(p)
     p.set_defaults(func=cmd_verify_eq5)
-    registry["verify-eq5"] = p
 
     p = subs.add_parser("rabi", help="nutation trace over a Gaussian amplitude-error ensemble")
     p.add_argument("--sigma", type=float, default=None, help="Gaussian width of epsilon")
@@ -380,7 +374,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     _add_common(p)
     p.set_defaults(func=cmd_rabi)
-    registry["rabi"] = p
 
     p = subs.add_parser("echo", help="CP/CPMG echo-train amplitudes")
     p.add_argument("--mode", choices=["cp", "cpmg"], default=None)
@@ -395,7 +388,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_echo)
-    registry["echo"] = p
 
     p = subs.add_parser("estimate-error", help="fit the rotation error from CP/CPMG CSV files")
     p.add_argument("--cp", default=None, help="CSV produced by 'echo --mode cp'")
@@ -403,16 +395,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--eps-max", type=float, default=0.3)
     _add_common(p)
     p.set_defaults(func=cmd_estimate_error)
-    registry["estimate-error"] = p
 
     p = subs.add_parser("eseem-ratio", help="modulation-component ratio for a refocusing pulse")
     p.add_argument("--mode", choices=["pi", "magic"], default=None)
     p.add_argument("--theta-eps", type=_angle, default=None, help="absolute angle error (e.g. 0.1rad)")
     _add_common(p)
     p.set_defaults(func=cmd_eseem_ratio)
-    registry["eseem-ratio"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _load_config(path: str) -> dict:

@@ -13,6 +13,9 @@ Ensembles over ``epsilon`` (and optionally over detuning) are evaluated
 with deterministic quadrature - Gauss-Hermite for Gaussian weights,
 Gauss-Legendre for uniform ones - so that every downstream number is
 bit-reproducible.  A seeded Monte Carlo sampler exists for cross-checks.
+Each distribution kind owns its quadrature rule, sampler and provenance
+record; ``ensemble_nodes`` and ``monte_carlo_nodes`` return one
+``(N, 3)`` array of (epsilon, delta, weight) rows.
 """
 
 from __future__ import annotations
@@ -61,6 +64,20 @@ class Gaussian:
         if self.sigma < 0:
             raise ValueError("Gaussian sigma must be >= 0")
 
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Hermite values and weights of order ``n``."""
+        # Overflow at large n leaves non-finite weights, which
+        # ensemble_nodes reports as an error; numpy's warnings add nothing.
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(n)
+        return self.mean + math.sqrt(2.0) * self.sigma * x, w / math.sqrt(math.pi)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.mean, self.sigma, size=count)
+
+    def to_dict(self) -> dict:
+        return {"kind": "gaussian", "mean": self.mean, "sigma": self.sigma}
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -72,6 +89,19 @@ class Uniform:
             raise ValueError("Uniform bounds must be finite")
         if self.lo > self.hi:
             raise ValueError("Uniform requires lo <= hi")
+
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre values and weights of order ``n``."""
+        x, w = np.polynomial.legendre.leggauss(n)
+        mid = 0.5 * (self.hi + self.lo)
+        half = 0.5 * (self.hi - self.lo)
+        return mid + half * x, w / 2.0
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=count)
+
+    def to_dict(self) -> dict:
+        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -93,6 +123,18 @@ class Discrete:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("Discrete weights must sum to 1 within 1e-12")
         object.__setattr__(self, "atoms", atoms)
+
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms' values and weights, whatever ``n``."""
+        values, weights = np.array(self.atoms).T
+        return values, weights
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        values, weights = np.array(self.atoms).T
+        return rng.choice(values, size=count, p=weights / weights.sum())
+
+    def to_dict(self) -> dict:
+        return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
 
 Distribution = Union[Gaussian, Uniform, Discrete]
@@ -154,70 +196,41 @@ class EnsembleSpec:
         if not isinstance(self.nodes, int) or not 1 <= self.nodes <= MAX_NODES:
             raise ValueError(f"node count must be an integer in [1, {MAX_NODES}]")
 
-
-def _dist_nodes(dist: Distribution, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dist, Discrete):
-        values = np.array([v for v, _ in dist.atoms])
-        weights = np.array([w for _, w in dist.atoms])
-        return values, weights
-    if isinstance(dist, Gaussian):
-        # Overflow at large n leaves non-finite weights, which
-        # ensemble_nodes reports as an error; numpy's warnings add nothing.
-        with np.errstate(all="ignore"):
-            x, w = np.polynomial.hermite.hermgauss(n)
-        return dist.mean + math.sqrt(2.0) * dist.sigma * x, w / math.sqrt(math.pi)
-    if isinstance(dist, Uniform):
-        x, w = np.polynomial.legendre.leggauss(n)
-        mid = 0.5 * (dist.hi + dist.lo)
-        half = 0.5 * (dist.hi - dist.lo)
-        return mid + half * x, w / 2.0
-    raise TypeError(f"unknown distribution {dist!r}")
+    def to_dict(self) -> dict:
+        """Provenance record: both distributions and the node count."""
+        return {
+            "epsilon": self.epsilon_dist.to_dict(),
+            "detuning": self.detuning_dist.to_dict(),
+            "nodes": self.nodes,
+        }
 
 
-def ensemble_nodes(spec: EnsembleSpec) -> list[tuple[float, float, float]]:
-    """Deterministic (epsilon, delta, weight) nodes for an ensemble.
+def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
+    """Deterministic nodes for an ensemble, as an ``(N, 3)`` array whose
+    columns are epsilon, delta and weight.
 
     The product grid of the two marginal node sets, epsilon-major, with
     weights multiplying; the weights sum to 1 within 1e-10.  Raises
     ``ValueError`` when the quadrature cannot meet that (Gauss-Hermite
     overflows beyond about 370 nodes).
     """
-    evals, ewts = _dist_nodes(spec.epsilon_dist, spec.nodes)
-    dvals, dwts = _dist_nodes(spec.detuning_dist, spec.nodes)
-    nodes = [
-        (float(e), float(d), float(we * wd))
-        for e, we in zip(evals, ewts)
-        for d, wd in zip(dvals, dwts)
-    ]
-    weights = [w for _, _, w in nodes]
-    if not all(map(math.isfinite, weights)) or abs(math.fsum(weights) - 1.0) > NODE_WEIGHT_TOL:
+    evals, ewts = spec.epsilon_dist.quadrature(spec.nodes)
+    dvals, dwts = spec.detuning_dist.quadrature(spec.nodes)
+    weights = np.outer(ewts, dwts).ravel()
+    if not np.all(np.isfinite(weights)) or abs(math.fsum(weights.tolist()) - 1.0) > NODE_WEIGHT_TOL:
         raise ValueError(
             f"quadrature with {spec.nodes} nodes gives weights that are not finite "
             "or do not sum to 1 within 1e-10; use fewer nodes"
         )
-    return nodes
+    return np.column_stack((np.repeat(evals, dvals.size), np.tile(dvals, evals.size), weights))
 
 
-def _dist_samples(dist: Distribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(dist, Discrete):
-        values = np.array([v for v, _ in dist.atoms])
-        weights = np.array([w for _, w in dist.atoms])
-        return rng.choice(values, size=count, p=weights / weights.sum())
-    if isinstance(dist, Gaussian):
-        return rng.normal(dist.mean, dist.sigma, size=count)
-    if isinstance(dist, Uniform):
-        return rng.uniform(dist.lo, dist.hi, size=count)
-    raise TypeError(f"unknown distribution {dist!r}")
-
-
-def monte_carlo_nodes(
-    spec: EnsembleSpec, count: int, seed: int = 0
-) -> list[tuple[float, float, float]]:
-    """Seeded equal-weight samples; cross-check companion to the quadrature."""
+def monte_carlo_nodes(spec: EnsembleSpec, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded equal-weight samples in the layout of ``ensemble_nodes``;
+    cross-check companion to the quadrature."""
     if count < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    eps = _dist_samples(spec.epsilon_dist, count, rng)
-    dlt = _dist_samples(spec.detuning_dist, count, rng)
-    w = 1.0 / count
-    return [(float(e), float(d), w) for e, d in zip(eps, dlt)]
+    eps = spec.epsilon_dist.sample(count, rng)
+    dlt = spec.detuning_dist.sample(count, rng)
+    return np.column_stack((eps, dlt, np.full(count, 1.0 / count)))

@@ -8,15 +8,16 @@ block of columns - one column is a state, the two columns of the
 identity are the whole propagator - and ``propagate``, ``rabi_trace``,
 ``echo_train`` and the analysis fidelities all run through it
 (``propagate`` is the one-member batch).  Its pulse matrices come from
-the one batched rotation formula in ``su2``.  Ensemble reductions are
-correctly rounded (``math.fsum``), so they do not depend on node order
-and results are bit-identical run to run.
+the one batched rotation formula in ``su2``, and its members are the
+rows of the ``(N, 3)`` node array from ``errors``.  Ensemble reductions
+are correctly rounded (``math.fsum``), so they do not depend on node
+order and results are bit-identical run to run.
 
 Experiments:
 
 * ``rabi_trace`` - nutation signal ``-<sz>`` versus nominal drive angle,
   with simple pulses or with long rotations decomposed into corrected
-  pi blocks plus a remainder pulse.
+  pi blocks plus a remainder pulse; at most ``MAX_SAMPLES`` samples.
 * ``echo_train`` - multi-echo decay for CP (refocusing in phase with the
   excitation) and CPMG (refocusing in quadrature), with optional
   composite refocusing pulses and an optional analytic T2 envelope.
@@ -25,7 +26,8 @@ Echo detection is phase-sensitive: the signed projection of each
 member's transverse magnetization onto the zero-error echo axis is
 ensemble-averaged first, and the magnitude of that average is the echo
 amplitude.  Averaging per-member magnitudes instead would hide
-dephasing.
+dephasing.  The zero-error axis comes from one extra member of the same
+engine run, free of error and detuning and left out of the average.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ import numpy as np
 
 from .errors import (
     DELTA_ZERO,
-    Discrete,
     EnsembleSpec,
     ErrorModel,
-    Gaussian,
     NO_ERROR,
     Uniform,
     ensemble_nodes,
@@ -60,6 +60,7 @@ __all__ = [
     "DEFAULT_TAU",
     "DEFAULT_DETUNING_SPAN",
     "DEFAULT_DETUNING_NODES",
+    "MAX_SAMPLES",
     "default_echo_ensemble",
 ]
 
@@ -70,6 +71,10 @@ __all__ = [
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 DEFAULT_DETUNING_NODES = 257
+
+# Largest number of trace samples (or scan points) accepted: the workloads
+# use at most a few hundred, and 1e5 already costs tens of megabytes.
+MAX_SAMPLES = 100_000
 
 
 class SpinState:
@@ -204,12 +209,10 @@ def propagate(
 
 
 def _nodes_for(spec: EnsembleSpec, mc_samples: Optional[int], mc_seed: int) -> np.ndarray:
-    """The (eps, delta, weights) node arrays, stacked as rows."""
+    """The (eps, delta, weights) node columns, stacked as rows."""
     if mc_samples is None:
-        nodes = ensemble_nodes(spec)
-    else:
-        nodes = monte_carlo_nodes(spec, mc_samples, mc_seed)
-    return np.array(nodes).T
+        return ensemble_nodes(spec).T
+    return monte_carlo_nodes(spec, mc_samples, mc_seed).T
 
 
 def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
@@ -221,24 +224,6 @@ def _transverse(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(<sx>, <sy>) of every member of an (M, 2, 1) state batch."""
     cross = np.conj(psi[:, 0, 0]) * psi[:, 1, 0]
     return 2.0 * cross.real, 2.0 * cross.imag
-
-
-def _dist_dict(dist) -> dict:
-    if isinstance(dist, Gaussian):
-        return {"kind": "gaussian", "mean": dist.mean, "sigma": dist.sigma}
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, Discrete):
-        return {"kind": "discrete", "atoms": [list(a) for a in dist.atoms]}
-    raise TypeError(f"unknown distribution {dist!r}")
-
-
-def _ensemble_dict(spec: EnsembleSpec) -> dict:
-    return {
-        "epsilon": _dist_dict(spec.epsilon_dist),
-        "detuning": _dist_dict(spec.detuning_dist),
-        "nodes": spec.nodes,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +245,15 @@ def rabi_trace(
     drives spin-up with either a single pulse of angle ``theta_k`` or,
     when ``use_bb1`` is set, with full corrected pi blocks plus a simple
     remainder pulse, then averages ``-<sz>`` over the ensemble.  The
-    convention puts the signal at +1 for an ideal pi rotation.
+    convention puts the signal at +1 for an ideal pi rotation.  More
+    than ``MAX_SAMPLES`` samples are rejected.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
     if not math.isfinite(max_angle) or max_angle < 0:
         raise ValueError("max_angle must be finite and >= 0")
+    if max_angle / step >= MAX_SAMPLES:
+        raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
     psi0 = SpinState.spin_up().vector[:, None]
 
@@ -296,7 +284,7 @@ def rabi_trace(
             "program": "bb1_rabi" if use_bb1 else "simple",
             "max_angle_rad": max_angle,
             "step_rad": step,
-            "ensemble": _ensemble_dict(ensemble),
+            "ensemble": ensemble.to_dict(),
             "error_model": {"epsilon": "ensemble", "phase_offsets": []},
             "monte_carlo": None if mc_samples is None else {"samples": mc_samples, "seed": mc_seed},
         },
@@ -308,8 +296,15 @@ def rabi_trace(
 # ---------------------------------------------------------------------------
 
 
+def _check_tau(tau: float) -> None:
+    if not (tau > 0) or not math.isfinite(tau):
+        raise ValueError("tau must be positive")
+
+
 def default_echo_ensemble(tau: float = DEFAULT_TAU, nodes: int = DEFAULT_DETUNING_NODES) -> EnsembleSpec:
-    """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``."""
+    """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``;
+    ``tau`` must be finite and positive."""
+    _check_tau(tau)
     span = DEFAULT_DETUNING_SPAN / tau
     return EnsembleSpec(
         epsilon_dist=DELTA_ZERO, detuning_dist=Uniform(-span, span), nodes=nodes
@@ -357,32 +352,27 @@ def echo_train(
         raise ValueError("n_refocus must be an integer >= 1")
     if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("epsilon must be finite with |epsilon| < 1")
-    if not (tau > 0) or not math.isfinite(tau):
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
 
     spec = ensemble_detuning if ensemble_detuning is not None else default_echo_ensemble(tau)
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
-    cycle = _echo_cycle(refocus_phase, use_bb1, tau)
-    elements = (Repeat(n_refocus, cycle),) if n_refocus > 1 else cycle
+    elements = (Repeat(n_refocus, _echo_cycle(refocus_phase, use_bb1, tau)),)
 
     psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
 
-    # Zero-error reference run fixes the per-echo detection axis.
-    _, ref_snaps = _propagate_nodes(elements, NO_ERROR, np.zeros(1), np.zeros(1), psi0)
-    ref_x, ref_y = _transverse(np.concatenate(ref_snaps))
-    r = np.hypot(ref_x, ref_y)
-    axes = zip((ref_x / r).tolist(), (ref_y / r).tolist())
-
+    # One extra member, free of error and detuning, fixes each echo's
+    # detection axis; it stays out of the ensemble average.
     _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
-    eps = np.full(delta.shape, float(epsilon))
-    _, snaps = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
+    eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
+    _, snaps = _propagate_nodes(elements, NO_ERROR, eps, np.append(delta, 0.0), psi0)
 
     samples = []
-    for k, (snap, (ax, ay)) in enumerate(zip(snaps, axes), start=1):
+    for k, snap in enumerate(snaps, start=1):
         bx, by = _transverse(snap)
-        proj = bx * ax + by * ay
+        r = np.hypot(bx[-1], by[-1])
+        proj = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
         amp = abs(_weighted_sum(weights, proj))
         t_k = 2.0 * tau * k
         if t2_envelope is not None:
@@ -403,7 +393,7 @@ def echo_train(
             "use_bb1": bool(use_bb1),
             "tau_s": tau,
             "t2_s": t2_envelope,
-            "ensemble": _ensemble_dict(spec),
+            "ensemble": spec.to_dict(),
             "monte_carlo": None if mc_samples is None else {"samples": mc_samples, "seed": mc_seed},
         },
     )

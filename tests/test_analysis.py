@@ -18,6 +18,7 @@ from spinpulse import (
     verify_eq5_coefficients,
 )
 from spinpulse.analysis import FidelityScan
+from spinpulse.simulator import MAX_SAMPLES
 
 # True values of the corrected-pulse figures of merit at eps = 0.1,
 # frozen from the matrix-composition oracle (cross-checked against the
@@ -155,6 +156,8 @@ class TestScanOrder:
             scan_order(math.pi, (0.01, 0.4), 9)
         with pytest.raises(ValueError):
             scan_order(math.pi, (0.01, 0.1), 4)
+        with pytest.raises(ValueError, match="n_points"):
+            scan_order(math.pi, (0.01, 0.1), MAX_SAMPLES + 1)
 
     def test_fidelity_scan_validation(self):
         with pytest.raises(ValueError):

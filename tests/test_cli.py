@@ -113,6 +113,13 @@ class TestScanCommand:
         assert "degenerate" in err
 
 
+    def test_point_count_above_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--theta", "1pi", "--points", "10000000")
+        assert code == 2
+        assert out == ""
+        assert "n_points" in err
+
+
 class TestVerifyEq5Command:
     def test_table(self, capsys):
         code, out, err = run(capsys, "verify-eq5")
@@ -160,6 +167,15 @@ class TestRabiCommand:
         assert out == ""
         assert "node count" in err
 
+    def test_sample_count_above_bound_exits_2(self, capsys):
+        # 4e8 samples: refused before any quadrature or propagation
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "40pi", "--step", "1e-7pi"
+        )
+        assert code == 2
+        assert out == ""
+        assert "100000 samples" in err
+
     def test_corrected_long_trace_keeps_contrast(self, capsys):
         code, out, _ = run(
             capsys,
@@ -189,6 +205,15 @@ class TestEchoCommand:
             last = path.read_text().strip().split("\n")[-1]
             final[mode] = float(last.split(",")[1])
         assert final["cp"] < final["cpmg"]
+
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_non_positive_tau_exits_2(self, capsys, tau):
+        code, out, err = run(
+            capsys, "echo", "--mode", "cp", "--n", "4", "--tau", tau, "--nodes", "100"
+        )
+        assert code == 2
+        assert out == ""
+        assert "tau must be positive" in err
 
     def test_estimate_error_round_trip(self, capsys, tmp_path):
         for mode in ("cp", "cpmg"):

@@ -19,12 +19,15 @@ from spinpulse import (
     SpinState,
     Signal,
     Uniform,
+    bb1_sequence,
     bloch,
+    default_echo_ensemble,
     echo_train,
     propagate,
     rabi_trace,
 )
-from spinpulse.simulator import _propagate_nodes
+from spinpulse.errors import NO_ERROR
+from spinpulse.simulator import MAX_SAMPLES, _propagate_nodes
 from spinpulse.su2 import IDENTITY
 from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
@@ -113,6 +116,38 @@ class TestPropagate:
                 program.elements, model.epsilon, offsets, delta, initial.vector
             )
             assert np.max(np.abs(got - ref)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 2 * math.pi))
+    def test_global_phase_has_no_effect(self, seed, alpha):
+        rng = random.Random(seed)
+        program = random_program(rng)
+        phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
+        model = ErrorModel(rng.uniform(-0.3, 0.3), [(p, rng.uniform(-0.2, 0.2)) for p in phases])
+        delta = rng.uniform(-5.0, 5.0)
+        a = rng.uniform(0.0, math.pi)
+        psi = SpinState(math.cos(a), math.sin(a) * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+        phase = np.exp(1j * alpha)
+        got = propagate(program, model, delta, SpinState.from_vector(phase * psi.vector))
+        want = phase * propagate(program, model, delta, psi).vector
+        assert np.max(np.abs(got.vector - want)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(0.0, 4 * math.pi),
+        axis_phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        epsilon=st.floats(-0.3, 0.3),
+    )
+    def test_bb1_axis_phase_is_covariant(self, theta, axis_phase, epsilon):
+        # shifting every phase by a conjugates the propagator with the
+        # z-rotation that carries phase 0 to phase a
+        eps, delta = np.array([epsilon]), np.zeros(1)
+        shifted, _ = _propagate_nodes(
+            bb1_sequence(theta, axis_phase=axis_phase), NO_ERROR, eps, delta, IDENTITY
+        )
+        base, _ = _propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta, IDENTITY)
+        z = np.diag([np.exp(-0.5j * axis_phase), np.exp(0.5j * axis_phase)])
+        assert np.max(np.abs(shifted[0] - z @ base[0] @ z.conj().T)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -208,6 +243,17 @@ class TestRabi:
         with pytest.raises(ValueError):
             rabi_trace(-1.0, 0.1, GAUSS5)
 
+    def test_sample_count_bounded(self):
+        # checked before any node is built: this quadrature overflows, so
+        # a trace within the bound fails on its nodes instead
+        bad_nodes = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
+        too_many = [(0.5 * MAX_SAMPLES, 0.5), (40 * math.pi, 1e-7 * math.pi), (1.0, 5e-324)]
+        for max_angle, step in too_many:
+            with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
+                rabi_trace(max_angle, step, bad_nodes)
+        with pytest.raises(ValueError, match="400 nodes"):
+            rabi_trace(0.5 * (MAX_SAMPLES - 1), 0.5, bad_nodes)
+
 
 # Frozen values computed with the brute-force oracle before wiring the
 # simulator: CP/CPMG at eps=0.1, n=32, default detuning ensemble.
@@ -302,6 +348,11 @@ class TestEchoTrain:
             echo_train("cp", 4, 1.5)
         with pytest.raises(ValueError):
             echo_train("cp", 4, 0.1, t2_envelope=-1.0)
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                echo_train("cp", 4, 0.1, tau=tau)
+            with pytest.raises(ValueError, match="tau must be positive"):
+                default_echo_ensemble(tau)
 
 
 class TestSignal:
