@@ -37,6 +37,7 @@ __all__ = [
     "EnsembleSpec",
     "PHASE_MATCH_TOL",
     "MAX_NODES",
+    "MAX_MC_SAMPLES",
     "ensemble_nodes",
     "monte_carlo_nodes",
 ]
@@ -51,6 +52,10 @@ NODE_WEIGHT_TOL = 1e-10
 # grows as n^3 (leggauss takes ~0.1 s at 1024 nodes, ~0.7 s at 2048),
 # Gauss-Hermite already fails past ~370 nodes, and the echo default is 257.
 MAX_NODES = 1024
+
+# Largest Monte Carlo sample count accepted: as many members as the
+# largest two-rule quadrature grid (MAX_NODES**2), ~25 MB of nodes.
+MAX_MC_SAMPLES = MAX_NODES**2
 
 
 @dataclass(frozen=True)
@@ -227,9 +232,10 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
 
 def monte_carlo_nodes(spec: EnsembleSpec, count: int, seed: int = 0) -> np.ndarray:
     """Seeded equal-weight samples in the layout of ``ensemble_nodes``;
-    cross-check companion to the quadrature."""
-    if count < 1:
-        raise ValueError("sample count must be >= 1")
+    cross-check companion to the quadrature.  ``count`` must lie in
+    [1, ``MAX_MC_SAMPLES``]."""
+    if not 1 <= count <= MAX_MC_SAMPLES:
+        raise ValueError(f"sample count must be in [1, {MAX_MC_SAMPLES}]")
     rng = np.random.default_rng(seed)
     eps = spec.epsilon_dist.sample(count, rng)
     dlt = spec.detuning_dist.sample(count, rng)

@@ -1,17 +1,20 @@
 """Time-domain propagation of pulse programs over error ensembles.
 
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
-detuning phase (z-rotation by ``delta * tau``); ``Repeat`` unrolls;
-``Acquire`` marks sampling points.  One engine interprets every program:
-it propagates a batch of ensemble members at once, each carrying a
-block of columns - one column is a state, the two columns of the
-identity are the whole propagator - and ``propagate``, ``rabi_trace``,
-``echo_train`` and the analysis fidelities all run through it
-(``propagate`` is the one-member batch).  Its pulse matrices come from
-the one batched rotation formula in ``su2``, and its members are the
-rows of the ``(N, 3)`` node array from ``errors``.  Ensemble reductions
-are correctly rounded (``math.fsum``), so they do not depend on node
-order and results are bit-identical run to run.
+detuning phase (z-rotation by ``delta * tau``); ``Acquire`` marks
+sampling points; a ``Repeat`` walks its body once from the identity, for
+the body's propagator and the propagator to each of its ``Acquire``
+points, then costs one 2x2 product per repetition and snapshot.  One
+engine interprets every program: it propagates a batch of ensemble
+members at once, each carrying a block of columns - one column is a
+state, the two columns of the identity are the whole propagator - and
+``propagate``, ``rabi_trace``, ``echo_train`` and the analysis
+fidelities all run through it (``propagate`` is the one-member batch).
+Its pulse matrices come from the one batched rotation formula in
+``su2``, and its members are the rows of the ``(N, 3)`` node array from
+``errors``.  Ensemble reductions are correctly rounded (``math.fsum``),
+so they do not depend on node order and results are bit-identical run to
+run.
 
 Experiments:
 
@@ -20,7 +23,8 @@ Experiments:
   pi blocks plus a remainder pulse; at most ``MAX_SAMPLES`` samples.
 * ``echo_train`` - multi-echo decay for CP (refocusing in phase with the
   excitation) and CPMG (refocusing in quadrature), with optional
-  composite refocusing pulses and an optional analytic T2 envelope.
+  composite refocusing pulses and an optional analytic T2 envelope; at
+  most ``MAX_MEMBER_ECHOES`` echoes times members.
 
 Echo detection is phase-sensitive: the signed projection of each
 member's transverse magnetization onto the zero-error echo axis is
@@ -47,8 +51,8 @@ from .errors import (
     ensemble_nodes,
     monte_carlo_nodes,
 )
-from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_rabi_program, bb1_sequence
-from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, _rotations
+from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
+from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _rotations
 
 __all__ = [
     "SpinState",
@@ -61,6 +65,7 @@ __all__ = [
     "DEFAULT_DETUNING_SPAN",
     "DEFAULT_DETUNING_NODES",
     "MAX_SAMPLES",
+    "MAX_MEMBER_ECHOES",
     "default_echo_ensemble",
 ]
 
@@ -75,6 +80,10 @@ DEFAULT_DETUNING_NODES = 257
 # Largest number of trace samples (or scan points) accepted: the workloads
 # use at most a few hundred, and 1e5 already costs tens of megabytes.
 MAX_SAMPLES = 100_000
+
+# Largest n_refocus * members accepted by echo_train: every echo keeps a
+# 32-byte snapshot per member until the train ends, so this is ~256 MB.
+MAX_MEMBER_ECHOES = 2**23
 
 
 class SpinState:
@@ -167,8 +176,12 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
             phase = np.exp(0.5j * delta * el.tau)
             psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
         elif isinstance(el, Repeat):
+            # the body's propagator, and its propagator to each Acquire
+            body_snaps: list[np.ndarray] = []
+            body = _walk(el.body, error, eps, delta, IDENTITY, body_snaps)
             for _ in range(el.count):
-                psi = _walk(el.body, error, eps, delta, psi, snapshots)
+                snapshots.extend(snap @ psi for snap in body_snaps)
+                psi = body @ psi
         elif isinstance(el, Acquire):
             snapshots.append(psi.copy())
         else:
@@ -247,6 +260,11 @@ def rabi_trace(
     remainder pulse, then averages ``-<sz>`` over the ensemble.  The
     convention puts the signal at +1 for an ideal pi rotation.  More
     than ``MAX_SAMPLES`` samples are rejected.
+
+    Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
+    for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
+    propagator built once per call.  ``n`` never decreases along the
+    trace, so ``B**n`` is a running product, one factor per new block.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -256,6 +274,8 @@ def rabi_trace(
         raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
     psi0 = SpinState.spin_up().vector[:, None]
+    block, _ = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
+    power, blocks = IDENTITY, 0
 
     samples = []
     k = 0
@@ -263,13 +283,11 @@ def rabi_trace(
         theta = k * step
         if theta > max_angle * (1 + 1e-12):
             break
-        if use_bb1:
-            n = int(math.floor(theta / math.pi + 1e-12))
-            remainder = theta - n * math.pi
-            elements = bb1_rabi_program(n, remainder if remainder > 1e-15 else 0.0).elements
-        else:
-            elements = (Pulse(theta, 0.0),)
-        final, _ = _propagate_nodes(elements, NO_ERROR, eps, delta, psi0)
+        n = int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0
+        remainder = theta - n * math.pi
+        while blocks < n:
+            power, blocks = block @ power, blocks + 1
+        final = power @ (_rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps) @ psi0)
         sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
         k += 1
@@ -343,7 +361,9 @@ def echo_train(
 
     Echo amplitude k is the magnitude of the ensemble-averaged signed
     projection onto the zero-error echo axis, optionally multiplied by
-    ``exp(-t_k / t2_envelope)`` with ``t_k = 2 * tau * k``.
+    ``exp(-t_k / t2_envelope)`` with ``t_k = 2 * tau * k``.  A train whose
+    ``n_refocus`` times the member count (ensemble nodes or Monte Carlo
+    samples) exceeds ``MAX_MEMBER_ECHOES`` is rejected before propagation.
     """
     mode_l = str(mode).lower()
     if mode_l not in ("cp", "cpmg"):
@@ -362,9 +382,11 @@ def echo_train(
 
     psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
 
+    _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
+    if n_refocus * delta.size > MAX_MEMBER_ECHOES:
+        raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
     # One extra member, free of error and detuning, fixes each echo's
     # detection axis; it stays out of the ensemble average.
-    _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
     eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
     _, snaps = _propagate_nodes(elements, NO_ERROR, eps, np.append(delta, 0.0), psi0)
 

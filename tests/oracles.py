@@ -105,14 +105,16 @@ def echo_train_oracle(
 
 
 def propagate_oracle(
-    elements, epsilon: float, offsets, delta: float, psi0: np.ndarray
+    elements, epsilon: float, offsets, delta: float, psi0: np.ndarray, snapshots=None
 ) -> np.ndarray:
     """Brute-force 2x2 product for a pulse program, one spin.
 
     ``offsets`` is a list of ``(nominal_phase, dphi)`` channels; a pulse
     whose phase lies within 1e-9 of a channel picks up its offset.
-    Elements are recognised by type name, so the package's own
-    interpreter is never involved."""
+    Repeats are fully unrolled.  When ``snapshots`` is a list, the state
+    at every ``Acquire`` is appended to it in time order.  Elements are
+    recognised by type name, so the package's own interpreter is never
+    involved."""
     psi = np.array(psi0, dtype=complex)
     for el in elements:
         kind = type(el).__name__
@@ -123,8 +125,11 @@ def propagate_oracle(
             psi = _zrot(delta * el.tau) @ psi
         elif kind == "Repeat":
             for _ in range(el.count):
-                psi = propagate_oracle(el.body, epsilon, offsets, delta, psi)
-        elif kind != "Acquire":
+                psi = propagate_oracle(el.body, epsilon, offsets, delta, psi, snapshots)
+        elif kind == "Acquire":
+            if snapshots is not None:
+                snapshots.append(psi.copy())
+        else:
             raise TypeError(f"unknown element {el!r}")
     return psi
 

@@ -176,6 +176,15 @@ class TestRabiCommand:
         assert out == ""
         assert "100000 samples" in err
 
+    def test_monte_carlo_count_above_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi",
+            "--mc-samples", "100000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample count" in err
+
     def test_corrected_long_trace_keeps_contrast(self, capsys):
         code, out, _ = run(
             capsys,
@@ -214,6 +223,20 @@ class TestEchoCommand:
         assert code == 2
         assert out == ""
         assert "tau must be positive" in err
+
+    def test_train_above_snapshot_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "10000000")
+        assert code == 2
+        assert out == ""
+        assert "member-echoes" in err
+
+    def test_monte_carlo_count_above_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "echo", "--mode", "cp", "--n", "4", "--mc-samples", "100000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample count" in err
 
     def test_estimate_error_round_trip(self, capsys, tmp_path):
         for mode in ("cp", "cpmg"):

@@ -17,7 +17,7 @@ from spinpulse import (
     propagate,
     rotation,
 )
-from spinpulse.errors import MAX_NODES
+from spinpulse.errors import MAX_MC_SAMPLES, MAX_NODES
 
 
 class TestApplyError:
@@ -154,3 +154,11 @@ class TestMonteCarlo:
         eps = np.array([e for e, _, _ in nodes])
         assert abs(eps.mean()) < 5 * 0.05 / math.sqrt(20000)
         assert eps.std() == pytest.approx(0.05, rel=0.05)
+
+    def test_sample_count_bounded_before_sampling(self):
+        spec = EnsembleSpec(Gaussian(0.0, 0.05))
+        assert len(monte_carlo_nodes(spec, MAX_MC_SAMPLES)) == MAX_MC_SAMPLES
+        # 10**12 samples would exhaust memory if any were drawn
+        for count in (0, MAX_MC_SAMPLES + 1, 10**12):
+            with pytest.raises(ValueError, match=f"in \\[1, {MAX_MC_SAMPLES}\\]"):
+                monte_carlo_nodes(spec, count)

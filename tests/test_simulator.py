@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpulse import (
@@ -19,6 +19,7 @@ from spinpulse import (
     SpinState,
     Signal,
     Uniform,
+    bb1_rabi_program,
     bb1_sequence,
     bloch,
     default_echo_ensemble,
@@ -26,13 +27,22 @@ from spinpulse import (
     propagate,
     rabi_trace,
 )
-from spinpulse.errors import NO_ERROR
-from spinpulse.simulator import MAX_SAMPLES, _propagate_nodes
+from spinpulse import simulator
+from spinpulse.errors import NO_ERROR, ensemble_nodes, monte_carlo_nodes
+from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
 from spinpulse.su2 import IDENTITY
 from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
 GAUSS5 = EnsembleSpec(Gaussian(0.0, 0.05), nodes=41)
+
+
+def with_depth(elements, depth=0):
+    """Every element of a program tree with its Repeat nesting depth."""
+    for el in elements:
+        yield el, depth
+        if isinstance(el, Repeat):
+            yield from with_depth(el.body, depth + 1)
 
 
 def random_elements(rng, n):
@@ -103,19 +113,32 @@ class TestPropagate:
                     assert np.max(np.abs(got[:, :, col : col + 1] - want)) < 1e-14
 
     def test_engine_matches_oracle_on_random_programs(self):
+        # the oracle unrolls every Repeat; the engine walks each body once
         rng = random.Random(5)
-        for _ in range(60):
+        nested_acquires = 0
+        for _ in range(100):
             program = random_program(rng)
-            phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
+            tree = list(with_depth(program.elements))
+            phases = sorted({el.phi for el, _ in tree if isinstance(el, Pulse)})
             offsets = [(p, rng.uniform(-0.2, 0.2)) for p in phases if rng.random() < 0.7]
             model = ErrorModel(rng.uniform(-0.3, 0.3), offsets)
             delta = rng.uniform(-5.0, 5.0)
             initial = SpinState(math.cos(0.4), math.sin(0.4) * np.exp(0.3j))
             got = propagate(program, model, delta, initial).vector
+            ref_snaps: list[np.ndarray] = []
             ref = propagate_oracle(
-                program.elements, model.epsilon, offsets, delta, initial.vector
+                program.elements, model.epsilon, offsets, delta, initial.vector, ref_snaps
             )
             assert np.max(np.abs(got - ref)) < 1e-12
+            _, snaps = _propagate_nodes(
+                program.elements, model, np.array([model.epsilon]), np.array([delta]),
+                initial.vector[:, None],
+            )
+            assert len(snaps) == len(ref_snaps)
+            for snap, want in zip(snaps, ref_snaps):
+                assert np.max(np.abs(snap[0, :, 0] - want)) < 1e-12
+            nested_acquires += any(isinstance(el, Acquire) and d >= 2 for el, d in tree)
+        assert nested_acquires >= 10
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 2 * math.pi))
@@ -168,6 +191,10 @@ class TestPropagate:
         epsilon=st.floats(-0.3, 0.3),
         delta=st.floats(-5.0, 5.0),
     )
+    # the ends of the body propagator: -I, +I and a zero-angle pulse
+    @example(body=[Pulse(2 * math.pi, 0.0)], count=5, epsilon=0.0, delta=0.0)
+    @example(body=[Pulse(4 * math.pi, 1.0), Acquire()], count=4, epsilon=0.0, delta=0.0)
+    @example(body=[Pulse(0.0, 0.3)], count=6, epsilon=0.2, delta=1.5)
     def test_repeat_equals_unrolled_body(self, body, count, epsilon, delta):
         model = ErrorModel(epsilon)
         repeated = propagate(PulseProgram((Repeat(count, tuple(body)),)), model, delta)
@@ -253,6 +280,32 @@ class TestRabi:
                 rabi_trace(max_angle, step, bad_nodes)
         with pytest.raises(ValueError, match="400 nodes"):
             rabi_trace(0.5 * (MAX_SAMPLES - 1), 0.5, bad_nodes)
+
+    @pytest.mark.parametrize(
+        "max_angle,step,sigma,mc_samples",
+        [
+            (40 * math.pi, 0.25 * math.pi, 0.05, None),
+            (40 * math.pi, 0.25 * math.pi, 0.12, None),
+            (13.7, 0.037 * math.pi, 0.05, None),
+            (20 * math.pi, 0.25 * math.pi, 0.05, 500),
+        ],
+    )
+    def test_bb1_trace_equals_reference_programs(self, max_angle, step, sigma, mc_samples):
+        # each sample is bb1_rabi_program(n, r) run from spin-up at every
+        # node, however the trace reaches it
+        spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=41)
+        sig = rabi_trace(max_angle, step, spec, use_bb1=True, mc_samples=mc_samples, mc_seed=5)
+        nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, 5)
+        eps, delta, weights = nodes.T
+        for theta, value in sig.samples:
+            n = int(math.floor(theta / math.pi + 1e-12))
+            r = theta - n * math.pi
+            program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
+            final, _ = _propagate_nodes(
+                program.elements, NO_ERROR, eps, delta, SpinState.spin_up().vector[:, None]
+            )
+            minus_sz = np.abs(final[:, 1, 0]) ** 2 - np.abs(final[:, 0, 0]) ** 2
+            assert abs(value - math.fsum((weights * minus_sz).tolist())) < 1e-13
 
 
 # Frozen values computed with the brute-force oracle before wiring the
@@ -353,6 +406,21 @@ class TestEchoTrain:
                 echo_train("cp", 4, 0.1, tau=tau)
             with pytest.raises(ValueError, match="tau must be positive"):
                 default_echo_ensemble(tau)
+
+    def test_member_echoes_bounded_before_propagation(self, monkeypatch):
+        def no_propagation(*args):
+            raise AssertionError("propagated a train above the bound")
+
+        monkeypatch.setattr(simulator, "_propagate_nodes", no_propagation)
+        too_long = MAX_MEMBER_ECHOES // 257 + 1
+        with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
+            echo_train("cp", too_long, 0.1)
+        with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
+            echo_train("cp", MAX_MEMBER_ECHOES // 1024 + 1, 0.1, mc_samples=1024)
+        # at the bound the train runs (one member, no propagation here)
+        one = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
+        with pytest.raises(AssertionError, match="propagated"):
+            echo_train("cp", MAX_MEMBER_ECHOES, 0.1, ensemble_detuning=one)
 
 
 class TestSignal:
