@@ -5,106 +5,27 @@ resonance, builds BB1-corrected sequences, and provides desk-scale
 numerical versions of three verification protocols: corrected nutation
 traces, CP/CPMG echo-train error estimation, and echo-modulation
 frequency ratios.
+
+The package namespace is the union of the six modules' ``__all__``
+lists plus ``__version__``; each module lists its public names once.
 """
 
-from .su2 import (
-    Unitary2,
-    RotationSpec,
-    rotation,
-    compose,
-    fidelity,
-    axis_angle,
-)
-from .sequence import (
-    Pulse,
-    Delay,
-    Repeat,
-    Acquire,
-    SequenceElement,
-    PulseProgram,
-    bb1_phases,
-    bb1_sequence,
-    bb1_rabi_program,
-)
-from .dsl import ParseError, parse_program, format_program, parse_angle_literal
-from .errors import (
-    Gaussian,
-    Uniform,
-    Discrete,
-    ErrorModel,
-    EnsembleSpec,
-    ensemble_nodes,
-    monte_carlo_nodes,
-)
-from .simulator import (
-    SpinState,
-    Signal,
-    propagate,
-    bloch,
-    rabi_trace,
-    echo_train,
-    default_echo_ensemble,
-)
-from .analysis import (
-    FidelityScan,
-    EseemRatioSpec,
-    PhaseSensitivityReport,
-    bb1_fidelity,
-    scan_order,
-    phase_sensitivity_prediction,
-    verify_eq5_coefficients,
-    estimate_rotation_error,
-    ensemble_mean_fidelity,
-    eseem_ratio,
-    magic_refocus_angle,
-)
+from . import analysis, dsl, errors, sequence, simulator, su2
+from .analysis import *  # noqa: F401,F403
+from .dsl import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .sequence import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
+from .su2 import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Unitary2",
-    "RotationSpec",
-    "rotation",
-    "compose",
-    "fidelity",
-    "axis_angle",
-    "Pulse",
-    "Delay",
-    "Repeat",
-    "Acquire",
-    "SequenceElement",
-    "PulseProgram",
-    "bb1_phases",
-    "bb1_sequence",
-    "bb1_rabi_program",
-    "ParseError",
-    "parse_program",
-    "format_program",
-    "parse_angle_literal",
-    "Gaussian",
-    "Uniform",
-    "Discrete",
-    "ErrorModel",
-    "EnsembleSpec",
-    "ensemble_nodes",
-    "monte_carlo_nodes",
-    "SpinState",
-    "Signal",
-    "propagate",
-    "bloch",
-    "rabi_trace",
-    "echo_train",
-    "default_echo_ensemble",
-    "FidelityScan",
-    "EseemRatioSpec",
-    "PhaseSensitivityReport",
-    "bb1_fidelity",
-    "scan_order",
-    "phase_sensitivity_prediction",
-    "verify_eq5_coefficients",
-    "estimate_rotation_error",
-    "ensemble_mean_fidelity",
-    "eseem_ratio",
-    "magic_refocus_angle",
+    *su2.__all__,
+    *sequence.__all__,
+    *dsl.__all__,
+    *errors.__all__,
+    *simulator.__all__,
+    *analysis.__all__,
     "__version__",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NO_ERROR, EnsembleSpec, Gaussian, ensemble_nodes
 from .sequence import Pulse, bb1_sequence
-from .simulator import MAX_SAMPLES, Signal, _propagate_nodes, echo_train
+from .simulator import MAX_SAMPLES, Signal, _propagate_nodes, _weighted_sum, echo_train
 from .su2 import IDENTITY, RotationSpec, _fidelities, rotation
 
 __all__ = [
@@ -57,7 +57,6 @@ class FidelityScan:
 
     theta: float
     points: tuple[tuple[float, float], ...]
-    phase_offsets: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         eps = [e for e, _ in self.points]
@@ -179,23 +178,27 @@ class PhaseSensitivityReport:
     step: float
 
 
-def verify_eq5_coefficients(
-    epsilon: float = 0.02, step: float = 0.002 * math.pi
-) -> PhaseSensitivityReport:
+# Amplitude error and offset step of the second differences in
+# verify_eq5_coefficients; its report records both.
+EQ5_EPSILON = 0.02
+EQ5_STEP = 0.002 * math.pi
+
+
+def verify_eq5_coefficients() -> PhaseSensitivityReport:
     """Extract the quadratic offset coefficients from the direct computation.
 
-    Central second differences of ``bb1_fidelity(pi, epsilon, ...)`` in
-    the two offsets isolate the quadratic form at order ``epsilon**2``
-    (the linear fourth-order terms cancel in second differences).  The
-    fitted coefficients are reported beside the closed-form model's, with
-    the maximum relative deviation; disagreement is reported, not
-    corrected.
+    Central second differences of ``bb1_fidelity(pi, EQ5_EPSILON, ...)``
+    with offset step ``EQ5_STEP`` isolate the quadratic form at order
+    ``epsilon**2`` (the linear fourth-order terms cancel in second
+    differences).  The fitted coefficients are reported beside the
+    closed-form model's, with the maximum relative deviation;
+    disagreement is reported, not corrected.
     """
-    e2p2 = epsilon**2 * math.pi**2
-    h = step
+    e2p2 = EQ5_EPSILON**2 * math.pi**2
+    h = EQ5_STEP
 
     def f(d1: float, d2: float) -> float:
-        return bb1_fidelity(math.pi, epsilon, (d1, d2))
+        return bb1_fidelity(math.pi, EQ5_EPSILON, (d1, d2))
 
     f00 = f(0.0, 0.0)
     a_fit = float(-(f(h, 0.0) - 2.0 * f00 + f(-h, 0.0)) / (h * h) / (2.0 * e2p2))
@@ -208,22 +211,25 @@ def verify_eq5_coefficients(
         ("dphi2^2", SENSITIVITY_QUAD_COEFFS[2], c_fit),
     )
     max_rel = max(abs(fit - ref) / abs(ref) for _, ref, fit in rows)
-    return PhaseSensitivityReport(rows=rows, max_rel_deviation=max_rel, epsilon=epsilon, step=step)
+    return PhaseSensitivityReport(
+        rows=rows, max_rel_deviation=max_rel, epsilon=EQ5_EPSILON, step=EQ5_STEP
+    )
 
 
 def ensemble_mean_fidelity(sigma_theta: float, nodes: int = 201) -> float:
     """Mean pi-pulse fidelity under a Gaussian spread of absolute angle errors.
 
-    Gauss-Hermite average of ``|cos(err/2)|`` for ``err ~ N(0, sigma^2)``,
-    on the nodes of ``ensemble_nodes``; raises ``ValueError`` where they
-    cannot be trusted.  For small spreads this approaches ``1 - sigma^2/8``.
+    Gauss-Hermite average, on the nodes of ``ensemble_nodes``, of the
+    engine fidelity of a pi pulse over-rotated by ``err ~ N(0, sigma^2)``
+    (``|cos(err/2)|``); raises ``ValueError`` where the nodes cannot be
+    trusted.  For small spreads this approaches ``1 - sigma^2/8``.
     """
     if sigma_theta < 0 or not math.isfinite(sigma_theta):
         raise ValueError("sigma_theta must be finite and >= 0")
     if sigma_theta == 0.0:
         return 1.0
     err, _, w = ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma_theta), nodes=nodes)).T
-    return math.fsum((w * np.abs(np.cos(err / 2.0))).tolist())
+    return _weighted_sum(w, _fidelities_over(math.pi, [Pulse(math.pi, 0.0)], err / math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +248,18 @@ def _model_ratio(eps: float, n: int, tau: float) -> np.ndarray:
     return _even_echoes(cp) / _even_echoes(cpmg)
 
 
-def estimate_rotation_error(
-    cp: Signal,
-    cpmg: Signal,
-    eps_max: float = 0.3,
-    coarse_points: int = 31,
-    tol: float = 1e-5,
-) -> tuple[float, float]:
+# Coarse grid size and golden-section bracket width of the fit.
+FIT_COARSE_POINTS = 31
+FIT_TOL = 1e-5
+
+
+def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> tuple[float, float]:
     """Best-fit refocusing-pulse amplitude error from a CP/CPMG pair.
 
     Fits the per-even-echo amplitude ratio CP/CPMG against the simulated
-    simple-pulse decay model in ``|eps|``: a coarse bracketed grid on
-    ``[0, eps_max]`` followed by golden-section refinement.  Any decay
+    simple-pulse decay model in ``|eps|``: a ``FIT_COARSE_POINTS``-point
+    bracketed grid on ``[0, eps_max]`` followed by golden-section
+    refinement to a bracket of ``FIT_TOL``.  Any decay
     envelope common to both trains divides out of the ratio.  For trains
     recorded with composite refocusing pulses the estimate reads as the
     residual error of the corrected rotation.
@@ -283,11 +289,11 @@ def estimate_rotation_error(
         r = _model_ratio(eps, n, tau)
         return float(np.mean((r - data_ratio) ** 2))
 
-    grid = np.linspace(0.0, eps_max, coarse_points)
+    grid = np.linspace(0.0, eps_max, FIT_COARSE_POINTS)
     costs = [sse(e) for e in grid]
     i = int(np.argmin(costs))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, coarse_points - 1)]
+    hi = grid[min(i + 1, FIT_COARSE_POINTS - 1)]
 
     # Golden-section refinement on the bracket.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -295,7 +301,7 @@ def estimate_rotation_error(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = sse(c), sse(d)
-    while b - a > tol:
+    while b - a > FIT_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -319,13 +325,11 @@ class EseemRatioSpec:
 
     ``mode`` selects the nominal refocusing pulse: ``"pi"`` for a pi
     pulse or ``"magic"`` for twice the magic angle.  ``theta_eps`` is the
-    absolute angle error of the refocusing pulse (rad).  ``delta_label_hz``
-    annotates the base modulation frequency and does not enter the ratio.
+    absolute angle error of the refocusing pulse (rad).
     """
 
     mode: str
     theta_eps: float
-    delta_label_hz: float = 26e3
 
     def __post_init__(self):
         if self.mode not in ("pi", "magic"):

@@ -13,7 +13,11 @@ Grammar (keywords case-insensitive, ``#`` comments to end of line):
 
 Angles require an explicit unit so radians and turns cannot be silently
 confused.  ``bb1`` statements expand to their four-pulse block at parse
-time.  Parse errors carry a 1-based line and column.
+time.  Every malformed program raises ``ParseError`` with a 1-based line
+and column.  Domain rules (pulse angles, delay and repeat-count ranges,
+the BB1 angle domain) are the sequence model's alone: the parser builds
+each element and locates the model's ``ValueError`` at the statement's
+value.
 
 ``format_program`` emits a canonical lowercase form whose reparse is
 structurally equal to the input program: angles print in ``pi`` units
@@ -43,20 +47,19 @@ ANGLE_UNITS = {"pi": math.pi, "deg": math.pi / 180.0, "rad": 1.0}
 
 
 class ParseError(ValueError):
-    """Syntax or domain error in DSL text, with source location."""
+    """Syntax or domain error in DSL text, with its 1-based source location."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
         self.message = message
+        super().__init__(f"line {self.line}, col {self.col}: {message}")
 
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[^\S\n]+)
+    (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
   | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[A-Za-z_]\w*)?
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<punct>[={}])
@@ -66,47 +69,31 @@ _TOKEN_RE = re.compile(
 
 
 class _Token:
-    __slots__ = ("kind", "text", "unit", "line", "col")
+    __slots__ = ("kind", "text", "unit", "offset")
 
-    def __init__(self, kind, text, unit, line, col):
+    def __init__(self, kind, text, unit, offset):
         self.kind = kind  # "number" | "ident" | "=" | "{" | "}" | "eof"
         self.text = text
         self.unit = unit
-        self.line = line
-        self.col = col
+        self.offset = offset
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        start_line, start_col = line, col
-        pos = m.end()
-        if m.lastgroup == "unit":
-            kind = "number"
-        else:
-            kind = m.lastgroup
-        raw = m.group(0)
-        if kind == "nl":
-            line += 1
-            col = 1
-            continue
-        col += len(raw)
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "number":
-            tokens.append(
-                _Token("number", m.group("number"), m.group("unit"), start_line, start_col)
-            )
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+        kind = m.lastgroup
+        if kind in ("number", "unit"):
+            tokens.append(_Token("number", m.group("number"), m.group("unit"), pos))
         elif kind == "ident":
-            tokens.append(_Token("ident", raw, None, start_line, start_col))
-        else:
-            tokens.append(_Token(raw, raw, None, start_line, start_col))
-    tokens.append(_Token("eof", "", None, line, col))
+            tokens.append(_Token("ident", m.group(0), None, pos))
+        elif kind == "punct":
+            tokens.append(_Token(m.group(0), m.group(0), None, pos))
+        pos = m.end()
+    tokens.append(_Token("eof", "", None, pos))
     return tokens
 
 
@@ -132,8 +119,9 @@ def parse_angle_literal(text: str) -> float:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -144,9 +132,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, tok: _Token):
+        raise ParseError(message, self.text, tok.offset)
+
+    def build(self, tok: _Token, make, *args):
+        """``make(*args)``, with the sequence model's ``ValueError`` located at ``tok``."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            self.fail(str(exc), tok)
 
     def expect_ident(self, name: str) -> _Token:
         tok = self.advance()
@@ -164,10 +158,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "number":
             self.fail("expected an angle (number with pi/deg/rad unit)", tok)
-        try:
-            return _scaled_angle(tok.text, tok.unit)
-        except ValueError as exc:
-            self.fail(str(exc), tok)
+        return self.build(tok, _scaled_angle, tok.text, tok.unit)
 
     def keyed_angle(self, key: str) -> tuple[float, _Token]:
         self.expect_ident(key)
@@ -200,58 +191,43 @@ class _Parser:
             if tok.kind != "ident":
                 self.fail("expected a statement keyword", tok)
             keyword = tok.text.lower()
+            self.advance()
             if keyword == "pulse":
-                self.advance()
-                theta, ttok = self.keyed_angle("theta")
+                theta, value = self.keyed_angle("theta")
                 phase, _ = self.keyed_angle("phase")
-                elements.append(self.build_pulse(theta, phase, ttok))
+                elements.append(self.build(value, Pulse, theta, phase))
             elif keyword == "bb1":
-                self.advance()
-                theta, ttok = self.keyed_angle("theta")
-                try:
-                    elements.extend(bb1_sequence(theta))
-                except ValueError as exc:
-                    self.fail(str(exc), ttok)
+                theta, value = self.keyed_angle("theta")
+                elements.extend(self.build(value, bb1_sequence, theta))
             elif keyword == "delay":
-                self.advance()
-                ntok = self.peek()
-                tau = self.plain_number()
-                if tau < 0:
-                    self.fail("delay must be >= 0", ntok)
-                elements.append(Delay(tau))
+                value = self.peek()
+                elements.append(self.build(value, Delay, self.plain_number()))
             elif keyword == "repeat":
-                self.advance()
-                ntok = self.peek()
+                value = self.peek()
                 count = self.integer()
-                if count < 1:
-                    self.fail("repeat count must be >= 1", ntok)
+                # bounds the parser's own recursion, before it recurses
                 if depth + 1 > MAX_NESTING_DEPTH:
                     self.fail(f"nesting depth exceeds {MAX_NESTING_DEPTH}", tok)
                 self.expect("{")
                 body = self.statements(depth + 1)
                 self.expect("}")
-                elements.append(Repeat(count, tuple(body)))
+                elements.append(self.build(value, Repeat, count, body))
             elif keyword == "acquire":
-                self.advance()
                 elements.append(Acquire())
             else:
                 self.fail(f"unknown keyword {tok.text!r}", tok)
-
-    def build_pulse(self, theta: float, phase: float, tok: _Token) -> Pulse:
-        try:
-            return Pulse(theta, phase)
-        except ValueError as exc:
-            self.fail(str(exc), tok)
 
 
 def parse_program(text: str, name: str = "") -> PulseProgram:
     """Parse DSL text into a ``PulseProgram``.
 
     Raises ``ParseError`` (with 1-based line and column) on lexical or
-    syntax errors, unknown keywords, missing angle units, domain
-    violations and repeat nesting deeper than ``MAX_NESTING_DEPTH``.
+    syntax errors, unknown keywords, missing angle units and repeat
+    nesting deeper than ``MAX_NESTING_DEPTH``.  Domain rules are the
+    sequence model's: its ``ValueError`` is re-raised as a ``ParseError``
+    at the statement's value.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     elements = parser.statements(depth=0)
     tok = parser.peek()
     if tok.kind == "}":

@@ -67,7 +67,7 @@ class Delay:
 
     def __post_init__(self):
         if not math.isfinite(self.tau) or self.tau < 0:
-            raise ValueError("delay tau must be finite and >= 0")
+            raise ValueError("delay must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Repeat:
 
     def __post_init__(self):
         if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError("repeat count must be an integer >= 1")
+            raise ValueError("repeat count must be >= 1 and an integer")
         object.__setattr__(self, "body", tuple(self.body))
 
 

@@ -179,9 +179,13 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
             # the body's propagator, and its propagator to each Acquire
             body_snaps: list[np.ndarray] = []
             body = _walk(el.body, error, eps, delta, IDENTITY, body_snaps)
+            # a body ending in Acquire (an echo cycle) snapshots its own
+            # propagator last, so that snapshot is also the advance
+            ends_in_acquire = bool(el.body) and isinstance(el.body[-1], Acquire)
             for _ in range(el.count):
-                snapshots.extend(snap @ psi for snap in body_snaps)
-                psi = body @ psi
+                snaps = [snap @ psi for snap in body_snaps]
+                snapshots.extend(snaps)
+                psi = snaps[-1] if ends_in_acquire else body @ psi
         elif isinstance(el, Acquire):
             snapshots.append(psi.copy())
         else:
@@ -356,8 +360,9 @@ def echo_train(
     fractional amplitude error ``epsilon`` and is either a simple pi
     pulse or its four-pulse corrected block.  The detuning ensemble
     (default: uniform, fully dephasing between pulses) represents the
-    inhomogeneously broadened line; its epsilon distribution is unused
-    here because the refocusing error is the explicit scalar argument.
+    inhomogeneously broadened line; the refocusing error is the explicit
+    scalar argument, so an ensemble whose epsilon distribution is not
+    ``DELTA_ZERO`` is rejected before any node is built.
 
     Echo amplitude k is the magnitude of the ensemble-averaged signed
     projection onto the zero-error echo axis, optionally multiplied by
@@ -377,6 +382,11 @@ def echo_train(
         raise ValueError("t2_envelope must be positive when given")
 
     spec = ensemble_detuning if ensemble_detuning is not None else default_echo_ensemble(tau)
+    if spec.epsilon_dist != DELTA_ZERO:
+        raise ValueError(
+            "echo_train takes its amplitude error from epsilon; the ensemble's "
+            "epsilon_dist must be DELTA_ZERO"
+        )
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
     elements = (Repeat(n_refocus, _echo_cycle(refocus_phase, use_bb1, tau)),)
 

@@ -44,6 +44,13 @@ class TestParseCommand:
         assert code == 2
         assert "line 1, col 13" in err
 
+    def test_overflowing_delay_exit_2_with_location(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sp"
+        bad.write_text("delay 1e999\n", encoding="utf-8")
+        code, _, err = run(capsys, "parse", str(bad))
+        assert code == 2
+        assert err.startswith("parse error: line 1, col 7")
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "parse", "/no/such/file.sp")
         assert code == 3

@@ -94,6 +94,15 @@ def test_error_cases_have_locations(text, fragment):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+def test_overflowing_delay_is_a_located_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_program("delay 1e999")
+    assert err.value.line == 1 and err.value.col == 7
+    with pytest.raises(ParseError) as err:
+        parse_program("acquire\r\n  delay 1e999")
+    assert err.value.line == 2 and err.value.col == 9
+
+
 def test_depth_guard():
     ok = "repeat 2 { " * 16 + "acquire" + " }" * 16
     assert parse_program(ok) is not None

@@ -422,6 +422,18 @@ class TestEchoTrain:
         with pytest.raises(AssertionError, match="propagated"):
             echo_train("cp", MAX_MEMBER_ECHOES, 0.1, ensemble_detuning=one)
 
+    def test_epsilon_distribution_rejected_before_nodes(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("built nodes for a rejected ensemble")
+
+        monkeypatch.setattr(simulator, "ensemble_nodes", no_nodes)
+        monkeypatch.setattr(simulator, "monte_carlo_nodes", no_nodes)
+        spec = EnsembleSpec(Gaussian(0.0, 0.1), detuning_dist=Uniform(-1.0, 1.0), nodes=65)
+        with pytest.raises(ValueError, match="DELTA_ZERO"):
+            echo_train("cp", 4, 0.1, ensemble_detuning=spec)
+        with pytest.raises(ValueError, match="DELTA_ZERO"):
+            echo_train("cp", 4, 0.1, ensemble_detuning=spec, mc_samples=16)
+
 
 class TestSignal:
     def test_rejects_non_increasing_x(self):
