@@ -45,6 +45,14 @@ __all__ = [
     "ensemble_mean_fidelity",
     "eseem_ratio",
     "magic_refocus_angle",
+    "DEGENERATE_INFIDELITY",
+    "SENSITIVITY_QUAD_COEFFS",
+    "SENSITIVITY_LIN_COEFFS",
+    "OFFSET_WARN_THRESHOLD",
+    "EQ5_EPSILON",
+    "EQ5_STEP",
+    "FIT_COARSE_POINTS",
+    "FIT_TOL",
 ]
 
 # Infidelities below this are floating-point noise, not signal.

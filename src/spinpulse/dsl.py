@@ -41,7 +41,14 @@ from .sequence import (
     bb1_sequence,
 )
 
-__all__ = ["ParseError", "parse_program", "format_program", "parse_angle_literal", "program_to_ast"]
+__all__ = [
+    "ParseError",
+    "parse_program",
+    "format_program",
+    "parse_angle_literal",
+    "program_to_ast",
+    "ANGLE_UNITS",
+]
 
 ANGLE_UNITS = {"pi": math.pi, "deg": math.pi / 180.0, "rad": 1.0}
 

@@ -36,6 +36,8 @@ __all__ = [
     "NO_ERROR",
     "EnsembleSpec",
     "PHASE_MATCH_TOL",
+    "WEIGHT_SUM_TOL",
+    "NODE_WEIGHT_TOL",
     "MAX_NODES",
     "MAX_MC_SAMPLES",
     "ensemble_nodes",

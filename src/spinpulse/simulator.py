@@ -179,13 +179,9 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
             # the body's propagator, and its propagator to each Acquire
             body_snaps: list[np.ndarray] = []
             body = _walk(el.body, error, eps, delta, IDENTITY, body_snaps)
-            # a body ending in Acquire (an echo cycle) snapshots its own
-            # propagator last, so that snapshot is also the advance
-            ends_in_acquire = bool(el.body) and isinstance(el.body[-1], Acquire)
             for _ in range(el.count):
-                snaps = [snap @ psi for snap in body_snaps]
-                snapshots.extend(snaps)
-                psi = snaps[-1] if ends_in_acquire else body @ psi
+                snapshots.extend(snap @ psi for snap in body_snaps)
+                psi = body @ psi
         elif isinstance(el, Acquire):
             snapshots.append(psi.copy())
         else:

@@ -34,6 +34,7 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY",
+    "TWO_PI",
     "UNITARITY_TOL",
     "Unitary2",
     "RotationSpec",
