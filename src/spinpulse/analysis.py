@@ -53,6 +53,7 @@ __all__ = [
     "EQ5_STEP",
     "FIT_COARSE_POINTS",
     "FIT_TOL",
+    "FIT_MAX_RESIDUAL",
 ]
 
 # Infidelities below this are floating-point noise, not signal.
@@ -102,10 +103,6 @@ def bb1_fidelity(
     exact phases and zero error the value is 1 to machine precision.
     """
     return float(_fidelities_over(theta, _bb1_pulses(theta, offsets), np.array([epsilon]))[0])
-
-
-def _simple_fidelity(theta: float, epsilon: float) -> float:
-    return float(_fidelities_over(theta, [Pulse(theta, 0.0)], np.array([epsilon]))[0])
 
 
 def scan_order(
@@ -260,6 +257,11 @@ def _model_ratio(eps: float, n: int, tau: float) -> np.ndarray:
 FIT_COARSE_POINTS = 31
 FIT_TOL = 1e-5
 
+# Largest RMS misfit of the even-echo ratios a fit may return.  Correct
+# fits stay below 5e-5; trains recorded on another detuning ensemble, or
+# with an error beyond eps_max, leave about 0.1.
+FIT_MAX_RESIDUAL = 1e-2
+
 
 def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> tuple[float, float]:
     """Best-fit refocusing-pulse amplitude error from a CP/CPMG pair.
@@ -276,7 +278,9 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     relative 1e-9), with ``tau`` read from the first CP echo.
 
     Returns ``(eps_hat, residual)`` as floats, where ``residual`` is the
-    RMS misfit of the even-echo ratios at the optimum.
+    RMS misfit of the even-echo ratios at the optimum.  A residual above
+    ``FIT_MAX_RESIDUAL`` raises ``ValueError``: the model does not
+    describe the data, so ``eps_hat`` would be a wrong answer.
     """
     if len(cp.samples) != len(cpmg.samples):
         raise ValueError("CP and CPMG signals must have the same length")
@@ -319,7 +323,13 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
             d = a + invphi * (b - a)
             fd = sse(d)
     eps_hat = float(0.5 * (a + b))
-    return eps_hat, math.sqrt(sse(eps_hat))
+    residual = math.sqrt(sse(eps_hat))
+    if residual > FIT_MAX_RESIDUAL:
+        raise ValueError(
+            f"fit residual {residual:.3g} exceeds {FIT_MAX_RESIDUAL}: likely an ensemble "
+            f"mismatch, or an error beyond eps_max = {eps_max!r}"
+        )
+    return eps_hat, residual
 
 
 # ---------------------------------------------------------------------------

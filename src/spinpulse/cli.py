@@ -6,6 +6,10 @@ Subcommands: ``parse``, ``fidelity``, ``scan``, ``verify-eq5``, ``rabi``,
 (write to a file instead of stdout) and ``--quiet`` (suppress status
 lines, which go to stderr).  Angles on the command line use the same
 unit-suffixed literals as the DSL: ``1pi``, ``90deg``, ``1.2rad``.
+Each option is declared once: its ``dest`` is its key in the JSON
+artifact's ``meta.config``, with the unit in the name (``--theta`` is
+``theta_rad``, ``--tau`` is ``tau_s``), and ranges are the library's to
+check.
 
 An optional ``--config FILE`` reads ``key=value`` lines (same names as
 the long flags, ``#`` comments allowed); explicit flags override file
@@ -26,7 +30,6 @@ from typing import Optional
 from . import __version__
 from .analysis import (
     EseemRatioSpec,
-    _simple_fidelity,
     bb1_fidelity,
     eseem_ratio,
     estimate_rotation_error,
@@ -43,6 +46,7 @@ from .simulator import (
     echo_train,
     rabi_trace,
 )
+from .su2 import RotationSpec, fidelity, rotation
 
 __all__ = ["main", "build_parser"]
 
@@ -52,13 +56,6 @@ def _angle(text: str) -> float:
         return parse_angle_literal(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
 
 
 def _fmt_cell(value) -> str:
@@ -77,7 +74,7 @@ def _emit(args, text: str) -> None:
 
 
 def _status(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -90,20 +87,35 @@ def _csv_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(
-    args, command: str, config: dict, rows: list[dict], text: Optional[str] = None
-) -> None:
-    """The JSON artifact with --json, else ``text`` (default: the rows as CSV)."""
+# Parsed arguments that steer the run rather than describe it.
+_NOT_CONFIG = ("command", "func", "json", "out", "quiet", "config")
+
+
+def _config(args) -> dict:
+    """The command's options, in declaration order, under their dest names."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _emit_rows(args, rows: list[dict], text: Optional[str] = None, **extra) -> None:
+    """The JSON artifact with --json, its config the command's options plus
+    ``extra``; else ``text`` (default: the rows as CSV)."""
     if args.json:
-        meta = {"tool": "spinpulse", "version": __version__, "command": command, "config": config}
+        meta = {"tool": "spinpulse", "version": __version__, "command": args.command,
+                "config": {**_config(args), **extra}}
         _emit(args, json.dumps({"meta": meta, "data": rows}, indent=2) + "\n")
     else:
         _emit(args, _csv_text(rows) if text is None else text)
 
 
-def _require(args, *names: str) -> None:
-    # Flags that must arrive either on the command line or via --config.
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+# Default of an option that must arrive on the command line or via --config.
+_REQUIRED = object()
+
+
+def _require(subparser: argparse.ArgumentParser, args) -> None:
+    missing = [
+        a.option_strings[0] for a in subparser._actions
+        if getattr(args, a.dest, None) is _REQUIRED
+    ]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
 
@@ -125,41 +137,23 @@ def cmd_parse(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    _require(args, "theta")
-    offsets = (args.dphi1, args.dphi2)
+    offsets = (args.dphi1_rad, args.dphi2_rad)
     if args.bb1:
-        f = bb1_fidelity(args.theta, args.epsilon, offsets)
+        f = bb1_fidelity(args.theta_rad, args.epsilon, offsets)
     else:
         if offsets != (0.0, 0.0):
             raise ValueError("--dphi1/--dphi2 apply to the composite sequence; add --bb1")
-        f = _simple_fidelity(args.theta, args.epsilon)
-    config = {
-        "theta_rad": args.theta,
-        "epsilon": args.epsilon,
-        "bb1": bool(args.bb1),
-        "dphi1_rad": args.dphi1,
-        "dphi2_rad": args.dphi2,
-    }
+        ideal = rotation(RotationSpec(args.theta_rad, 0.0))
+        f = fidelity(ideal, rotation(RotationSpec(args.theta_rad, 0.0, args.epsilon)))
     rows = [{"fidelity": f, "infidelity": 1.0 - f}]
-    _emit_rows(args, "fidelity", config, rows, f"F={f:.11e} 1-F={1.0 - f:.11e}\n")
+    _emit_rows(args, rows, f"F={f:.11e} 1-F={1.0 - f:.11e}\n")
     return 0
 
 
 def cmd_scan(args) -> int:
-    _require(args, "theta")
-    scan, slope = scan_order(
-        args.theta, (args.lo, args.hi), args.points, use_bb1=not args.simple
-    )
-    config = {
-        "theta_rad": args.theta,
-        "lo": args.lo,
-        "hi": args.hi,
-        "points": args.points,
-        "bb1": not args.simple,
-        "slope": slope,
-    }
+    scan, slope = scan_order(args.theta_rad, (args.lo, args.hi), args.points, use_bb1=args.bb1)
     rows = [{"epsilon": e, "infidelity": i} for e, i in scan.points]
-    _emit_rows(args, "scan", config, rows)
+    _emit_rows(args, rows, slope=slope)
     if slope is None:
         _status(args, "degenerate scan: all infidelities below 1e-15; no slope fitted")
     else:
@@ -169,7 +163,6 @@ def cmd_scan(args) -> int:
 
 def cmd_verify_eq5(args) -> int:
     report = verify_eq5_coefficients()
-    config = {"epsilon": report.epsilon, "step_rad": report.step}
     rows = [
         {
             "term": term,
@@ -179,8 +172,10 @@ def cmd_verify_eq5(args) -> int:
         }
         for term, ref, fit in report.rows
     ]
-    config["max_rel_deviation"] = report.max_rel_deviation
-    _emit_rows(args, "verify-eq5", config, rows)
+    _emit_rows(
+        args, rows, epsilon=report.epsilon, step_rad=report.step,
+        max_rel_deviation=report.max_rel_deviation,
+    )
     _status(args, f"max relative deviation = {report.max_rel_deviation:.3e}")
     return 0
 
@@ -191,70 +186,44 @@ def _signal_rows(signal: Signal) -> list[dict]:
 
 
 def cmd_rabi(args) -> int:
-    _require(args, "sigma", "max", "step")
     ensemble = EnsembleSpec(
         epsilon_dist=Gaussian(args.mean, args.sigma),
         detuning_dist=DELTA_ZERO,
         nodes=args.nodes,
     )
     signal = rabi_trace(
-        args.max,
-        args.step,
+        args.max_rad,
+        args.step_rad,
         ensemble,
         use_bb1=args.bb1,
         mc_samples=args.mc_samples,
         mc_seed=args.seed,
     )
-    config = {
-        "sigma": args.sigma,
-        "mean": args.mean,
-        "max_rad": args.max,
-        "step_rad": args.step,
-        "bb1": bool(args.bb1),
-        "nodes": args.nodes,
-        "mc_samples": args.mc_samples,
-        "seed": args.seed,
-        "provenance": signal.provenance,
-    }
-    _emit_rows(args, "rabi", config, _signal_rows(signal))
+    _emit_rows(args, _signal_rows(signal), provenance=signal.provenance)
     return 0
 
 
 def cmd_echo(args) -> int:
-    _require(args, "mode", "n")
-    if args.span is not None:
+    if args.span_rad_per_s is not None:
         ensemble = EnsembleSpec(
             epsilon_dist=DELTA_ZERO,
-            detuning_dist=Uniform(-args.span, args.span),
+            detuning_dist=Uniform(-args.span_rad_per_s, args.span_rad_per_s),
             nodes=args.nodes,
         )
     else:
-        ensemble = default_echo_ensemble(args.tau, args.nodes)
+        ensemble = default_echo_ensemble(args.tau_s, args.nodes)
     signal = echo_train(
         args.mode,
         args.n,
         args.epsilon,
         ensemble_detuning=ensemble,
         use_bb1=args.bb1,
-        t2_envelope=args.t2,
-        tau=args.tau,
+        t2_envelope=args.t2_s,
+        tau=args.tau_s,
         mc_samples=args.mc_samples,
         mc_seed=args.seed,
     )
-    config = {
-        "mode": args.mode,
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "bb1": bool(args.bb1),
-        "tau_s": args.tau,
-        "t2_s": args.t2,
-        "span_rad_per_s": args.span,
-        "nodes": args.nodes,
-        "mc_samples": args.mc_samples,
-        "seed": args.seed,
-        "provenance": signal.provenance,
-    }
-    _emit_rows(args, "echo", config, _signal_rows(signal))
+    _emit_rows(args, _signal_rows(signal), provenance=signal.provenance)
     return 0
 
 
@@ -285,33 +254,18 @@ def _read_signal_csv(path: str) -> Signal:
 
 
 def cmd_estimate_error(args) -> int:
-    _require(args, "cp", "cpmg")
     cp = _read_signal_csv(args.cp)
     cpmg = _read_signal_csv(args.cpmg)
     eps_hat, residual = estimate_rotation_error(cp, cpmg, eps_max=args.eps_max)
-    config = {"cp": args.cp, "cpmg": args.cpmg, "eps_max": args.eps_max}
     rows = [{"epsilon_hat": eps_hat, "residual": residual}]
-    _emit_rows(
-        args, "estimate-error", config, rows,
-        f"epsilon_hat={eps_hat:.11e} residual={residual:.11e}\n",
-    )
+    _emit_rows(args, rows, f"epsilon_hat={eps_hat:.11e} residual={residual:.11e}\n")
     return 0
 
 
 def cmd_eseem_ratio(args) -> int:
-    _require(args, "mode", "theta_eps")
-    spec = EseemRatioSpec(mode=args.mode, theta_eps=args.theta_eps)
-    ratio = eseem_ratio(spec)
-    config = {"mode": args.mode, "theta_eps_rad": args.theta_eps}
-    rows = [
-        {
-            "mode": args.mode,
-            "theta_eps_rad": args.theta_eps,
-            "ratio": ratio,
-            "magic_angle_rad": magic_refocus_angle(),
-        }
-    ]
-    _emit_rows(args, "eseem-ratio", config, rows, f"ratio={ratio:.11e}\n")
+    ratio = eseem_ratio(EseemRatioSpec(mode=args.mode, theta_eps=args.theta_eps_rad))
+    rows = [{**_config(args), "ratio": ratio, "magic_angle_rad": magic_refocus_angle()}]
+    _emit_rows(args, rows, f"ratio={ratio:.11e}\n")
     return 0
 
 
@@ -342,20 +296,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_parse)
 
     p = subs.add_parser("fidelity", help="fidelity of a simple or corrected rotation")
-    p.add_argument("--theta", type=_angle, default=None, help="target angle (e.g. 1pi)")
+    p.add_argument("--theta", dest="theta_rad", type=_angle, default=_REQUIRED,
+                   help="target angle (e.g. 1pi)")
     p.add_argument("--epsilon", type=float, default=0.0, help="fractional amplitude error")
     p.add_argument("--bb1", action="store_true", help="use the corrected four-pulse sequence")
-    p.add_argument("--dphi1", type=_angle, default=0.0, help="offset on the first phase channel")
-    p.add_argument("--dphi2", type=_angle, default=0.0, help="offset on the second phase channel")
+    p.add_argument("--dphi1", dest="dphi1_rad", type=_angle, default=0.0,
+                   help="offset on the first phase channel")
+    p.add_argument("--dphi2", dest="dphi2_rad", type=_angle, default=0.0,
+                   help="offset on the second phase channel")
     _add_common(p)
     p.set_defaults(func=cmd_fidelity)
 
     p = subs.add_parser("scan", help="log-log infidelity-vs-error scan and slope")
-    p.add_argument("--theta", type=_angle, default=None)
+    p.add_argument("--theta", dest="theta_rad", type=_angle, default=_REQUIRED)
     p.add_argument("--lo", type=float, default=1e-2)
     p.add_argument("--hi", type=float, default=1e-1)
-    p.add_argument("--points", type=_positive_int, default=9)
-    p.add_argument("--simple", action="store_true", help="scan an uncorrected single pulse")
+    p.add_argument("--points", type=int, default=9)
+    p.add_argument("--simple", dest="bb1", action="store_false",
+                   help="scan an uncorrected single pulse")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -364,41 +322,46 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_verify_eq5)
 
     p = subs.add_parser("rabi", help="nutation trace over a Gaussian amplitude-error ensemble")
-    p.add_argument("--sigma", type=float, default=None, help="Gaussian width of epsilon")
+    p.add_argument("--sigma", type=float, default=_REQUIRED, help="Gaussian width of epsilon")
     p.add_argument("--mean", type=float, default=0.0, help="Gaussian mean of epsilon")
-    p.add_argument("--max", type=_angle, default=None, help="largest nominal angle (e.g. 40pi)")
-    p.add_argument("--step", type=_angle, default=None, help="angle step (e.g. 0.25pi)")
+    p.add_argument("--max", dest="max_rad", type=_angle, default=_REQUIRED,
+                   help="largest nominal angle (e.g. 40pi)")
+    p.add_argument("--step", dest="step_rad", type=_angle, default=_REQUIRED,
+                   help="angle step (e.g. 0.25pi)")
     p.add_argument("--bb1", action="store_true", help="decompose into corrected pi blocks")
-    p.add_argument("--nodes", type=_positive_int, default=41, help="quadrature nodes")
-    p.add_argument("--mc-samples", type=_positive_int, default=None, help="Monte Carlo cross-check")
+    p.add_argument("--nodes", type=int, default=41, help="quadrature nodes")
+    p.add_argument("--mc-samples", type=int, default=None, help="Monte Carlo cross-check")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     _add_common(p)
     p.set_defaults(func=cmd_rabi)
 
     p = subs.add_parser("echo", help="CP/CPMG echo-train amplitudes")
-    p.add_argument("--mode", choices=["cp", "cpmg"], default=None)
-    p.add_argument("--n", type=_positive_int, default=None, help="number of refocusing cycles")
+    p.add_argument("--mode", choices=["cp", "cpmg"], default=_REQUIRED)
+    p.add_argument("--n", type=int, default=_REQUIRED, help="number of refocusing cycles")
     p.add_argument("--epsilon", type=float, default=0.0, help="refocusing amplitude error")
     p.add_argument("--bb1", action="store_true", help="corrected refocusing pulses")
-    p.add_argument("--tau", type=float, default=1.0, help="half echo spacing (s)")
-    p.add_argument("--t2", type=float, default=None, help="optional T2 envelope constant (s)")
-    p.add_argument("--span", type=float, default=None, help="detuning half-span (rad/s)")
-    p.add_argument("--nodes", type=_positive_int, default=DEFAULT_DETUNING_NODES)
-    p.add_argument("--mc-samples", type=_positive_int, default=None)
+    p.add_argument("--tau", dest="tau_s", type=float, default=1.0, help="half echo spacing (s)")
+    p.add_argument("--t2", dest="t2_s", type=float, default=None,
+                   help="optional T2 envelope constant (s)")
+    p.add_argument("--span", dest="span_rad_per_s", type=float, default=None,
+                   help="detuning half-span (rad/s)")
+    p.add_argument("--nodes", type=int, default=DEFAULT_DETUNING_NODES)
+    p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_echo)
 
     p = subs.add_parser("estimate-error", help="fit the rotation error from CP/CPMG CSV files")
-    p.add_argument("--cp", default=None, help="CSV produced by 'echo --mode cp'")
-    p.add_argument("--cpmg", default=None, help="CSV produced by 'echo --mode cpmg'")
+    p.add_argument("--cp", default=_REQUIRED, help="CSV produced by 'echo --mode cp'")
+    p.add_argument("--cpmg", default=_REQUIRED, help="CSV produced by 'echo --mode cpmg'")
     p.add_argument("--eps-max", type=float, default=0.3)
     _add_common(p)
     p.set_defaults(func=cmd_estimate_error)
 
     p = subs.add_parser("eseem-ratio", help="modulation-component ratio for a refocusing pulse")
-    p.add_argument("--mode", choices=["pi", "magic"], default=None)
-    p.add_argument("--theta-eps", type=_angle, default=None, help="absolute angle error (e.g. 0.1rad)")
+    p.add_argument("--mode", choices=["pi", "magic"], default=_REQUIRED)
+    p.add_argument("--theta-eps", dest="theta_eps_rad", type=_angle, default=_REQUIRED,
+                   help="absolute angle error (e.g. 0.1rad)")
     _add_common(p)
     p.set_defaults(func=cmd_eseem_ratio)
 
@@ -424,37 +387,38 @@ _FALSE = ("false", "0", "no", "off")
 
 
 def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> None:
-    actions = {a.dest: a for a in subparser._actions}
     defaults = {}
     for key, text in values.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
+        action = subparser._option_string_actions.get("--" + key.replace("_", "-"))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        if isinstance(action, argparse._StoreConstAction):  # a switch
             flag = text.lower()
             if flag not in _TRUE + _FALSE:
                 raise ValueError(
                     f"config key {key!r}: expected one of {', '.join(_TRUE + _FALSE)}, got {text!r}"
                 )
-            defaults[dest] = flag in _TRUE
+            value = action.const if flag in _TRUE else action.default
         elif action.type is not None:
             try:
-                defaults[dest] = action.type(text)
+                value = action.type(text)
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         else:
-            defaults[dest] = text
+            value = text
+        defaults[action.dest] = value
     subparser.set_defaults(**defaults)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser, registry = build_parser()
     args = parser.parse_args(argv)
+    subparser = registry[args.command]
     try:
-        if getattr(args, "config", None):
-            _apply_config(registry[args.command], _load_config(args.config))
+        if args.config:
+            _apply_config(subparser, _load_config(args.config))
             args = parser.parse_args(argv)
+        _require(subparser, args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

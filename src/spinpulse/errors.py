@@ -26,6 +26,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from .su2 import TWO_PI
+
 __all__ = [
     "Gaussian",
     "Uniform",
@@ -155,7 +157,8 @@ class ErrorModel:
 
     ``phase_offsets`` maps nominal phase values (rad) to their offsets
     (rad); it accepts a mapping or an iterable of pairs and is stored as
-    a sorted tuple.  Offsets must satisfy ``|dphi| < pi/2`` and the
+    a sorted tuple with each phase reduced to [0, 2pi), as ``Pulse``
+    reduces its phase.  Offsets must satisfy ``|dphi| < pi/2`` and the
     amplitude error ``|epsilon| < 1``.
     """
 
@@ -167,18 +170,21 @@ class ErrorModel:
             raise ValueError("epsilon must be finite with |epsilon| < 1")
         raw = self.phase_offsets
         pairs = raw.items() if isinstance(raw, Mapping) else raw
-        offsets = tuple(sorted((float(p), float(d)) for p, d in pairs))
+        offsets = [(float(p), float(d)) for p, d in pairs]
         for p, d in offsets:
             if not (math.isfinite(p) and math.isfinite(d)):
                 raise ValueError("phase offsets must be finite")
             if abs(d) >= math.pi / 2:
                 raise ValueError("phase offsets must satisfy |dphi| < pi/2")
+        offsets = tuple(sorted((p % TWO_PI, d) for p, d in offsets))
         object.__setattr__(self, "phase_offsets", offsets)
 
     def offset_for(self, phi: float) -> float:
-        """Offset of the phase channel matching ``phi``, or 0 if none does."""
+        """Offset of the phase channel within ``PHASE_MATCH_TOL`` of ``phi``
+        on the circle, or 0 if none is."""
         for nominal, delta in self.phase_offsets:
-            if abs(nominal - phi) <= PHASE_MATCH_TOL:
+            gap = abs(nominal - phi)
+            if gap <= PHASE_MATCH_TOL or TWO_PI - gap <= PHASE_MATCH_TOL:
                 return delta
         return 0.0
 

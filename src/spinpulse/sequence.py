@@ -32,12 +32,20 @@ __all__ = [
     "SequenceElement",
     "PulseProgram",
     "MAX_NESTING_DEPTH",
+    "MAX_REPETITIONS",
     "bb1_phases",
     "bb1_sequence",
     "bb1_rabi_program",
 ]
 
 MAX_NESTING_DEPTH = 16
+
+# Largest count times Acquires per pass of its body (at least 1) that one
+# Repeat accepts: the engine pays one 2x2 product per repetition and per
+# snapshot (~3 us each for one spin), so one Repeat at the bound takes
+# ~30 s.  Equal to MAX_MEMBER_ECHOES, so a one-member echo train that
+# passes that bound passes this one.
+MAX_REPETITIONS = 2**23
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,11 @@ class Delay:
 
 @dataclass(frozen=True)
 class Repeat:
-    """``count`` repetitions of a sub-sequence."""
+    """``count`` repetitions of a sub-sequence.
+
+    ``count`` times the ``Acquire``s one pass of the body reaches (nested
+    repeats unrolled, at least 1) must not exceed ``MAX_REPETITIONS``.
+    """
 
     count: int
     body: tuple["SequenceElement", ...]
@@ -81,6 +93,10 @@ class Repeat:
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError("repeat count must be >= 1 and an integer")
         object.__setattr__(self, "body", tuple(self.body))
+        if self.count * max(1, _acquires(self.body)) > MAX_REPETITIONS:
+            raise ValueError(
+                f"repeat count times acquires per pass exceeds {MAX_REPETITIONS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,17 @@ class Acquire:
 
 
 SequenceElement = Union[Pulse, Delay, Repeat, Acquire]
+
+
+def _acquires(elements) -> int:
+    """``Acquire``s reached by one pass of ``elements``, nested repeats unrolled."""
+    count = 0
+    for el in elements:
+        if isinstance(el, Acquire):
+            count += 1
+        elif isinstance(el, Repeat):
+            count += el.count * _acquires(el.body)
+    return count
 
 
 def _nesting_depth(elements) -> int:

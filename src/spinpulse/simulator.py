@@ -383,14 +383,13 @@ def echo_train(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
             "epsilon_dist must be DELTA_ZERO"
         )
-    refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
-    elements = (Repeat(n_refocus, _echo_cycle(refocus_phase, use_bb1, tau)),)
-
-    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
-
     _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
+
+    refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
+    elements = (Repeat(n_refocus, _echo_cycle(refocus_phase, use_bb1, tau)),)
+    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
     # One extra member, free of error and detuning, fixes each echo's
     # detection axis; it stays out of the ensemble average.
     eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpulse import (
+    DELTA_ZERO,
+    EnsembleSpec,
     EseemRatioSpec,
+    Uniform,
     bb1_fidelity,
     bb1_phases,
     echo_train,
@@ -17,7 +20,7 @@ from spinpulse import (
     scan_order,
     verify_eq5_coefficients,
 )
-from spinpulse.analysis import FidelityScan
+from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan
 from spinpulse.simulator import MAX_SAMPLES
 
 # True values of the corrected-pulse figures of merit at eps = 0.1,
@@ -281,6 +284,21 @@ class TestEstimator:
         cp = echo_train("cp", 8, 0.1)
         cpmg = echo_train("cpmg", 6, 0.1)
         with pytest.raises(ValueError):
+            estimate_rotation_error(cp, cpmg)
+
+    def test_ensemble_mismatch_raises(self):
+        # trains recorded on a narrower detuning line than the model's
+        spec = EnsembleSpec(DELTA_ZERO, Uniform(-2.0, 2.0), nodes=65)
+        cp = echo_train("cp", 32, 0.1, ensemble_detuning=spec)
+        cpmg = echo_train("cpmg", 32, 0.1, ensemble_detuning=spec)
+        with pytest.raises(ValueError, match="ensemble mismatch"):
+            estimate_rotation_error(cp, cpmg)
+
+    def test_error_beyond_eps_max_raises(self):
+        # the best fit in [0, 0.3] is 0.251, inside the bracket, not on its edge
+        cp = echo_train("cp", 32, 0.35)
+        cpmg = echo_train("cpmg", 32, 0.35)
+        with pytest.raises(ValueError, match=f"exceeds {FIT_MAX_RESIDUAL}"):
             estimate_rotation_error(cp, cpmg)
 
     def test_nonpositive_cpmg_rejected(self):

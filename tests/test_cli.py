@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,26 @@ class TestEchoCommand:
         assert "finite" in err
 
 
+    def test_estimate_error_on_mismatched_ensemble_exits_2(self, capsys, tmp_path):
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "16", "--epsilon", "0.1",
+                "--span", "2", "--nodes", "65",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        code, out, err = run(
+            capsys,
+            "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"),
+            "--cpmg", str(tmp_path / "cpmg.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "ensemble mismatch" in err
+
+
 class TestEseemCommand:
     def test_pi_mode(self, capsys):
         code, out, _ = run(capsys, "eseem-ratio", "--mode", "pi", "--theta-eps", "0.1rad")
@@ -386,3 +410,98 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b), "--quiet"]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestConfigRecord:
+    """``meta.config`` is the command's options, in declaration order,
+    under their unit-bearing names, plus at most one computed extra."""
+
+    def config(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv, "--json", "--quiet")
+        assert code == 0
+        return json.loads(out)["meta"]["config"]
+
+    def test_fidelity_keys(self, capsys):
+        config = self.config(capsys, "fidelity", "--theta", "1pi", "--epsilon", "0.1")
+        assert list(config) == ["theta_rad", "epsilon", "bb1", "dphi1_rad", "dphi2_rad"]
+
+    def test_scan_keys(self, capsys):
+        config = self.config(capsys, "scan", "--theta", "1pi")
+        assert list(config) == ["theta_rad", "lo", "hi", "points", "bb1", "slope"]
+
+    def test_verify_eq5_keys(self, capsys):
+        config = self.config(capsys, "verify-eq5")
+        assert list(config) == ["epsilon", "step_rad", "max_rel_deviation"]
+
+    def test_rabi_keys(self, capsys):
+        config = self.config(capsys, "rabi", "--sigma", "0.05", "--max", "1pi", "--step", "0.5pi")
+        assert list(config) == [
+            "sigma", "mean", "max_rad", "step_rad", "bb1", "nodes", "mc_samples", "seed",
+            "provenance",
+        ]
+
+    def test_echo_keys(self, capsys):
+        config = self.config(capsys, "echo", "--mode", "cp", "--n", "2", "--nodes", "9")
+        assert list(config) == [
+            "mode", "n", "epsilon", "bb1", "tau_s", "t2_s", "span_rad_per_s", "nodes",
+            "mc_samples", "seed", "provenance",
+        ]
+
+    def test_estimate_error_keys(self, capsys, tmp_path):
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys, "echo", "--mode", mode, "--n", "8", "--epsilon", "0.1",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        config = self.config(
+            capsys, "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"), "--cpmg", str(tmp_path / "cpmg.csv"),
+        )
+        assert list(config) == ["cp", "cpmg", "eps_max"]
+
+    def test_eseem_ratio_keys_and_row(self, capsys):
+        code, out, _ = run(
+            capsys, "eseem-ratio", "--mode", "pi", "--theta-eps", "0.1rad", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["meta"]["config"]) == ["mode", "theta_eps_rad"]
+        assert list(doc["data"][0]) == ["mode", "theta_eps_rad", "ratio", "magic_angle_rad"]
+
+    def test_simple_from_config_records_bb1_false(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta=1pi\nsimple=yes\n", encoding="utf-8")
+        config = self.config(capsys, "scan", "--config", str(cfg))
+        assert config["bb1"] is False
+        assert 1.9 <= config["slope"] <= 2.1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "spinpulse.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestEntryPoint:
+    """``python -m spinpulse.cli`` runs ``sys.exit(main())``."""
+
+    def test_success_matches_in_process_main(self, capsys):
+        argv = ("fidelity", "--theta", "1pi", "--epsilon", "0.1", "--bb1")
+        proc = run_module(*argv)
+        assert proc.returncode == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert proc.stdout == out
+
+    def test_domain_error_exits_2(self):
+        proc = run_module("eseem-ratio", "--mode", "magic", "--theta-eps", "0rad")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "diverges" in proc.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,22 @@ def test_depth_guard():
     with pytest.raises(ParseError) as err:
         parse_program(too_deep)
     assert "nesting depth" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "repeat 1000000000000 { pulse theta=1pi phase=0pi }",
+        "repeat 1000 { repeat 1000 { repeat 1000 { acquire } } }",
+    ],
+)
+def test_repetition_bound_is_a_located_parse_error(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line == 1 and err.value.col == 8
+    assert "8388608" in str(err.value)
 
 
 def test_round_trip_examples():

@@ -12,6 +12,8 @@ from spinpulse import (
     PulseProgram,
     RotationSpec,
     Uniform,
+    bb1_phases,
+    bb1_sequence,
     ensemble_nodes,
     monte_carlo_nodes,
     propagate,
@@ -56,6 +58,31 @@ class TestApplyError:
             ErrorModel(epsilon=1.0)
         with pytest.raises(ValueError):
             ErrorModel(phase_offsets={0.0: math.pi / 2})
+
+
+class TestPhaseChannels:
+    """Channel keys are phases on the circle, reduced mod 2pi as a pulse's
+    phase is, and matched by circular distance."""
+
+    def test_negative_key_matches_its_pulse(self):
+        model = ErrorModel(0.0, {-math.pi / 2: 0.1})
+        assert model.offset_for(Pulse(1.0, -math.pi / 2).phi) == 0.1
+
+    def test_bb1_two_pi_channel_matches_across_zero(self):
+        key = 3 * bb1_phases(2 * math.pi)[0]
+        assert key >= 2 * math.pi  # the stored pulse phase is ~8.9e-16
+        pulse = bb1_sequence(2 * math.pi)[2]
+        assert pulse.phi < 1e-15
+        assert ErrorModel(0.0, {key: 0.01}).offset_for(pulse.phi) == 0.01
+
+    def test_keys_stored_reduced(self):
+        model = ErrorModel(0.0, {-math.pi / 2: 0.1, 2.5 * math.pi: 0.2})
+        assert model.phase_offsets == ((0.5 * math.pi, 0.2), (1.5 * math.pi, 0.1))
+
+    def test_match_wraps_at_zero(self):
+        model = ErrorModel(0.0, {1e-10: 0.01})
+        assert model.offset_for(2 * math.pi - 5e-10) == 0.01
+        assert model.offset_for(2 * math.pi - 2e-9) == 0.0
 
 
 class TestDistributions:

@@ -11,6 +11,7 @@ from spinpulse import (
     PulseProgram,
     Repeat,
     RotationSpec,
+    MAX_REPETITIONS,
     bb1_phases,
     bb1_rabi_program,
     bb1_sequence,
@@ -139,6 +140,21 @@ class TestElements:
     def test_repeat_rejects_bad_count(self):
         with pytest.raises(ValueError):
             Repeat(0, (Acquire(),))
+
+    def test_repeat_bounded_by_repetitions_times_acquires(self):
+        assert MAX_REPETITIONS == 2**23
+        Repeat(MAX_REPETITIONS, (Acquire(),))
+        Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),))
+        for body in ((Acquire(),), (Pulse(1.0, 0.0),), ()):
+            with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
+                Repeat(MAX_REPETITIONS + 1, body)
+        # acquires of nested repeats count unrolled
+        inner = Repeat(1024, (Acquire(), Delay(1.0), Acquire()))
+        Repeat(MAX_REPETITIONS // 2048, (inner,))
+        with pytest.raises(ValueError, match="acquires per pass"):
+            Repeat(MAX_REPETITIONS // 2048 + 1, (inner,))
+        # a nested repeat with no acquire adds no snapshots
+        Repeat(MAX_REPETITIONS, (Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),)),))
 
     def test_program_name_excluded_from_equality(self):
         a = PulseProgram((Pulse(1.0, 0.0),), name="a")
