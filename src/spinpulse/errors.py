@@ -12,14 +12,18 @@ Two systematic error channels are modeled:
 Ensembles over ``epsilon`` (and optionally over detuning) are evaluated
 with deterministic quadrature - Gauss-Hermite for Gaussian weights,
 Gauss-Legendre for uniform ones - so that every downstream number is
-bit-reproducible.  A seeded Monte Carlo sampler exists for cross-checks.
-Each distribution kind owns its quadrature rule, sampler and provenance
-record; ``ensemble_nodes`` and ``monte_carlo_nodes`` return one
-``(N, 3)`` array of (epsilon, delta, weight) rows.
+bit-reproducible.  Each canonical rule is solved once per order per
+process and kept read-only (``_gauss_rule``); a distribution maps it to
+fresh arrays of its own.  A seeded Monte Carlo sampler exists for
+cross-checks.  Each distribution kind owns its quadrature mapping,
+sampler and provenance record; ``ensemble_nodes`` and
+``monte_carlo_nodes`` return one ``(N, 3)`` array of (epsilon, delta,
+weight) rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -53,13 +57,30 @@ WEIGHT_SUM_TOL = 1e-12
 NODE_WEIGHT_TOL = 1e-10
 
 # Largest quadrature order accepted.  The companion-matrix eigensolve
-# grows as n^3 (leggauss takes ~0.1 s at 1024 nodes, ~0.7 s at 2048),
+# grows as n^3 (leggauss takes ~0.1 s at 1024 nodes, ~0.7 s at 2048) and
+# is paid once per rule and order per process (``_gauss_rule``);
 # Gauss-Hermite already fails past ~370 nodes, and the echo default is 257.
 MAX_NODES = 1024
 
 # Largest Monte Carlo sample count accepted: as many members as the
 # largest two-rule quadrature grid (MAX_NODES**2), ~25 MB of nodes.
 MAX_MC_SAMPLES = MAX_NODES**2
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_rule(rule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical nodes and weights of ``rule`` (``hermgauss`` or
+    ``leggauss``) at order ``n``, solved once per process and read-only.
+
+    Overflow at large n leaves non-finite weights, which are cached as
+    they are and which ensemble_nodes reports as an error on every call;
+    numpy's warnings add nothing.
+    """
+    with np.errstate(all="ignore"):
+        x, w = rule(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -75,10 +96,7 @@ class Gaussian:
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Hermite values and weights of order ``n``."""
-        # Overflow at large n leaves non-finite weights, which
-        # ensemble_nodes reports as an error; numpy's warnings add nothing.
-        with np.errstate(all="ignore"):
-            x, w = np.polynomial.hermite.hermgauss(n)
+        x, w = _gauss_rule(np.polynomial.hermite.hermgauss, n)
         return self.mean + math.sqrt(2.0) * self.sigma * x, w / math.sqrt(math.pi)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +119,7 @@ class Uniform:
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre values and weights of order ``n``."""
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_rule(np.polynomial.legendre.leggauss, n)
         mid = 0.5 * (self.hi + self.lo)
         half = 0.5 * (self.hi - self.lo)
         return mid + half * x, w / 2.0

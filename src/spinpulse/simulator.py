@@ -51,7 +51,7 @@ from .errors import (
     ensemble_nodes,
     monte_carlo_nodes,
 )
-from .sequence import Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
+from .sequence import MAX_REPETITIONS, Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
 from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _rotations
 
 __all__ = [
@@ -259,7 +259,9 @@ def rabi_trace(
     when ``use_bb1`` is set, with full corrected pi blocks plus a simple
     remainder pulse, then averages ``-<sz>`` over the ensemble.  The
     convention puts the signal at +1 for an ideal pi rotation.  More
-    than ``MAX_SAMPLES`` samples are rejected.
+    than ``MAX_SAMPLES`` samples are rejected, and so is a BB1 trace
+    whose last sample needs more than ``MAX_REPETITIONS`` pi blocks (the
+    bound ``bb1_rabi_program`` enforces through its ``Repeat``).
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
@@ -272,25 +274,25 @@ def rabi_trace(
         raise ValueError("max_angle must be finite and >= 0")
     if max_angle / step >= MAX_SAMPLES:
         raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
+    thetas = []
+    while len(thetas) * step <= max_angle * (1 + 1e-12):
+        thetas.append(len(thetas) * step)
+    ns = [int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0 for theta in thetas]
+    if ns[-1] > MAX_REPETITIONS:
+        raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
     psi0 = SpinState.spin_up().vector[:, None]
     block, _ = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
     power, blocks = IDENTITY, 0
 
     samples = []
-    k = 0
-    while True:
-        theta = k * step
-        if theta > max_angle * (1 + 1e-12):
-            break
-        n = int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0
+    for theta, n in zip(thetas, ns):
         remainder = theta - n * math.pi
         while blocks < n:
             power, blocks = block @ power, blocks + 1
         final = power @ (_rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps) @ psi0)
         sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
-        k += 1
 
     return Signal(
         axis_label="theta",

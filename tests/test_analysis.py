@@ -20,7 +20,8 @@ from spinpulse import (
     scan_order,
     verify_eq5_coefficients,
 )
-from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan
+from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan, _model_ratio
+from spinpulse.errors import _gauss_rule
 from spinpulse.simulator import MAX_SAMPLES
 
 # True values of the corrected-pulse figures of merit at eps = 0.1,
@@ -260,6 +261,18 @@ class TestEstimator:
         cpmg = echo_train("cpmg", 16, 0.1, t2_envelope=64.0)
         eps_hat, _ = estimate_rotation_error(cp, cpmg)
         assert abs(eps_hat - 0.1) <= 0.01
+
+    def test_cold_and_warm_rule_cache_agree_bitwise(self):
+        def run():
+            _model_ratio.cache_clear()
+            cp = echo_train("cp", 32, 0.1)
+            cpmg = echo_train("cpmg", 32, 0.1)
+            return cp.samples, estimate_rotation_error(cp, cpmg)
+
+        _gauss_rule.cache_clear()
+        cold = run()
+        assert _gauss_rule.cache_info().currsize > 0
+        assert run() == cold
 
     def test_returns_plain_floats(self):
         cp = echo_train("cp", 4, 0.05)

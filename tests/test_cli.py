@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,17 @@ class TestRabiCommand:
         assert code == 2
         assert out == ""
         assert "100000 samples" in err
+
+    def test_bb1_block_count_above_bound_exits_2(self, capsys):
+        # 1e4 samples, but the last needs 1e9 pi blocks: refused at once
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "1e9pi", "--step", "1e5pi", "--bb1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "BB1 pi blocks" in err
 
     def test_monte_carlo_count_above_bound_exits_2(self, capsys):
         code, out, err = run(

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spinpulse import (
+    DELTA_ZERO,
     Discrete,
     EnsembleSpec,
     ErrorModel,
@@ -19,7 +21,7 @@ from spinpulse import (
     propagate,
     rotation,
 )
-from spinpulse.errors import MAX_MC_SAMPLES, MAX_NODES
+from spinpulse.errors import MAX_MC_SAMPLES, MAX_NODES, _gauss_rule
 
 
 class TestApplyError:
@@ -159,6 +161,65 @@ class TestDistributions:
         assert math.fsum(w for _, _, w in nodes) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(ValueError, match="400 nodes"):
             ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=400))
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Orders numpy's two Gauss rules are asked for, from a cold cache."""
+    calls = []
+    for module, name in ((np.polynomial.legendre, "leggauss"), (np.polynomial.hermite, "hermgauss")):
+
+        def counted(n, rule=getattr(module, name), name=name):
+            calls.append((name, n))
+            return rule(n)
+
+        monkeypatch.setattr(module, name, counted)
+    _gauss_rule.cache_clear()
+    yield calls
+    _gauss_rule.cache_clear()
+
+
+class TestRuleCache:
+    """Each Gauss rule is solved once per order and shared read-only;
+    every distribution maps it to its own fresh arrays."""
+
+    def test_each_rule_solved_once_per_order(self, rule_calls):
+        for lo, hi in ((-1.0, 1.0), (-2.0, 3.0)):
+            ensemble_nodes(EnsembleSpec(DELTA_ZERO, Uniform(lo, hi), nodes=33))
+        for sigma in (0.05, 0.1):
+            ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma), nodes=33))
+        assert rule_calls == [("leggauss", 33), ("hermgauss", 33)]
+
+    def test_rows_equal_a_freshly_solved_rule(self):
+        n = 17
+        x, w = np.polynomial.legendre.leggauss(n)
+        legendre = np.column_stack((np.zeros(n), 0.5 + 2.5 * x, w / 2.0))
+        x, w = np.polynomial.hermite.hermgauss(n)
+        hermite = np.column_stack((0.01 + math.sqrt(2.0) * 0.2 * x, np.zeros(n), w / math.sqrt(math.pi)))
+        _gauss_rule.cache_clear()
+        for _ in ("cold", "warm"):
+            assert np.array_equal(ensemble_nodes(EnsembleSpec(DELTA_ZERO, Uniform(-2.0, 3.0), nodes=n)), legendre)
+            assert np.array_equal(ensemble_nodes(EnsembleSpec(Gaussian(0.01, 0.2), nodes=n)), hermite)
+
+    def test_returned_arrays_do_not_reach_the_cache(self):
+        for dist in (Uniform(-1.0, 2.0), Gaussian(0.1, 0.2)):
+            first = dist.quadrature(9)
+            want = [a.copy() for a in first]
+            for a in first:
+                a[:] = 7.0
+            assert all(np.array_equal(a, b) for a, b in zip(dist.quadrature(9), want))
+        for a in _gauss_rule(np.polynomial.legendre.leggauss, 9):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
+
+    def test_overflowed_rule_rejected_cold_and_warm(self):
+        _gauss_rule.cache_clear()
+        spec = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in ("cold", "warm"):
+                with pytest.raises(ValueError, match="400 nodes"):
+                    ensemble_nodes(spec)
 
 
 class TestMonteCarlo:

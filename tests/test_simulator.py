@@ -18,6 +18,7 @@ from spinpulse import (
     Repeat,
     SpinState,
     Signal,
+    MAX_REPETITIONS,
     Uniform,
     bb1_rabi_program,
     bb1_sequence,
@@ -280,6 +281,21 @@ class TestRabi:
                 rabi_trace(max_angle, step, bad_nodes)
         with pytest.raises(ValueError, match="400 nodes"):
             rabi_trace(0.5 * (MAX_SAMPLES - 1), 0.5, bad_nodes)
+
+    def test_bb1_block_count_bounded(self):
+        # checked before any node is built, as the sample count is
+        bad_nodes = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
+        over = (MAX_REPETITIONS + 1.5) * math.pi
+        for max_angle, step in [(over, over), (1e9 * math.pi, 1e5 * math.pi)]:
+            with pytest.raises(ValueError, match=f"{MAX_REPETITIONS} BB1 pi blocks"):
+                rabi_trace(max_angle, step, bad_nodes, use_bb1=True)
+        # the last sample of this trace needs exactly MAX_REPETITIONS blocks
+        within = (MAX_REPETITIONS + 0.5) * math.pi
+        with pytest.raises(ValueError, match="400 nodes"):
+            rabi_trace(within, within, bad_nodes, use_bb1=True)
+        # simple pulses need no blocks
+        with pytest.raises(ValueError, match="400 nodes"):
+            rabi_trace(1e9 * math.pi, 1e5 * math.pi, bad_nodes)
 
     @pytest.mark.parametrize(
         "max_angle,step,sigma,mc_samples",
