@@ -43,8 +43,7 @@ MAX_NESTING_DEPTH = 16
 # Largest count times Acquires per pass of its body (at least 1) that one
 # Repeat accepts: the engine pays one 2x2 product per repetition and per
 # snapshot (~3 us each for one spin), so one Repeat at the bound takes
-# ~30 s.  Equal to MAX_MEMBER_ECHOES, so a one-member echo train that
-# passes that bound passes this one.
+# ~30 s.  Equal to MAX_MEMBER_ECHOES, the echo-train bound.
 MAX_REPETITIONS = 2**23
 
 

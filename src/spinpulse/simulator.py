@@ -26,12 +26,20 @@ Experiments:
   composite refocusing pulses and an optional analytic T2 envelope; at
   most ``MAX_MEMBER_ECHOES`` echoes times members.
 
+Both experiments build their repeated block once on the engine and then
+advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
+to each gap's power, and ``echo_train`` builds the echo-cycle propagator
+and advances every member by one 2x2 product per echo.  An echo train is
+taken in slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, each
+reduced as one array operation before the next is advanced, so a train
+never holds more than one slice.
+
 Echo detection is phase-sensitive: the signed projection of each
 member's transverse magnetization onto the zero-error echo axis is
 ensemble-averaged first, and the magnitude of that average is the echo
 amplitude.  Averaging per-member magnitudes instead would hide
 dephasing.  The zero-error axis comes from one extra member of the same
-engine run, free of error and detuning and left out of the average.
+batch, free of error and detuning and left out of the average.
 """
 
 from __future__ import annotations
@@ -81,9 +89,16 @@ DEFAULT_DETUNING_NODES = 257
 # use at most a few hundred, and 1e5 already costs tens of megabytes.
 MAX_SAMPLES = 100_000
 
-# Largest n_refocus * members accepted by echo_train: every echo keeps a
-# 32-byte snapshot per member until the train ends, so this is ~256 MB.
+# Largest n_refocus * members accepted by echo_train.  A train holds at
+# most one slice of echoes, so this bounds time, not memory.  Each echo
+# is one vectorised step (~7 us at a few members), so a one-member train
+# at the bound takes about a minute; at the default 257 nodes the bound
+# is 32640 echoes, about a second.
 MAX_MEMBER_ECHOES = 2**23
+
+# Member-echoes per slice of an echo train: the slice buffer holds two
+# complex amplitudes per member-echo (1 MB), plus the slice's reduction.
+_SLICE_MEMBER_ECHOES = 2**15
 
 
 class SpinState:
@@ -233,12 +248,6 @@ def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
     return math.fsum((weights * per_node).tolist())
 
 
-def _transverse(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<sx>, <sy>) of every member of an (M, 2, 1) state batch."""
-    cross = np.conj(psi[:, 0, 0]) * psi[:, 1, 0]
-    return 2.0 * cross.real, 2.0 * cross.imag
-
-
 # ---------------------------------------------------------------------------
 # Rabi / nutation traces
 # ---------------------------------------------------------------------------
@@ -266,7 +275,10 @@ def rabi_trace(
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
     propagator built once per call.  ``n`` never decreases along the
-    trace, so ``B**n`` is a running product, one factor per new block.
+    trace, so ``B**n`` is a running product: a gap of ``g`` new blocks
+    multiplies it by ``B**g``, raised by squaring (``np.linalg.matrix_power``,
+    which returns ``B`` itself for ``g = 1``), so a trace costs
+    O(K log n) products.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -288,8 +300,8 @@ def rabi_trace(
     samples = []
     for theta, n in zip(thetas, ns):
         remainder = theta - n * math.pi
-        while blocks < n:
-            power, blocks = block @ power, blocks + 1
+        if n > blocks:
+            power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
         final = power @ (_rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps) @ psi0)
         sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
@@ -336,7 +348,7 @@ def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
         pulses = tuple(bb1_sequence(math.pi, axis_phase=refocus_phase))
     else:
         pulses = (Pulse(math.pi, refocus_phase),)
-    return (Delay(tau), *pulses, Delay(tau), Acquire())
+    return (Delay(tau), *pulses, Delay(tau))
 
 
 def echo_train(
@@ -367,6 +379,15 @@ def echo_train(
     ``exp(-t_k / t2_envelope)`` with ``t_k = 2 * tau * k``.  A train whose
     ``n_refocus`` times the member count (ensemble nodes or Monte Carlo
     samples) exceeds ``MAX_MEMBER_ECHOES`` is rejected before propagation.
+
+    The cycle ``tau - refocusing pulse - tau`` runs once on the engine,
+    from the identity, for its propagator ``C`` at every member; echo k is
+    ``C`` applied to echo k-1, one 2x2 product per member and echo.  The
+    echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
+    member-echoes, and each slice is reduced before the next is advanced,
+    so memory does not grow with ``n_refocus``.  The samples equal, bit
+    for bit, those reduced from the snapshots of the engine program
+    ``Repeat(n_refocus, cycle + (Acquire(),))``.
     """
     mode_l = str(mode).lower()
     if mode_l not in ("cp", "cpmg"):
@@ -390,23 +411,35 @@ def echo_train(
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
 
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
-    elements = (Repeat(n_refocus, _echo_cycle(refocus_phase, use_bb1, tau)),)
-    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
     # One extra member, free of error and detuning, fixes each echo's
     # detection axis; it stays out of the ensemble average.
     eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
-    _, snaps = _propagate_nodes(elements, NO_ERROR, eps, np.append(delta, 0.0), psi0)
+    cycle, _ = _propagate_nodes(
+        _echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, np.append(delta, 0.0), IDENTITY
+    )
+    a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
+    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
+    u, v = np.full(eps.shape, psi0[0, 0]), np.full(eps.shape, psi0[1, 0])
+    rows = min(n_refocus, max(1, _SLICE_MEMBER_ECHOES // eps.size))
+    up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
 
     samples = []
-    for k, snap in enumerate(snaps, start=1):
-        bx, by = _transverse(snap)
-        r = np.hypot(bx[-1], by[-1])
-        proj = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
-        amp = abs(_weighted_sum(weights, proj))
-        t_k = 2.0 * tau * k
-        if t2_envelope is not None:
-            amp *= math.exp(-t_k / t2_envelope)
-        samples.append((t_k, amp))
+    for start in range(0, n_refocus, rows):
+        count = min(rows, n_refocus - start)
+        for j in range(count):
+            # both columns are computed before either is stored
+            u, v = a * u + b * v, c * u + d * v
+            up[j], down[j] = u, v
+        cross = np.conj(up[:count]) * down[:count]
+        bx, by = 2.0 * cross.real, 2.0 * cross.imag
+        r = np.hypot(bx[:, -1:], by[:, -1:])
+        proj = bx[:, :-1] * (bx[:, -1:] / r) + by[:, :-1] * (by[:, -1:] / r)
+        for k, row in enumerate(weights * proj, start=start + 1):
+            amp = abs(math.fsum(row.tolist()))
+            t_k = 2.0 * tau * k
+            if t2_envelope is not None:
+                amp *= math.exp(-t_k / t2_envelope)
+            samples.append((t_k, amp))
 
     return Signal(
         axis_label="echo_time",

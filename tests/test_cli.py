@@ -199,6 +199,18 @@ class TestRabiCommand:
         assert out == ""
         assert "BB1 pi blocks" in err
 
+    def test_bb1_trace_at_block_bound_is_fast(self, capsys):
+        # 11 samples reaching 2^23 pi blocks: the block power is raised by
+        # squaring, where one product per block took minutes
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "8388608pi", "--step", "838860.8pi",
+            "--bb1",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert code == 0, err
+        assert len(out.splitlines()) == 12
+
     def test_monte_carlo_count_above_bound_exits_2(self, capsys):
         code, out, err = run(
             capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from spinpulse import (
 from spinpulse import simulator
 from spinpulse.errors import NO_ERROR, ensemble_nodes, monte_carlo_nodes
 from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
-from spinpulse.su2 import IDENTITY
+from spinpulse.su2 import IDENTITY, _rotations
 from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
@@ -311,17 +312,54 @@ class TestRabi:
         # node, however the trace reaches it
         spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=41)
         sig = rabi_trace(max_angle, step, spec, use_bb1=True, mc_samples=mc_samples, mc_seed=5)
-        nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, 5)
-        eps, delta, weights = nodes.T
-        for theta, value in sig.samples:
-            n = int(math.floor(theta / math.pi + 1e-12))
-            r = theta - n * math.pi
-            program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
-            final, _ = _propagate_nodes(
-                program.elements, NO_ERROR, eps, delta, SpinState.spin_up().vector[:, None]
-            )
-            minus_sz = np.abs(final[:, 1, 0]) ** 2 - np.abs(final[:, 0, 0]) ** 2
-            assert abs(value - math.fsum((weights * minus_sz).tolist())) < 1e-13
+        assert max_reference_miss(sig, spec, mc_samples, 5) < 1e-13
+
+    def test_bb1_trace_with_multi_block_gaps(self):
+        # 410 blocks between samples: the block power is raised by
+        # squaring, not by 410 running products
+        sig = rabi_trace(4096 * math.pi, 409.6 * math.pi, GAUSS5, use_bb1=True)
+        assert len(sig.samples) == 11
+        assert max_reference_miss(sig, GAUSS5, None, 0) < 1e-11
+
+
+def max_reference_miss(sig, spec, mc_samples, mc_seed):
+    """Largest distance of a BB1 trace from bb1_rabi_program(n, r) run at
+    every node."""
+    nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
+    eps, delta, weights = nodes.T
+    worst = 0.0
+    for theta, value in sig.samples:
+        n = int(math.floor(theta / math.pi + 1e-12))
+        r = theta - n * math.pi
+        program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
+        final, _ = _propagate_nodes(
+            program.elements, NO_ERROR, eps, delta, SpinState.spin_up().vector[:, None]
+        )
+        minus_sz = np.abs(final[:, 1, 0]) ** 2 - np.abs(final[:, 0, 0]) ** 2
+        worst = max(worst, abs(value - math.fsum((weights * minus_sz).tolist())))
+    return worst
+
+
+def engine_echo_samples(mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0):
+    """An echo train as the engine program Repeat(n, cycle + Acquire) on
+    the default ensemble plus a zero-error reference member, each
+    snapshot reduced on its own."""
+    spec = default_echo_ensemble()
+    nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
+    _, delta, weights = nodes.T
+    phase = 0.0 if mode == "cp" else math.pi / 2
+    program = (Repeat(n, simulator._echo_cycle(phase, use_bb1, 1.0) + (Acquire(),)),)
+    psi0 = _rotations(math.pi / 2, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
+    eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
+    _, snaps = _propagate_nodes(program, NO_ERROR, eps, np.append(delta, 0.0), psi0)
+    samples = []
+    for k, snap in enumerate(snaps, start=1):
+        cross = np.conj(snap[:, 0, 0]) * snap[:, 1, 0]
+        bx, by = 2.0 * cross.real, 2.0 * cross.imag
+        r = np.hypot(bx[-1], by[-1])
+        proj = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
+        samples.append((2.0 * k, abs(math.fsum((weights * proj).tolist()))))
+    return samples
 
 
 # Frozen values computed with the brute-force oracle before wiring the
@@ -422,6 +460,57 @@ class TestEchoTrain:
                 echo_train("cp", 4, 0.1, tau=tau)
             with pytest.raises(ValueError, match="tau must be positive"):
                 default_echo_ensemble(tau)
+
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    @pytest.mark.parametrize("use_bb1", [False, True])
+    @pytest.mark.parametrize("mode", ["cp", "cpmg"])
+    def test_equals_engine_program_bitwise(self, mode, use_bb1, n):
+        got = echo_train(mode, n, 0.1, use_bb1=use_bb1).samples
+        assert got == engine_echo_samples(mode, n, 0.1, use_bb1)
+
+    @pytest.mark.parametrize(
+        "mode,n,mc_samples",
+        [
+            ("cp", 305, 3000),  # ten echoes per slice: thirty full slices and a part
+            ("cpmg", 4, 40000),  # more members than a slice holds: one echo each
+        ],
+    )
+    def test_sliced_train_equals_engine_program_bitwise(self, mode, n, mc_samples):
+        assert simulator._SLICE_MEMBER_ECHOES // (mc_samples + 1) < n
+        got = echo_train(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7).samples
+        assert got == engine_echo_samples(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        epsilon=st.floats(-0.3, 0.3),
+        use_bb1=st.booleans(),
+        rows=st.integers(1, 64),
+        offset=st.integers(-2, 2),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_slices_equal_engine_program_bitwise(
+        self, mode, epsilon, use_bb1, rows, offset, extra, seed
+    ):
+        # members (samples plus the reference) around the count at which a
+        # slice holds `rows` echoes, over one or more slice boundaries
+        members = simulator._SLICE_MEMBER_ECHOES // rows + offset
+        n = rows * (1 + extra) + offset % 2
+        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, mc_samples=members - 1, mc_seed=seed)
+        want = engine_echo_samples(mode, n, epsilon, use_bb1, members - 1, seed)
+        assert got.samples == want
+
+    def test_memory_does_not_grow_with_the_train(self):
+        echo_train("cp", 8, 0.1)  # the quadrature rule is cached outside the peak
+        tracemalloc.start()
+        try:
+            echo_train("cp", 4000, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a train that holds every echo's snapshot needs 34 MB here
+        assert peak < 8e6
 
     def test_member_echoes_bounded_before_propagation(self, monkeypatch):
         def no_propagation(*args):
