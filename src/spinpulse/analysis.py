@@ -81,7 +81,7 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
     identity over the whole array at once."""
     if not np.all(np.isfinite(eps)):
         raise ValueError("epsilon must be finite")
-    net, _ = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
+    net = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
     return _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
 
 
@@ -280,8 +280,12 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     Returns ``(eps_hat, residual)`` as floats, where ``residual`` is the
     RMS misfit of the even-echo ratios at the optimum.  A residual above
     ``FIT_MAX_RESIDUAL`` raises ``ValueError``: the model does not
-    describe the data, so ``eps_hat`` would be a wrong answer.
+    describe the data, so ``eps_hat`` would be a wrong answer.  An
+    ``eps_max`` outside ``(0, 1)`` raises ``ValueError`` before any train
+    is simulated.
     """
+    if not 0.0 < eps_max < 1.0:
+        raise ValueError(f"eps_max must lie in (0, 1), got {eps_max!r}")
     if len(cp.samples) != len(cpmg.samples):
         raise ValueError("CP and CPMG signals must have the same length")
     if len(cp.samples) < 4:

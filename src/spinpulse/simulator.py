@@ -1,10 +1,11 @@
 """Time-domain propagation of pulse programs over error ensembles.
 
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
-detuning phase (z-rotation by ``delta * tau``); ``Acquire`` marks
-sampling points; a ``Repeat`` walks its body once from the identity, for
-the body's propagator and the propagator to each of its ``Acquire``
-points, then costs one 2x2 product per repetition and snapshot.  One
+detuning phase (z-rotation by ``delta * tau``); ``Acquire`` marks a
+sampling point and leaves the state as it is; a ``Repeat`` propagates its
+body once from the identity, then costs one 2x2 product per repetition.
+The engine returns only the final block: the experiments take their
+samples from their own products of engine propagators.  One
 engine interprets every program: it propagates a batch of ensemble
 members at once, each carrying a block of columns - one column is a
 state, the two columns of the identity are the whole propagator - and
@@ -182,7 +183,14 @@ class Signal:
 # ---------------------------------------------------------------------------
 
 
-def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray:
+def _propagate_nodes(
+    elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray, block0: np.ndarray
+) -> np.ndarray:
+    """Propagate a (2, K) column block through a program at every node;
+    returns the final (M, 2, K) blocks.  ``block0 = IDENTITY`` yields the
+    propagators.  A ``Repeat`` body is propagated once, from the identity,
+    and applied ``count`` times as a running product."""
+    psi = np.broadcast_to(block0, (eps.size, *block0.shape)).copy()
     for el in elements:
         if isinstance(el, Pulse):
             phi = el.phi + error.offset_for(el.phi)
@@ -191,29 +199,12 @@ def _walk(elements, error: ErrorModel, eps, delta, psi, snapshots) -> np.ndarray
             phase = np.exp(0.5j * delta * el.tau)
             psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
         elif isinstance(el, Repeat):
-            # the body's propagator, and its propagator to each Acquire
-            body_snaps: list[np.ndarray] = []
-            body = _walk(el.body, error, eps, delta, IDENTITY, body_snaps)
+            body = _propagate_nodes(el.body, error, eps, delta, IDENTITY)
             for _ in range(el.count):
-                snapshots.extend(snap @ psi for snap in body_snaps)
                 psi = body @ psi
-        elif isinstance(el, Acquire):
-            snapshots.append(psi.copy())
-        else:
+        elif not isinstance(el, Acquire):
             raise TypeError(f"unknown sequence element {el!r}")
     return psi
-
-
-def _propagate_nodes(
-    elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray, block0: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Propagate a (2, K) column block through a program at every node;
-    returns the final (M, 2, K) blocks and the snapshots taken at each
-    ``Acquire``.  ``block0 = IDENTITY`` yields the propagators."""
-    snapshots: list[np.ndarray] = []
-    psi = np.broadcast_to(block0, (eps.size, *block0.shape)).copy()
-    psi = _walk(elements, error, eps, delta, psi, snapshots)
-    return psi, snapshots
 
 
 def propagate(
@@ -225,11 +216,11 @@ def propagate(
     """Apply a program to one spin: rotations per pulse (with the error
     model applied), z-rotation by ``delta * tau`` per delay.
 
-    ``Acquire`` markers are ignored here; use the experiment functions to
+    ``Acquire`` markers leave the state as it is; the experiment functions
     collect sampled signals.
     """
     state = initial if initial is not None else SpinState.spin_up()
-    final, _ = _propagate_nodes(
+    final = _propagate_nodes(
         program.elements, e, np.array([e.epsilon]), np.array([float(delta)]), state.vector[:, None]
     )
     v = final[0, :, 0]
@@ -294,7 +285,7 @@ def rabi_trace(
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
     psi0 = SpinState.spin_up().vector[:, None]
-    block, _ = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
+    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
     power, blocks = IDENTITY, 0
 
     samples = []
@@ -386,8 +377,8 @@ def echo_train(
     echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
     member-echoes, and each slice is reduced before the next is advanced,
     so memory does not grow with ``n_refocus``.  The samples equal, bit
-    for bit, those reduced from the snapshots of the engine program
-    ``Repeat(n_refocus, cycle + (Acquire(),))``.
+    for bit, those reduced one by one from the running product
+    ``psi_k = C @ psi_(k-1)`` of the engine's cycle propagator.
     """
     mode_l = str(mode).lower()
     if mode_l not in ("cp", "cpmg"):
@@ -414,7 +405,7 @@ def echo_train(
     # One extra member, free of error and detuning, fixes each echo's
     # detection axis; it stays out of the ensemble average.
     eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
-    cycle, _ = _propagate_nodes(
+    cycle = _propagate_nodes(
         _echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, np.append(delta, 0.0), IDENTITY
     )
     a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C

@@ -20,6 +20,7 @@ from spinpulse import (
     scan_order,
     verify_eq5_coefficients,
 )
+from spinpulse import analysis
 from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan, _model_ratio
 from spinpulse.errors import _gauss_rule
 from spinpulse.simulator import MAX_SAMPLES
@@ -313,6 +314,17 @@ class TestEstimator:
         cpmg = echo_train("cpmg", 32, 0.35)
         with pytest.raises(ValueError, match=f"exceeds {FIT_MAX_RESIDUAL}"):
             estimate_rotation_error(cp, cpmg)
+
+    @pytest.mark.parametrize("eps_max", [-0.3, 0.0, 1.0, math.inf, math.nan])
+    def test_eps_max_outside_unit_interval_rejected(self, monkeypatch, eps_max):
+        def no_model(*args):
+            raise AssertionError("simulated a train for a rejected eps_max")
+
+        cp = echo_train("cp", 8, 0.1)
+        cpmg = echo_train("cpmg", 8, 0.1)
+        monkeypatch.setattr(analysis, "_model_ratio", no_model)
+        with pytest.raises(ValueError, match=r"eps_max must lie in \(0, 1\)"):
+            estimate_rotation_error(cp, cpmg, eps_max=eps_max)
 
     def test_nonpositive_cpmg_rejected(self):
         cp = echo_train("cp", 4, 0.1)

@@ -332,6 +332,25 @@ class TestEchoCommand:
         assert out == ""
         assert "ensemble mismatch" in err
 
+    def test_estimate_error_negative_eps_max_exits_2(self, capsys, tmp_path):
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "8", "--epsilon", "0.1",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        code, out, err = run(
+            capsys,
+            "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"),
+            "--cpmg", str(tmp_path / "cpmg.csv"),
+            "--eps-max=-0.3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "eps_max must lie in (0, 1)" in err
+
 
 class TestEseemCommand:
     def test_pi_mode(self, capsys):

@@ -30,6 +30,7 @@ from spinpulse import (
     rabi_trace,
 )
 from spinpulse import simulator
+from spinpulse.dsl import parse_program
 from spinpulse.errors import NO_ERROR, ensemble_nodes, monte_carlo_nodes
 from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
 from spinpulse.su2 import IDENTITY, _rotations
@@ -89,15 +90,15 @@ class TestPropagate:
         # the engine itself, not propagate, which normalises its result
         rng = random.Random(99)
         elements = random_elements(rng, 1000)
-        final, _ = _propagate_nodes(
+        final = _propagate_nodes(
             elements, ErrorModel(epsilon=0.2), np.array([0.2]), np.array([0.7]),
             SpinState.spin_up().vector[:, None],
         )
         assert abs(np.linalg.norm(final[0]) - 1.0) < 1e-10
 
     def test_identity_block_equals_state_runs(self):
-        # the two-column run is the propagator: each column, and each
-        # Acquire snapshot of it, is the run started from that basis state
+        # the two-column run is the propagator: each column is the run
+        # started from that basis state
         rng = random.Random(23)
         eps = np.array([-0.2, 0.0, 0.15])
         delta = np.array([1.3, -4.0, 2.5])
@@ -105,19 +106,17 @@ class TestPropagate:
             program = random_program(rng)
             phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
             model = ErrorModel(0.0, [(p, rng.uniform(-0.2, 0.2)) for p in phases])
-            block, block_snaps = _propagate_nodes(program.elements, model, eps, delta, IDENTITY)
+            block = _propagate_nodes(program.elements, model, eps, delta, IDENTITY)
             for col in range(2):
-                state, snaps = _propagate_nodes(
+                state = _propagate_nodes(
                     program.elements, model, eps, delta, IDENTITY[:, col : col + 1]
                 )
-                assert len(snaps) == len(block_snaps)
-                for got, want in zip([block, *block_snaps], [state, *snaps]):
-                    assert np.max(np.abs(got[:, :, col : col + 1] - want)) < 1e-14
+                assert np.max(np.abs(block[:, :, col : col + 1] - state)) < 1e-14
 
     def test_engine_matches_oracle_on_random_programs(self):
         # the oracle unrolls every Repeat; the engine walks each body once
         rng = random.Random(5)
-        nested_acquires = 0
+        nested_repeats = 0
         for _ in range(100):
             program = random_program(rng)
             tree = list(with_depth(program.elements))
@@ -127,20 +126,10 @@ class TestPropagate:
             delta = rng.uniform(-5.0, 5.0)
             initial = SpinState(math.cos(0.4), math.sin(0.4) * np.exp(0.3j))
             got = propagate(program, model, delta, initial).vector
-            ref_snaps: list[np.ndarray] = []
-            ref = propagate_oracle(
-                program.elements, model.epsilon, offsets, delta, initial.vector, ref_snaps
-            )
+            ref = propagate_oracle(program.elements, model.epsilon, offsets, delta, initial.vector)
             assert np.max(np.abs(got - ref)) < 1e-12
-            _, snaps = _propagate_nodes(
-                program.elements, model, np.array([model.epsilon]), np.array([delta]),
-                initial.vector[:, None],
-            )
-            assert len(snaps) == len(ref_snaps)
-            for snap, want in zip(snaps, ref_snaps):
-                assert np.max(np.abs(snap[0, :, 0] - want)) < 1e-12
-            nested_acquires += any(isinstance(el, Acquire) and d >= 2 for el, d in tree)
-        assert nested_acquires >= 10
+            nested_repeats += any(isinstance(el, Repeat) and d >= 2 for el, d in tree)
+        assert nested_repeats >= 10
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 2 * math.pi))
@@ -167,10 +156,10 @@ class TestPropagate:
         # shifting every phase by a conjugates the propagator with the
         # z-rotation that carries phase 0 to phase a
         eps, delta = np.array([epsilon]), np.zeros(1)
-        shifted, _ = _propagate_nodes(
+        shifted = _propagate_nodes(
             bb1_sequence(theta, axis_phase=axis_phase), NO_ERROR, eps, delta, IDENTITY
         )
-        base, _ = _propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta, IDENTITY)
+        base = _propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta, IDENTITY)
         z = np.diag([np.exp(-0.5j * axis_phase), np.exp(0.5j * axis_phase)])
         assert np.max(np.abs(shifted[0] - z @ base[0] @ z.conj().T)) < 1e-12
 
@@ -202,6 +191,21 @@ class TestPropagate:
         repeated = propagate(PulseProgram((Repeat(count, tuple(body)),)), model, delta)
         unrolled = propagate(PulseProgram(tuple(body) * count), model, delta)
         assert np.max(np.abs(repeated.vector - unrolled.vector)) < 1e-12
+        # an Acquire leaves the state as it is
+        bare = tuple(el for el in body if not isinstance(el, Acquire))
+        without = propagate(PulseProgram((Repeat(count, bare),)), model, delta)
+        assert np.all(without.vector == repeated.vector)
+
+    def test_memory_does_not_grow_with_acquires(self):
+        program = parse_program("repeat 65536 { pulse theta=1pi phase=0pi\n acquire }")
+        tracemalloc.start()
+        try:
+            propagate(program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an engine that keeps a state per Acquire needs 12.1 MB here
+        assert peak < 1e6
 
 
 class TestBloch:
@@ -332,7 +336,7 @@ def max_reference_miss(sig, spec, mc_samples, mc_seed):
         n = int(math.floor(theta / math.pi + 1e-12))
         r = theta - n * math.pi
         program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
-        final, _ = _propagate_nodes(
+        final = _propagate_nodes(
             program.elements, NO_ERROR, eps, delta, SpinState.spin_up().vector[:, None]
         )
         minus_sz = np.abs(final[:, 1, 0]) ** 2 - np.abs(final[:, 0, 0]) ** 2
@@ -341,20 +345,23 @@ def max_reference_miss(sig, spec, mc_samples, mc_seed):
 
 
 def engine_echo_samples(mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0):
-    """An echo train as the engine program Repeat(n, cycle + Acquire) on
-    the default ensemble plus a zero-error reference member, each
-    snapshot reduced on its own."""
+    """An echo train as the running product psi_k = C @ psi_(k-1) of the
+    engine's cycle propagator C on the default ensemble plus a zero-error
+    reference member, each echo reduced on its own."""
     spec = default_echo_ensemble()
     nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
     _, delta, weights = nodes.T
     phase = 0.0 if mode == "cp" else math.pi / 2
-    program = (Repeat(n, simulator._echo_cycle(phase, use_bb1, 1.0) + (Acquire(),)),)
     psi0 = _rotations(math.pi / 2, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
     eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
-    _, snaps = _propagate_nodes(program, NO_ERROR, eps, np.append(delta, 0.0), psi0)
+    cycle = _propagate_nodes(
+        simulator._echo_cycle(phase, use_bb1, 1.0), NO_ERROR, eps, np.append(delta, 0.0), IDENTITY
+    )
+    psi = np.broadcast_to(psi0, (eps.size, 2, 1))
     samples = []
-    for k, snap in enumerate(snaps, start=1):
-        cross = np.conj(snap[:, 0, 0]) * snap[:, 1, 0]
+    for k in range(1, n + 1):
+        psi = cycle @ psi
+        cross = np.conj(psi[:, 0, 0]) * psi[:, 1, 0]
         bx, by = 2.0 * cross.real, 2.0 * cross.imag
         r = np.hypot(bx[-1], by[-1])
         proj = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
@@ -509,7 +516,7 @@ class TestEchoTrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a train that holds every echo's snapshot needs 34 MB here
+        # a train that holds every echo's state needs 34 MB here
         assert peak < 8e6
 
     def test_member_echoes_bounded_before_propagation(self, monkeypatch):
