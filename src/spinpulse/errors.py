@@ -11,10 +11,13 @@ Two systematic error channels are modeled:
 
 Ensembles over ``epsilon`` (and optionally over detuning) are evaluated
 with deterministic quadrature - Gauss-Hermite for Gaussian weights,
-Gauss-Legendre for uniform ones - so that every downstream number is
-bit-reproducible.  Each canonical rule is solved once per order per
-process and kept read-only (``_gauss_rule``); a distribution maps it to
-fresh arrays of its own.  A seeded Monte Carlo sampler exists for
+Gauss-Legendre for uniform ones, and the equal-weight midpoint rule on
+one period for a uniform spread over whole periods of a periodic
+integrand (``PeriodicUniform``, exact for a trigonometric polynomial of
+degree below the node count) - so that every downstream number is
+bit-reproducible.  Each Gauss rule is solved once per order per process
+and kept read-only (``_gauss_rule``); a distribution maps it to fresh
+arrays of its own.  A seeded Monte Carlo sampler exists for
 cross-checks.  Each distribution kind owns its quadrature mapping,
 sampler and provenance record; ``ensemble_nodes`` and
 ``monte_carlo_nodes`` return one ``(N, 3)`` array of (epsilon, delta,
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .su2 import TWO_PI
 __all__ = [
     "Gaussian",
     "Uniform",
+    "PeriodicUniform",
     "Discrete",
     "Distribution",
     "DELTA_ZERO",
@@ -56,14 +60,16 @@ PHASE_MATCH_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
 NODE_WEIGHT_TOL = 1e-10
 
-# Largest quadrature order accepted.  The companion-matrix eigensolve
-# grows as n^3 (leggauss takes ~0.1 s at 1024 nodes, ~0.7 s at 2048) and
-# is paid once per rule and order per process (``_gauss_rule``);
-# Gauss-Hermite already fails past ~370 nodes, and the echo default is 257.
+# Largest Gauss rule order accepted (Gaussian and Uniform).  The
+# companion-matrix eigensolve grows as n^3 (leggauss takes ~0.1 s at 1024
+# nodes, ~0.7 s at 2048) and is paid once per rule and order per process
+# (``_gauss_rule``); Gauss-Hermite already fails past ~370 nodes.  The
+# midpoint rule of PeriodicUniform solves nothing and is not bound by it.
 MAX_NODES = 1024
 
-# Largest Monte Carlo sample count accepted: as many members as the
-# largest two-rule quadrature grid (MAX_NODES**2), ~25 MB of nodes.
+# Largest Monte Carlo sample count, and largest node count and ensemble
+# grid, accepted: as many members as the largest two-Gauss-rule grid
+# (MAX_NODES**2), ~25 MB of nodes.
 MAX_MC_SAMPLES = MAX_NODES**2
 
 
@@ -88,6 +94,8 @@ class Gaussian:
     mean: float
     sigma: float
 
+    max_nodes: ClassVar[int] = MAX_NODES
+
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
             raise ValueError("Gaussian parameters must be finite")
@@ -111,6 +119,8 @@ class Uniform:
     lo: float
     hi: float
 
+    max_nodes: ClassVar[int] = MAX_NODES
+
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("Uniform bounds must be finite")
@@ -132,10 +142,53 @@ class Uniform:
 
 
 @dataclass(frozen=True)
+class PeriodicUniform:
+    """Uniform on [lo, hi], which spans ``periods`` whole periods of the
+    integrand.
+
+    The mean of a periodic integrand over whole periods is its mean over
+    one, so the quadrature is the n-point midpoint rule on the period
+    centred on the middle of [lo, hi], each node weighted 1/n.  It is exact
+    for a trigonometric polynomial of degree below n in that period.
+    Samples are drawn from all of [lo, hi], as ``Uniform`` draws them.
+    """
+
+    lo: float
+    hi: float
+    periods: int
+
+    max_nodes: ClassVar[int] = MAX_MC_SAMPLES
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or not self.lo < self.hi:
+            raise ValueError("PeriodicUniform bounds must be finite with lo < hi")
+        if not isinstance(self.periods, int) or self.periods < 1:
+            raise ValueError("PeriodicUniform periods must be an integer >= 1")
+
+    @property
+    def period(self) -> float:
+        return (self.hi - self.lo) / self.periods
+
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints of one period and their equal weights."""
+        mid = 0.5 * (self.hi + self.lo)
+        return mid + self.period * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=count)
+
+    def to_dict(self) -> dict:
+        return {"kind": "uniform", "lo": self.lo, "hi": self.hi,
+                "rule": "periodic_midpoint", "periods": self.periods}
+
+
+@dataclass(frozen=True)
 class Discrete:
     """Weighted atoms; weights must be positive and sum to 1 within 1e-12."""
 
     atoms: tuple[tuple[float, float], ...]
+
+    max_nodes: ClassVar[int] = MAX_MC_SAMPLES
 
     def __post_init__(self):
         atoms = tuple((float(v), float(w)) for v, w in self.atoms)
@@ -164,7 +217,7 @@ class Discrete:
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
 
-Distribution = Union[Gaussian, Uniform, Discrete]
+Distribution = Union[Gaussian, Uniform, PeriodicUniform, Discrete]
 
 DELTA_ZERO = Discrete(((0.0, 1.0),))
 
@@ -215,8 +268,10 @@ class EnsembleSpec:
     """Distributions over amplitude error and detuning, plus node count.
 
     ``nodes`` is the quadrature order used per continuous distribution,
-    an integer in [1, ``MAX_NODES``]; ``Discrete`` distributions
-    contribute their atoms regardless of it.
+    an integer from 1 to the smaller ``max_nodes`` of the two
+    distributions (``MAX_NODES`` for a Gauss rule, ``MAX_MC_SAMPLES``
+    otherwise); ``Discrete`` distributions contribute their atoms
+    regardless of it.
     """
 
     epsilon_dist: Distribution
@@ -224,8 +279,9 @@ class EnsembleSpec:
     nodes: int = 41
 
     def __post_init__(self):
-        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= MAX_NODES:
-            raise ValueError(f"node count must be an integer in [1, {MAX_NODES}]")
+        cap = min(self.epsilon_dist.max_nodes, self.detuning_dist.max_nodes)
+        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= cap:
+            raise ValueError(f"node count must be an integer in [1, {cap}]")
 
     def to_dict(self) -> dict:
         """Provenance record: both distributions and the node count."""
@@ -243,10 +299,13 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
     The product grid of the two marginal node sets, epsilon-major, with
     weights multiplying; the weights sum to 1 within 1e-10.  Raises
     ``ValueError`` when the quadrature cannot meet that (Gauss-Hermite
-    overflows beyond about 370 nodes).
+    overflows beyond about 370 nodes), or when the grid would have more
+    than ``MAX_MC_SAMPLES`` rows.
     """
     evals, ewts = spec.epsilon_dist.quadrature(spec.nodes)
     dvals, dwts = spec.detuning_dist.quadrature(spec.nodes)
+    if evals.size * dvals.size > MAX_MC_SAMPLES:
+        raise ValueError(f"an ensemble grid of {evals.size * dvals.size} nodes exceeds {MAX_MC_SAMPLES}")
     weights = np.outer(ewts, dwts).ravel()
     if not np.all(np.isfinite(weights)) or abs(math.fsum(weights.tolist()) - 1.0) > NODE_WEIGHT_TOL:
         raise ValueError(

@@ -40,11 +40,11 @@ __all__ = [
 
 MAX_NESTING_DEPTH = 16
 
-# Largest count times Acquires per pass of its body (at least 1) that one
-# Repeat accepts: a program's Acquires are its sampling points, and the
-# engine pays one 2x2 product per repetition (~3 us for one spin), so one
-# Repeat at the bound takes ~30 s.  Equal to MAX_MEMBER_ECHOES, the
-# echo-train bound.
+# Largest count plus the counts of every Repeat nested in its body that
+# one Repeat accepts: the engine propagates each body once and then pays
+# one 2x2 product per repetition (~3 us for one spin), so that sum is the
+# Repeat's product count, and one Repeat at the bound takes ~30 s.  Equal
+# to MAX_MEMBER_ECHOES, the echo-train bound.
 MAX_REPETITIONS = 2**23
 
 
@@ -82,8 +82,8 @@ class Delay:
 class Repeat:
     """``count`` repetitions of a sub-sequence.
 
-    ``count`` times the ``Acquire``s one pass of the body reaches (nested
-    repeats unrolled, at least 1) must not exceed ``MAX_REPETITIONS``.
+    ``count`` plus the counts of every ``Repeat`` nested in the body (the
+    engine's product count) must not exceed ``MAX_REPETITIONS``.
     """
 
     count: int
@@ -93,9 +93,9 @@ class Repeat:
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError("repeat count must be >= 1 and an integer")
         object.__setattr__(self, "body", tuple(self.body))
-        if self.count * max(1, _acquires(self.body)) > MAX_REPETITIONS:
+        if self.count + _repetitions(self.body) > MAX_REPETITIONS:
             raise ValueError(
-                f"repeat count times acquires per pass exceeds {MAX_REPETITIONS}"
+                f"repeat count plus nested repeat counts exceeds {MAX_REPETITIONS}"
             )
 
 
@@ -107,15 +107,9 @@ class Acquire:
 SequenceElement = Union[Pulse, Delay, Repeat, Acquire]
 
 
-def _acquires(elements) -> int:
-    """``Acquire``s reached by one pass of ``elements``, nested repeats unrolled."""
-    count = 0
-    for el in elements:
-        if isinstance(el, Acquire):
-            count += 1
-        elif isinstance(el, Repeat):
-            count += el.count * _acquires(el.body)
-    return count
+def _repetitions(elements) -> int:
+    """Counts of every ``Repeat`` in ``elements``, nested ones included."""
+    return sum(el.count + _repetitions(el.body) for el in elements if isinstance(el, Repeat))
 
 
 def _nesting_depth(elements) -> int:

@@ -53,15 +53,16 @@ import numpy as np
 
 from .errors import (
     DELTA_ZERO,
+    MAX_MC_SAMPLES,
     EnsembleSpec,
     ErrorModel,
     NO_ERROR,
-    Uniform,
+    PeriodicUniform,
     ensemble_nodes,
     monte_carlo_nodes,
 )
 from .sequence import MAX_REPETITIONS, Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _rotations
+from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, _rotations
 
 __all__ = [
     "SpinState",
@@ -80,8 +81,10 @@ __all__ = [
 
 # Echo-experiment defaults: detuning spread wide enough to fully dephase
 # the ensemble between refocusing pulses (span * tau covers 4*pi of
-# accumulated phase), sampled densely enough that echo trains up to 32
-# cycles at 10% amplitude error are converged well below 1e-6.
+# accumulated phase, four whole periods of delta * tau), averaged by the
+# periodic midpoint rule, which is exact for n-cycle trains with at least
+# 2n + 1 nodes: the default node count serves trains up to 128 cycles.
+# echo_train without an ensemble takes exactly 2n + 1 nodes.
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 DEFAULT_DETUNING_NODES = 257
@@ -93,8 +96,8 @@ MAX_SAMPLES = 100_000
 # Largest n_refocus * members accepted by echo_train.  A train holds at
 # most one slice of echoes, so this bounds time, not memory.  Each echo
 # is one vectorised step (~7 us at a few members), so a one-member train
-# at the bound takes about a minute; at the default 257 nodes the bound
-# is 32640 echoes, about a second.
+# at the bound takes about a minute.  It is the only bound on an exact
+# default train (2n + 1 members): n <= 2047.
 MAX_MEMBER_ECHOES = 2**23
 
 # Member-echoes per slice of an echo train: the slice buffer holds two
@@ -325,12 +328,13 @@ def _check_tau(tau: float) -> None:
 
 
 def default_echo_ensemble(tau: float = DEFAULT_TAU, nodes: int = DEFAULT_DETUNING_NODES) -> EnsembleSpec:
-    """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``;
-    ``tau`` must be finite and positive."""
+    """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``,
+    four whole periods of the echo's ``2*pi/tau``, averaged by the periodic
+    midpoint rule; ``tau`` must be finite and positive."""
     _check_tau(tau)
     span = DEFAULT_DETUNING_SPAN / tau
     return EnsembleSpec(
-        epsilon_dist=DELTA_ZERO, detuning_dist=Uniform(-span, span), nodes=nodes
+        epsilon_dist=DELTA_ZERO, detuning_dist=PeriodicUniform(-span, span, 4), nodes=nodes
     )
 
 
@@ -363,7 +367,11 @@ def echo_train(
     (default: uniform, fully dephasing between pulses) represents the
     inhomogeneously broadened line; the refocusing error is the explicit
     scalar argument, so an ensemble whose epsilon distribution is not
-    ``DELTA_ZERO`` is rejected before any node is built.
+    ``DELTA_ZERO`` is rejected before any node is built.  The default
+    ensemble is ``default_echo_ensemble(tau, 2 * n_refocus + 1)``, the
+    fewest periodic midpoints whose mean is exact, and a periodic detuning
+    rule with fewer nodes is rejected; ``mc_samples`` replaces the nodes
+    by samples from the whole line.
 
     Echo amplitude k is the magnitude of the ensemble-averaged signed
     projection onto the zero-error echo axis, optionally multiplied by
@@ -391,7 +399,9 @@ def echo_train(
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
 
-    spec = ensemble_detuning if ensemble_detuning is not None else default_echo_ensemble(tau)
+    # capped so that a train too long for an exact default meets the
+    # member-echo bound below, not the node-count range
+    spec = ensemble_detuning or default_echo_ensemble(tau, min(2 * n_refocus + 1, MAX_MC_SAMPLES))
     if spec.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
@@ -400,6 +410,18 @@ def echo_train(
     _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
+    dist = spec.detuning_dist
+    if mc_samples is None and isinstance(dist, PeriodicUniform):
+        # Each echo is a trigonometric polynomial of degree <= 2n in
+        # delta * tau, so the midpoint rule over one period 2*pi/tau is
+        # exact from 2n + 1 nodes.
+        if abs(dist.period * tau - TWO_PI) > 1e-9 * TWO_PI:
+            raise ValueError("a periodic detuning rule for echo trains needs a period of 2*pi/tau")
+        if spec.nodes < 2 * n_refocus + 1:
+            raise ValueError(
+                f"a periodic detuning rule is exact for {n_refocus} cycles only with at least "
+                f"{2 * n_refocus + 1} nodes (--nodes), got {spec.nodes}"
+            )
 
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
     # One extra member, free of error and detuning, fixes each echo's

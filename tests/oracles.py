@@ -55,8 +55,15 @@ def echo_train_oracle(
     span: float = 4.0 * math.pi,
     nodes: int = 257,
 ) -> np.ndarray:
-    """Brute-force echo amplitudes: Gauss-Legendre detuning average of the
-    signed transverse projection onto the zero-error echo axis."""
+    """Brute-force echo amplitudes: detuning average of the signed
+    transverse projection onto the zero-error echo axis, with the phase
+    ``delta * tau`` uniform on [-span, span].
+
+    When the span is a whole number of periods (``span`` a multiple of
+    pi), the average is exact: every echo is a trigonometric polynomial of
+    degree <= 2n in the phase, and ``4n + 3`` midpoints of one period
+    (more than the 2n + 1 that suffice) give its mean.  Any other span is
+    averaged by Gauss-Legendre of order ``nodes``."""
     refphase = 0.0 if mode == "cp" else math.pi / 2.0
     if use_bb1:
         p1 = bb1_phi1(math.pi)
@@ -86,9 +93,15 @@ def echo_train_oracle(
         r = math.hypot(x, y)
         axes.append((x / r, y / r))
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    deltas = span / tau * gl_x
-    weights = gl_w / 2.0
+    periods = span / math.pi
+    if periods >= 1 and abs(periods - round(periods)) <= 1e-12 * periods:
+        count = 4 * n + 3
+        deltas = [(-math.pi + (j + 0.5) * 2.0 * math.pi / count) / tau for j in range(count)]
+        weights = [1.0 / count] * count
+    else:
+        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+        deltas = span / tau * gl_x
+        weights = gl_w / 2.0
 
     ue = refocus_matrix(eps)
     amps = np.zeros(n)

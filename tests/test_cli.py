@@ -259,6 +259,22 @@ class TestEchoCommand:
         assert out == ""
         assert "tau must be positive" in err
 
+    def test_default_nodes_exact_up_to_128_cycles(self, capsys):
+        trains = []
+        for extra in ((), ("--nodes", "515")):  # the default 257, and 4n + 3
+            code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "128", "--epsilon", "0.1", *extra)
+            assert code == 0
+            trains.append([float(row.split(",")[1]) for row in out.strip().split("\n")[1:]])
+        assert len(trains[0]) == 128
+        assert max(abs(a - b) for a, b in zip(*trains)) < 1e-12
+
+    @pytest.mark.parametrize("argv", [("--n", "128", "--nodes", "200"), ("--n", "200")])
+    def test_too_few_periodic_nodes_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "echo", "--mode", "cp", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--nodes" in err
+
     def test_train_above_snapshot_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "10000000")
         assert code == 2

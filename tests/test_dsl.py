@@ -117,7 +117,7 @@ def test_depth_guard():
     "text",
     [
         "repeat 1000000000000 { pulse theta=1pi phase=0pi }",
-        "repeat 1000 { repeat 1000 { repeat 1000 { acquire } } }",
+        "repeat 8388608 { repeat 8388608 { pulse theta=1pi phase=0pi } }",
     ],
 )
 def test_repetition_bound_is_a_located_parse_error(text):
@@ -127,6 +127,21 @@ def test_repetition_bound_is_a_located_parse_error(text):
     assert time.perf_counter() - start < 1.0
     assert err.value.line == 1 and err.value.col == 8
     assert "8388608" in str(err.value)
+
+
+def test_nested_repeats_bounded_by_their_summed_counts():
+    # 16 nested maximal repeats would take minutes to propagate; the
+    # second innermost is the first whose summed counts exceed the bound
+    text = "pulse theta=1pi phase=0pi"
+    for _ in range(16):
+        text = "repeat 8388608 { " + text + " }"
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert err.value.line == 1 and err.value.col == 8 + 17 * 14
+    assert "8388608" in str(err.value)
+    # an acquire costs the engine nothing and does not count
+    parse_program("repeat 4194305 { pulse theta=1pi phase=0pi\n acquire\n acquire }")
+    parse_program("repeat 1000 { repeat 1000 { repeat 1000 { acquire } } }")
 
 
 def test_round_trip_examples():

@@ -10,6 +10,7 @@ from spinpulse import (
     EnsembleSpec,
     ErrorModel,
     Gaussian,
+    PeriodicUniform,
     Pulse,
     PulseProgram,
     RotationSpec,
@@ -161,6 +162,54 @@ class TestDistributions:
         assert math.fsum(w for _, _, w in nodes) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(ValueError, match="400 nodes"):
             ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=400))
+
+
+class TestPeriodicUniform:
+    """The midpoint rule on one period of a uniform spread over whole
+    periods: exact for trigonometric polynomials of degree below n."""
+
+    def test_midpoints_of_the_central_period(self):
+        values, weights = PeriodicUniform(-3.0, 5.0, 4).quadrature(4)
+        assert values.tolist() == [0.25, 0.75, 1.25, 1.75]
+        assert weights.tolist() == [0.25] * 4
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_exact_below_degree_n(self, n):
+        lo, hi, periods = -3 * math.pi, 5 * math.pi, 4  # period 2pi
+        values, weights = PeriodicUniform(lo, hi, periods).quadrature(n)
+        for k in range(-(n - 1), n):
+            got = math.fsum((weights * np.cos(k * values + 0.3)).tolist())
+            assert got == pytest.approx(math.cos(0.3) if k == 0 else 0.0, abs=1e-13)
+
+    def test_samples_the_whole_line_as_uniform_does(self):
+        periodic = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-2.0, 2.0, 2), nodes=5)
+        legendre = EnsembleSpec(DELTA_ZERO, Uniform(-2.0, 2.0), nodes=5)
+        assert np.array_equal(monte_carlo_nodes(periodic, 500, 3), monte_carlo_nodes(legendre, 500, 3))
+
+    def test_record_names_the_rule(self):
+        assert PeriodicUniform(-1.0, 1.0, 2).to_dict() == {
+            "kind": "uniform", "lo": -1.0, "hi": 1.0, "rule": "periodic_midpoint", "periods": 2,
+        }
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1), (0.0, math.inf, 1), (0.0, 1.0, 0), (0.0, 1.0, 1.5)])
+    def test_validation(self, args):
+        with pytest.raises(ValueError):
+            PeriodicUniform(*args)
+
+    def test_gauss_bound_does_not_apply(self, rule_calls):
+        spec = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=4095)
+        assert len(ensemble_nodes(spec)) == 4095
+        assert rule_calls == []
+        with pytest.raises(ValueError, match=f"\\[1, {MAX_MC_SAMPLES}\\]"):
+            EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_MC_SAMPLES + 1)
+        with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
+            EnsembleSpec(Gaussian(0.0, 0.1), PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_NODES + 1)
+
+    def test_grid_bounded(self):
+        wide = PeriodicUniform(-1.0, 1.0, 1)
+        spec = EnsembleSpec(wide, wide, nodes=MAX_NODES + 1)
+        with pytest.raises(ValueError, match=f"exceeds {MAX_MC_SAMPLES}"):
+            ensemble_nodes(spec)
 
 
 @pytest.fixture

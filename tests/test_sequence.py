@@ -141,20 +141,26 @@ class TestElements:
         with pytest.raises(ValueError):
             Repeat(0, (Acquire(),))
 
-    def test_repeat_bounded_by_repetitions_times_acquires(self):
+    def test_repeat_bounded_by_nested_repetitions(self):
         assert MAX_REPETITIONS == 2**23
         Repeat(MAX_REPETITIONS, (Acquire(),))
         Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),))
         for body in ((Acquire(),), (Pulse(1.0, 0.0),), ()):
             with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
                 Repeat(MAX_REPETITIONS + 1, body)
-        # acquires of nested repeats count unrolled
-        inner = Repeat(1024, (Acquire(), Delay(1.0), Acquire()))
-        Repeat(MAX_REPETITIONS // 2048, (inner,))
-        with pytest.raises(ValueError, match="acquires per pass"):
-            Repeat(MAX_REPETITIONS // 2048 + 1, (inner,))
-        # a nested repeat with no acquire adds no snapshots
-        Repeat(MAX_REPETITIONS, (Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),)),))
+        # Acquires cost the engine nothing, so they do not count
+        Repeat(MAX_REPETITIONS // 2 + 1, (Pulse(1.0, 0.0), Acquire(), Acquire()))
+        # the counts of nested repeats add up, at every depth
+        inner = Repeat(1024, (Acquire(), Repeat(1024, (Delay(1.0),)), Acquire()))
+        Repeat(MAX_REPETITIONS - 2048, (inner, Delay(1.0)))
+        with pytest.raises(ValueError, match="nested repeat counts"):
+            Repeat(MAX_REPETITIONS - 2047, (inner, Delay(1.0)))
+        with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
+            Repeat(MAX_REPETITIONS, (Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),)),))
+        siblings = (Repeat(2**21, (Pulse(1.0, 0.0),)), Repeat(2**21, (Delay(1.0),)))
+        Repeat(2**22, siblings)
+        with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
+            Repeat(2**22 + 1, siblings)
 
     def test_program_name_excluded_from_equality(self):
         a = PulseProgram((Pulse(1.0, 0.0),), name="a")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpulse import (
+    DELTA_ZERO,
     Acquire,
     Delay,
     Discrete,
@@ -20,6 +21,7 @@ from spinpulse import (
     SpinState,
     Signal,
     MAX_REPETITIONS,
+    PeriodicUniform,
     Uniform,
     bb1_rabi_program,
     bb1_sequence,
@@ -346,9 +348,10 @@ def max_reference_miss(sig, spec, mc_samples, mc_seed):
 
 def engine_echo_samples(mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0):
     """An echo train as the running product psi_k = C @ psi_(k-1) of the
-    engine's cycle propagator C on the default ensemble plus a zero-error
-    reference member, each echo reduced on its own."""
-    spec = default_echo_ensemble()
+    engine's cycle propagator C on the train's default ensemble (2n + 1
+    periodic midpoints) plus a zero-error reference member, each echo
+    reduced on its own."""
+    spec = default_echo_ensemble(1.0, 2 * n + 1)
     nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
     _, delta, weights = nodes.T
     phase = 0.0 if mode == "cp" else math.pi / 2
@@ -426,6 +429,43 @@ class TestEchoTrain:
         base = run(256)
         doubled = run(512)
         assert np.max(np.abs(base - doubled)) < 1e-6
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        use_bb1=st.booleans(),
+        n=st.integers(1, 64),
+        epsilon=st.floats(-0.3, 0.3),
+        tau=st.floats(0.1, 3.0),
+    )
+    @example(mode="cpmg", use_bb1=False, n=32, epsilon=0.25, tau=1.0)
+    def test_default_train_is_exact(self, mode, use_bb1, n, epsilon, tau):
+        # 2n + 1 periodic midpoints give the same mean as 4n + 3 of them
+        # and as the oracle's own midpoint loop
+        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
+        finer = echo_train(mode, n, epsilon, default_echo_ensemble(tau, 4 * n + 3), use_bb1, tau=tau)
+        assert got.provenance["ensemble"]["nodes"] == 2 * n + 1
+        assert np.max(np.abs(got.values - finer.values)) < 1e-12
+        oracle = echo_train_oracle(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
+        assert np.max(np.abs(got.values - oracle)) < 1e-12
+
+    def test_periodic_rule_needs_2n_plus_1_nodes(self):
+        with pytest.raises(ValueError, match="at least 33 nodes"):
+            echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 32))
+        echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 33))
+        # samples replace the nodes, so their count does not matter
+        echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 3), mc_samples=8)
+        # a rule period other than the echo's 2*pi/tau is refused
+        two = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-4 * math.pi, 4 * math.pi, 2), nodes=65)
+        for spec, tau in ((two, 1.0), (default_echo_ensemble(1.0, 33), 1.5)):
+            with pytest.raises(ValueError, match="period of 2\\*pi/tau"):
+                echo_train("cp", 16, 0.1, ensemble_detuning=spec, tau=tau)
+
+    def test_exact_default_train_up_to_the_member_echo_bound(self):
+        assert len(echo_train("cp", 2047, 0.1).samples) == 2047
+        for too_long in (2048, 600_000):
+            with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
+                echo_train("cp", too_long, 0.1)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -509,10 +549,13 @@ class TestEchoTrain:
         assert got.samples == want
 
     def test_memory_does_not_grow_with_the_train(self):
-        echo_train("cp", 8, 0.1)  # the quadrature rule is cached outside the peak
+        # 257 Legendre members: an exact default train of 4000 echoes would
+        # need 8001, beyond the member-echo bound
+        spec = EnsembleSpec(DELTA_ZERO, Uniform(-4 * math.pi, 4 * math.pi), nodes=257)
+        echo_train("cp", 8, 0.1, ensemble_detuning=spec)  # the rule is cached outside the peak
         tracemalloc.start()
         try:
-            echo_train("cp", 4000, 0.1)
+            echo_train("cp", 4000, 0.1, ensemble_detuning=spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -563,4 +606,8 @@ class TestSignal:
         sig = echo_train("cp", 2, 0.05)
         assert sig.provenance["mode"] == "cp"
         assert sig.provenance["epsilon"] == 0.05
-        assert sig.provenance["ensemble"]["detuning"]["kind"] == "uniform"
+        assert sig.provenance["ensemble"]["detuning"] == {
+            "kind": "uniform", "lo": -4 * math.pi, "hi": 4 * math.pi,
+            "rule": "periodic_midpoint", "periods": 4,
+        }
+        assert sig.provenance["ensemble"]["nodes"] == 5
