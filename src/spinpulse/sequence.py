@@ -2,8 +2,9 @@
 
 A pulse program is an ordered list of elements: instantaneous rotations
 (``Pulse``), free-evolution delays (``Delay``), repetition groups
-(``Repeat``) and sampling markers (``Acquire``).  Pulses are modeled as
-pure rotations (hard-pulse approximation); delays carry physical time.
+(``Repeat``) and sampling markers (``Acquire``, which nothing reads).
+Pulses are modeled as pure rotations (hard-pulse approximation); delays
+carry physical time.
 
 The BB1 corrective sequence for a target rotation of angle ``theta``
 about x is the four-pulse train
@@ -41,10 +42,9 @@ __all__ = [
 MAX_NESTING_DEPTH = 16
 
 # Largest count plus the counts of every Repeat nested in its body that
-# one Repeat accepts: the engine propagates each body once and then pays
-# one 2x2 product per repetition (~3 us for one spin), so that sum is the
-# Repeat's product count, and one Repeat at the bound takes ~30 s.  Equal
-# to MAX_MEMBER_ECHOES, the echo-train bound.
+# one Repeat accepts: the domain of a Repeat, not a time bound, since the
+# engine raises each body to its count by squaring (~2 log2(count)
+# products).  Equal to MAX_MEMBER_ECHOES, the echo-train bound.
 MAX_REPETITIONS = 2**23
 
 
@@ -82,8 +82,8 @@ class Delay:
 class Repeat:
     """``count`` repetitions of a sub-sequence.
 
-    ``count`` plus the counts of every ``Repeat`` nested in the body (the
-    engine's product count) must not exceed ``MAX_REPETITIONS``.
+    ``count`` plus the counts of every ``Repeat`` nested in the body must
+    not exceed ``MAX_REPETITIONS``.
     """
 
     count: int
@@ -101,7 +101,7 @@ class Repeat:
 
 @dataclass(frozen=True)
 class Acquire:
-    """Sampling marker; only the simulator interprets it."""
+    """Sampling marker: the DSL keeps it, propagation passes over it."""
 
 
 SequenceElement = Union[Pulse, Delay, Repeat, Acquire]

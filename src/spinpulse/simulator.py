@@ -1,10 +1,10 @@
 """Time-domain propagation of pulse programs over error ensembles.
 
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
-detuning phase (z-rotation by ``delta * tau``); ``Acquire`` marks a
-sampling point and leaves the state as it is; a ``Repeat`` propagates its
-body once from the identity, then costs one 2x2 product per repetition.
-The engine returns only the final block: the experiments take their
+detuning phase (z-rotation by ``delta * tau``); an ``Acquire`` leaves the
+state as it is and nothing reads it; a ``Repeat`` propagates its body
+once from the identity and raises it to its count by squaring.  The
+engine returns only the final block: the experiments take their
 samples from their own products of engine propagators.  One
 engine interprets every program: it propagates a batch of ensemble
 members at once, each carrying a block of columns - one column is a
@@ -29,18 +29,18 @@ Experiments:
 
 Both experiments build their repeated block once on the engine and then
 advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
-to each gap's power, and ``echo_train`` builds the echo-cycle propagator
-and advances every member by one 2x2 product per echo.  An echo train is
-taken in slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, each
-reduced as one array operation before the next is advanced, so a train
-never holds more than one slice.
+to each gap's power by the engine's ``Repeat`` rule, and ``echo_train``
+builds the echo-cycle propagator and advances every member by one 2x2
+product per echo.  An echo train is taken in slices of at most
+``_SLICE_MEMBER_ECHOES`` member-echoes, each reduced as one array
+operation before the next is advanced, so a train never holds more than
+one slice.
 
-Echo detection is phase-sensitive: the signed projection of each
-member's transverse magnetization onto the zero-error echo axis is
-ensemble-averaged first, and the magnitude of that average is the echo
-amplitude.  Averaging per-member magnitudes instead would hide
-dephasing.  The zero-error axis comes from one extra member of the same
-batch, free of error and detuning and left out of the average.
+Echo detection is phase-sensitive, at the phase the ideal sequence
+sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
+echo on +-y, so each member's signed ``<sy>`` is ensemble-averaged
+first, and the magnitude of that average is the echo amplitude.
+Averaging per-member magnitudes instead would hide dephasing.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def _propagate_nodes(
     """Propagate a (2, K) column block through a program at every node;
     returns the final (M, 2, K) blocks.  ``block0 = IDENTITY`` yields the
     propagators.  A ``Repeat`` body is propagated once, from the identity,
-    and applied ``count`` times as a running product."""
+    and raised to ``count`` by squaring."""
     psi = np.broadcast_to(block0, (eps.size, *block0.shape)).copy()
     for el in elements:
         if isinstance(el, Pulse):
@@ -203,8 +203,7 @@ def _propagate_nodes(
             psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
         elif isinstance(el, Repeat):
             body = _propagate_nodes(el.body, error, eps, delta, IDENTITY)
-            for _ in range(el.count):
-                psi = body @ psi
+            psi = np.linalg.matrix_power(body, el.count) @ psi
         elif not isinstance(el, Acquire):
             raise TypeError(f"unknown sequence element {el!r}")
     return psi
@@ -270,9 +269,9 @@ def rabi_trace(
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
     propagator built once per call.  ``n`` never decreases along the
     trace, so ``B**n`` is a running product: a gap of ``g`` new blocks
-    multiplies it by ``B**g``, raised by squaring (``np.linalg.matrix_power``,
-    which returns ``B`` itself for ``g = 1``), so a trace costs
-    O(K log n) products.
+    multiplies it by ``B**g``, raised by squaring as a ``Repeat`` is
+    (``np.linalg.matrix_power``, which returns ``B`` itself for ``g = 1``),
+    so a trace costs O(K log n) products.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -287,8 +286,8 @@ def rabi_trace(
     if ns[-1] > MAX_REPETITIONS:
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
-    psi0 = SpinState.spin_up().vector[:, None]
-    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
+    psi0 = IDENTITY[:, :1]  # spin-up
+    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY) if use_bb1 else None
     power, blocks = IDENTITY, 0
 
     samples = []
@@ -373,11 +372,12 @@ def echo_train(
     rule with fewer nodes is rejected; ``mc_samples`` replaces the nodes
     by samples from the whole line.
 
-    Echo amplitude k is the magnitude of the ensemble-averaged signed
-    projection onto the zero-error echo axis, optionally multiplied by
-    ``exp(-t_k / t2_envelope)`` with ``t_k = 2 * tau * k``.  A train whose
-    ``n_refocus`` times the member count (ensemble nodes or Monte Carlo
-    samples) exceeds ``MAX_MEMBER_ECHOES`` is rejected before propagation.
+    Echo amplitude k is the magnitude of the ensemble average of each
+    member's signed ``<sy>``, the axis on which the ideal train keeps its
+    echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
+    ``t_k = 2 * tau * k``.  A train whose ``n_refocus`` times the member
+    count (ensemble nodes or Monte Carlo samples) exceeds
+    ``MAX_MEMBER_ECHOES`` is rejected before propagation.
 
     The cycle ``tau - refocusing pulse - tau`` runs once on the engine,
     from the identity, for its propagator ``C`` at every member; echo k is
@@ -424,15 +424,11 @@ def echo_train(
             )
 
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
-    # One extra member, free of error and detuning, fixes each echo's
-    # detection axis; it stays out of the ensemble average.
-    eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
-    cycle = _propagate_nodes(
-        _echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, np.append(delta, 0.0), IDENTITY
-    )
+    eps = np.full(delta.shape, float(epsilon))
+    cycle = _propagate_nodes(_echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, delta, IDENTITY)
     a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
-    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
-    u, v = np.full(eps.shape, psi0[0, 0]), np.full(eps.shape, psi0[1, 0])
+    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
+    u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
     rows = min(n_refocus, max(1, _SLICE_MEMBER_ECHOES // eps.size))
     up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
 
@@ -443,11 +439,9 @@ def echo_train(
             # both columns are computed before either is stored
             u, v = a * u + b * v, c * u + d * v
             up[j], down[j] = u, v
-        cross = np.conj(up[:count]) * down[:count]
-        bx, by = 2.0 * cross.real, 2.0 * cross.imag
-        r = np.hypot(bx[:, -1:], by[:, -1:])
-        proj = bx[:, :-1] * (bx[:, -1:] / r) + by[:, :-1] * (by[:, -1:] / r)
-        for k, row in enumerate(weights * proj, start=start + 1):
+        # the ideal train keeps every echo on +-y: the signed <sy> of each member
+        sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag
+        for k, row in enumerate(weights * sy, start=start + 1):
             amp = abs(math.fsum(row.tolist()))
             t_k = 2.0 * tau * k
             if t2_envelope is not None:

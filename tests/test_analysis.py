@@ -275,6 +275,8 @@ class TestEstimator:
         # the default echo ensemble's periodic midpoint rule solves no Gauss rule
         assert _gauss_rule.cache_info().currsize == 0
         assert run() == cold
+        # the epsilon_hat of the README's example, bit for bit
+        assert cold[1][0] == 0.10000280033582074
 
     def test_returns_plain_floats(self):
         cp = echo_train("cp", 4, 0.05)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from spinpulse import simulator
 from spinpulse.dsl import parse_program
 from spinpulse.errors import NO_ERROR, ensemble_nodes, monte_carlo_nodes
 from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
-from spinpulse.su2 import IDENTITY, _rotations
+from spinpulse.su2 import IDENTITY, Unitary2, _rotations
 from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
@@ -209,6 +210,17 @@ class TestPropagate:
         # an engine that keeps a state per Acquire needs 12.1 MB here
         assert peak < 1e6
 
+    def test_sibling_repeats_at_the_bound_are_fast(self):
+        # the repetition bound holds per Repeat, not per program; each
+        # Repeat raises its body to its count by squaring, so this takes
+        # milliseconds, where one product per repetition would take ~25 min
+        program = parse_program("repeat 8388608 { pulse theta=1pi phase=0pi }\n" * 100)
+        start = time.perf_counter()
+        final = propagate(program)
+        assert time.perf_counter() - start < 2.0
+        # an even number of pi pulses: spin-up again, up to a global phase
+        assert 1.0 - abs(final.vector[0]) <= 1e-12
+
 
 class TestBloch:
     @pytest.mark.parametrize(
@@ -320,6 +332,14 @@ class TestRabi:
         sig = rabi_trace(max_angle, step, spec, use_bb1=True, mc_samples=mc_samples, mc_seed=5)
         assert max_reference_miss(sig, spec, mc_samples, 5) < 1e-13
 
+    def test_simple_trace_builds_no_bb1_block(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("built the BB1 pi block for a simple trace")
+
+        monkeypatch.setattr(simulator, "bb1_sequence", no_block)
+        sig = rabi_trace(4 * math.pi, 0.25 * math.pi, GAUSS5)
+        assert sig.provenance["program"] == "simple"
+
     def test_bb1_trace_with_multi_block_gaps(self):
         # 410 blocks between samples: the block power is raised by
         # squaring, not by 410 running products
@@ -346,29 +366,34 @@ def max_reference_miss(sig, spec, mc_samples, mc_seed):
     return worst
 
 
-def engine_echo_samples(mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0):
+def engine_echo_samples(
+    mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0, spec=None, reference_member=False
+):
     """An echo train as the running product psi_k = C @ psi_(k-1) of the
-    engine's cycle propagator C on the train's default ensemble (2n + 1
-    periodic midpoints) plus a zero-error reference member, each echo
-    reduced on its own."""
-    spec = default_echo_ensemble(1.0, 2 * n + 1)
+    engine's cycle propagator C on ``spec`` (default: the train's 2n + 1
+    periodic midpoints), each echo reduced on its own: the weighted sum of
+    every member's signed <sy>, the axis the ideal train keeps its echoes
+    on.  With ``reference_member`` the detection axis is instead that of an
+    extra zero-error, zero-detuning member, left out of the sum."""
+    spec = spec or default_echo_ensemble(1.0, 2 * n + 1)
     nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
     _, delta, weights = nodes.T
+    eps = np.full(delta.shape, float(epsilon))
+    if reference_member:
+        eps, delta = np.append(eps, 0.0), np.append(delta, 0.0)
     phase = 0.0 if mode == "cp" else math.pi / 2
     psi0 = _rotations(math.pi / 2, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
-    eps = np.append(np.full(delta.shape, float(epsilon)), 0.0)
-    cycle = _propagate_nodes(
-        simulator._echo_cycle(phase, use_bb1, 1.0), NO_ERROR, eps, np.append(delta, 0.0), IDENTITY
-    )
+    cycle = _propagate_nodes(simulator._echo_cycle(phase, use_bb1, 1.0), NO_ERROR, eps, delta, IDENTITY)
     psi = np.broadcast_to(psi0, (eps.size, 2, 1))
     samples = []
     for k in range(1, n + 1):
         psi = cycle @ psi
         cross = np.conj(psi[:, 0, 0]) * psi[:, 1, 0]
         bx, by = 2.0 * cross.real, 2.0 * cross.imag
-        r = np.hypot(bx[-1], by[-1])
-        proj = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
-        samples.append((2.0 * k, abs(math.fsum((weights * proj).tolist()))))
+        if reference_member:
+            r = np.hypot(bx[-1], by[-1])
+            by = bx[:-1] * (bx[-1] / r) + by[:-1] * (by[-1] / r)
+        samples.append((2.0 * k, abs(math.fsum((weights * by).tolist()))))
     return samples
 
 
@@ -523,7 +548,7 @@ class TestEchoTrain:
         ],
     )
     def test_sliced_train_equals_engine_program_bitwise(self, mode, n, mc_samples):
-        assert simulator._SLICE_MEMBER_ECHOES // (mc_samples + 1) < n
+        assert simulator._SLICE_MEMBER_ECHOES // mc_samples < n
         got = echo_train(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7).samples
         assert got == engine_echo_samples(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7)
 
@@ -540,13 +565,25 @@ class TestEchoTrain:
     def test_slices_equal_engine_program_bitwise(
         self, mode, epsilon, use_bb1, rows, offset, extra, seed
     ):
-        # members (samples plus the reference) around the count at which a
-        # slice holds `rows` echoes, over one or more slice boundaries
+        # members around the count at which a slice holds `rows` echoes,
+        # over one or more slice boundaries
         members = simulator._SLICE_MEMBER_ECHOES // rows + offset
         n = rows * (1 + extra) + offset % 2
-        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, mc_samples=members - 1, mc_seed=seed)
-        want = engine_echo_samples(mode, n, epsilon, use_bb1, members - 1, seed)
+        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, mc_samples=members, mc_seed=seed)
+        want = engine_echo_samples(mode, n, epsilon, use_bb1, members, seed)
         assert got.samples == want
+
+    @pytest.mark.parametrize("use_bb1", [False, True])
+    @pytest.mark.parametrize("mode", ["cp", "cpmg"])
+    def test_ideal_axis_equals_reference_member_axis(self, mode, use_bb1):
+        # the ideal train keeps its echoes on +-y, the axis an extra
+        # zero-error, zero-detuning member finds to rounding
+        legendre = EnsembleSpec(DELTA_ZERO, Uniform(-4 * math.pi, 4 * math.pi), nodes=65)
+        for spec, mc_samples in ((None, None), (None, 3000), (legendre, None)):
+            got = echo_train(mode, 128, 0.1, spec, use_bb1, mc_samples=mc_samples, mc_seed=3)
+            want = engine_echo_samples(mode, 128, 0.1, use_bb1, mc_samples, 3, spec, True)
+            assert got.x.tolist() == [x for x, _ in want]
+            assert max(abs(y - w) for y, (_, w) in zip(got.values, want)) <= 2.3e-16
 
     def test_memory_does_not_grow_with_the_train(self):
         # 257 Legendre members: an exact default train of 4000 echoes would
@@ -588,6 +625,23 @@ class TestEchoTrain:
             echo_train("cp", 4, 0.1, ensemble_detuning=spec)
         with pytest.raises(ValueError, match="DELTA_ZERO"):
             echo_train("cp", 4, 0.1, ensemble_detuning=spec, mc_samples=16)
+
+
+def test_experiments_build_no_validated_wrappers(monkeypatch):
+    # SpinState and Unitary2 belong at the public boundary, not in the
+    # kernels the experiments run on
+    def no_wrapper(*args):
+        raise AssertionError("built a validated wrapper inside an experiment")
+
+    monkeypatch.setattr(SpinState, "_init_from", no_wrapper)
+    monkeypatch.setattr(Unitary2, "_init_from", no_wrapper)
+    for use_bb1 in (False, True):
+        rabi_trace(4 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=use_bb1)
+        for mode in ("cp", "cpmg"):
+            echo_train(mode, 4, 0.1, use_bb1=use_bb1)
+            echo_train(mode, 4, 0.1, use_bb1=use_bb1, mc_samples=64, mc_seed=1)
+    with pytest.raises(AssertionError, match="validated wrapper"):
+        SpinState.spin_up()
 
 
 class TestSignal:
