@@ -39,13 +39,7 @@ from .analysis import (
 )
 from .dsl import ParseError, format_program, parse_angle_literal, parse_program, program_to_ast
 from .errors import DELTA_ZERO, EnsembleSpec, Gaussian, Uniform
-from .simulator import (
-    DEFAULT_DETUNING_NODES,
-    Signal,
-    default_echo_ensemble,
-    echo_train,
-    rabi_trace,
-)
+from .simulator import Signal, echo_train, rabi_trace
 from .su2 import RotationSpec, fidelity, rotation
 
 __all__ = ["main", "build_parser"]
@@ -204,14 +198,13 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_echo(args) -> int:
+    ensemble = None  # echo_train's exact 2n + 1-member line
     if args.span_rad_per_s is not None:
         ensemble = EnsembleSpec(
             epsilon_dist=DELTA_ZERO,
             detuning_dist=Uniform(-args.span_rad_per_s, args.span_rad_per_s),
             nodes=args.nodes,
         )
-    else:
-        ensemble = default_echo_ensemble(args.tau_s, args.nodes)
     signal = echo_train(
         args.mode,
         args.n,
@@ -345,7 +338,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="optional T2 envelope constant (s)")
     p.add_argument("--span", dest="span_rad_per_s", type=float, default=None,
                    help="detuning half-span (rad/s)")
-    p.add_argument("--nodes", type=int, default=DEFAULT_DETUNING_NODES)
+    p.add_argument("--nodes", type=int, default=257, help="Gauss-Legendre order of --span")
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)

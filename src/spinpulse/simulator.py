@@ -73,7 +73,6 @@ __all__ = [
     "echo_train",
     "DEFAULT_TAU",
     "DEFAULT_DETUNING_SPAN",
-    "DEFAULT_DETUNING_NODES",
     "MAX_SAMPLES",
     "MAX_MEMBER_ECHOES",
     "default_echo_ensemble",
@@ -83,11 +82,9 @@ __all__ = [
 # the ensemble between refocusing pulses (span * tau covers 4*pi of
 # accumulated phase, four whole periods of delta * tau), averaged by the
 # periodic midpoint rule, which is exact for n-cycle trains with at least
-# 2n + 1 nodes: the default node count serves trains up to 128 cycles.
-# echo_train without an ensemble takes exactly 2n + 1 nodes.
+# 2n + 1 nodes; echo_train without an ensemble takes exactly 2n + 1.
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
-DEFAULT_DETUNING_NODES = 257
 
 # Largest number of trace samples (or scan points) accepted: the workloads
 # use at most a few hundred, and 1e5 already costs tens of megabytes.
@@ -326,7 +323,7 @@ def _check_tau(tau: float) -> None:
         raise ValueError("tau must be positive")
 
 
-def default_echo_ensemble(tau: float = DEFAULT_TAU, nodes: int = DEFAULT_DETUNING_NODES) -> EnsembleSpec:
+def default_echo_ensemble(tau: float, nodes: int) -> EnsembleSpec:
     """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``,
     four whole periods of the echo's ``2*pi/tau``, averaged by the periodic
     midpoint rule; ``tau`` must be finite and positive."""
@@ -420,7 +417,7 @@ def echo_train(
         if spec.nodes < 2 * n_refocus + 1:
             raise ValueError(
                 f"a periodic detuning rule is exact for {n_refocus} cycles only with at least "
-                f"{2 * n_refocus + 1} nodes (--nodes), got {spec.nodes}"
+                f"{2 * n_refocus + 1} nodes, got {spec.nodes}"
             )
 
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spinpulse.cli import main
+from spinpulse.simulator import default_echo_ensemble, echo_train
 
 
 def run(capsys, *argv):
@@ -260,20 +261,36 @@ class TestEchoCommand:
         assert "tau must be positive" in err
 
     def test_default_nodes_exact_up_to_128_cycles(self, capsys):
-        trains = []
-        for extra in ((), ("--nodes", "515")):  # the default 257, and 4n + 3
-            code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "128", "--epsilon", "0.1", *extra)
-            assert code == 0
-            trains.append([float(row.split(",")[1]) for row in out.strip().split("\n")[1:]])
-        assert len(trains[0]) == 128
-        assert max(abs(a - b) for a, b in zip(*trains)) < 1e-12
+        # at n = 128 the default 2n + 1 members are the former fixed 257-node
+        # line; a 515-node (4n + 3) line must give the same train
+        code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "128", "--epsilon", "0.1")
+        assert code == 0
+        train = [float(row.split(",")[1]) for row in out.strip().split("\n")[1:]]
+        assert len(train) == 128
+        for nodes, tol in ((257, 1e-13), (515, 1e-12)):
+            line = echo_train("cp", 128, 0.1, default_echo_ensemble(1.0, nodes), tau=1.0)
+            assert max(abs(a - b) for a, b in zip(train, line.values)) < tol
 
-    @pytest.mark.parametrize("argv", [("--n", "128", "--nodes", "200"), ("--n", "200")])
-    def test_too_few_periodic_nodes_exits_2(self, capsys, argv):
-        code, out, err = run(capsys, "echo", "--mode", "cp", *argv)
-        assert code == 2
-        assert out == ""
-        assert "--nodes" in err
+    def test_default_line_is_echo_trains_own(self, capsys):
+        # past 128 cycles, where a fixed 257-node line stopped being exact
+        code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "200", "--epsilon", "0.1")
+        assert code == 0
+        rows = [tuple(map(float, row.split(","))) for row in out.strip().split("\n")[1:]]
+        assert rows == echo_train("cp", 200, 0.1).samples
+        code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "200", "--epsilon", "0.1", "--json")
+        assert code == 0
+        assert json.loads(out)["meta"]["config"]["provenance"]["ensemble"]["nodes"] == 401
+
+    def test_nodes_apply_only_to_span(self, capsys):
+        argv = ("echo", "--mode", "cpmg", "--n", "16", "--epsilon", "0.1")
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--nodes", "3")
+        assert code == 0
+        assert out == default
+        code, out, _ = run(capsys, *argv, "--span", "2", "--nodes", "3")
+        assert code == 0
+        assert out != default
 
     def test_train_above_snapshot_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "10000000")
@@ -534,6 +551,20 @@ class TestConfigRecord:
         config = self.config(capsys, "scan", "--config", str(cfg))
         assert config["bb1"] is False
         assert 1.9 <= config["slope"] <= 2.1
+
+
+def test_readme_example_prints_its_comment(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example: reproduce", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith("spinpulse ")]
+    (comment,) = [line[2:] for line in lines if line.startswith("# ")]
+    assert len(commands) == 3
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+    assert out == comment + "\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

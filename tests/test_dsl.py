@@ -129,9 +129,9 @@ def test_repetition_bound_is_a_located_parse_error(text):
     assert "8388608" in str(err.value)
 
 
-def test_nested_repeats_bounded_by_their_summed_counts():
-    # 16 nested maximal repeats would take minutes to propagate; the
-    # second innermost is the first whose summed counts exceed the bound
+def test_nested_repeats_bounded_by_their_product():
+    # nested counts multiply: the second innermost of 16 nested maximal
+    # repeats is the first that runs its pulse more than 2^23 times
     text = "pulse theta=1pi phase=0pi"
     for _ in range(16):
         text = "repeat 8388608 { " + text + " }"
@@ -139,8 +139,15 @@ def test_nested_repeats_bounded_by_their_summed_counts():
         parse_program(text)
     assert err.value.line == 1 and err.value.col == 8 + 17 * 14
     assert "8388608" in str(err.value)
-    # an acquire costs the engine nothing and does not count
-    parse_program("repeat 4194305 { pulse theta=1pi phase=0pi\n acquire\n acquire }")
+    # three small counts whose sum is within the bound, but not their product
+    with pytest.raises(ParseError) as err:
+        parse_program(
+            "repeat 2796202 { repeat 2796202 { repeat 2796202 { pulse theta=1pi phase=0pi } } }"
+        )
+    assert err.value.line == 1 and err.value.col == 25
+    assert "8388608" in str(err.value)
+    # an acquire runs nothing and does not count
+    parse_program("repeat 8388608 { pulse theta=1pi phase=0pi\n acquire\n acquire }")
     parse_program("repeat 1000 { repeat 1000 { repeat 1000 { acquire } } }")
 
 

@@ -148,19 +148,24 @@ class TestElements:
         for body in ((Acquire(),), (Pulse(1.0, 0.0),), ()):
             with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
                 Repeat(MAX_REPETITIONS + 1, body)
-        # Acquires cost the engine nothing, so they do not count
-        Repeat(MAX_REPETITIONS // 2 + 1, (Pulse(1.0, 0.0), Acquire(), Acquire()))
-        # the counts of nested repeats add up, at every depth
+        # Acquires run nothing, so they do not count
+        Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0), Acquire(), Acquire()))
+        # nested counts multiply: the bound is on the runs of one element
         inner = Repeat(1024, (Acquire(), Repeat(1024, (Delay(1.0),)), Acquire()))
-        Repeat(MAX_REPETITIONS - 2048, (inner, Delay(1.0)))
-        with pytest.raises(ValueError, match="nested repeat counts"):
-            Repeat(MAX_REPETITIONS - 2047, (inner, Delay(1.0)))
+        Repeat(8, (inner, Delay(1.0)))
+        for count in (9, MAX_REPETITIONS - 2048):
+            with pytest.raises(ValueError, match="runs of one pulse or delay"):
+                Repeat(count, (inner, Delay(1.0)))
         with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
-            Repeat(MAX_REPETITIONS, (Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),)),))
-        siblings = (Repeat(2**21, (Pulse(1.0, 0.0),)), Repeat(2**21, (Delay(1.0),)))
-        Repeat(2**22, siblings)
-        with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
-            Repeat(2**22 + 1, siblings)
+            Repeat(2, (Repeat(MAX_REPETITIONS, (Pulse(1.0, 0.0),)),))
+        # siblings run one after the other: the busiest one counts
+        siblings = (Repeat(2**21, (Pulse(1.0, 0.0),)), Repeat(2**20, (Delay(1.0),)))
+        Repeat(4, siblings)
+        for count in (5, 2**22):
+            with pytest.raises(ValueError, match=str(MAX_REPETITIONS)):
+                Repeat(count, siblings)
+        # repeats of acquires alone run nothing, however deep
+        Repeat(1000, (Repeat(1000, (Repeat(1000, (Acquire(),)),)),))
 
     def test_program_name_excluded_from_equality(self):
         a = PulseProgram((Pulse(1.0, 0.0),), name="a")

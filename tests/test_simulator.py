@@ -221,6 +221,19 @@ class TestPropagate:
         # an even number of pi pulses: spin-up again, up to a global phase
         assert 1.0 - abs(final.vector[0]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "repeat 8388608 { pulse theta=0.1234567pi phase=0pi }",
+            "repeat 4096 { repeat 2048 { pulse theta=0.1234567pi phase=0pi } }",
+        ],
+    )
+    def test_repetition_bound_keeps_the_state_exact(self, text):
+        # MAX_REPETITIONS applications of one pulse, the most a Repeat accepts
+        theta = MAX_REPETITIONS * 0.1234567 * math.pi
+        exact = np.array([math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)])
+        assert np.max(np.abs(propagate(parse_program(text)).vector - exact)) < 1e-9
+
 
 class TestBloch:
     @pytest.mark.parametrize(
@@ -531,7 +544,7 @@ class TestEchoTrain:
             with pytest.raises(ValueError, match="tau must be positive"):
                 echo_train("cp", 4, 0.1, tau=tau)
             with pytest.raises(ValueError, match="tau must be positive"):
-                default_echo_ensemble(tau)
+                default_echo_ensemble(tau, 33)
 
     @pytest.mark.parametrize("n", [1, 2, 32])
     @pytest.mark.parametrize("use_bb1", [False, True])
