@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -248,7 +247,6 @@ def _even_echoes(signal: Signal) -> np.ndarray:
     return signal.values[1::2]
 
 
-@lru_cache(maxsize=512)
 def _model_ratio(eps: float, n: int, tau: float) -> np.ndarray:
     cp = echo_train("cp", n, eps, tau=tau)
     cpmg = echo_train("cpmg", n, eps, tau=tau)

@@ -73,8 +73,6 @@ def _status(args, message: str) -> None:
 
 
 def _csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
     header = list(rows[0].keys())
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(row[k]) for k in header) for row in rows)

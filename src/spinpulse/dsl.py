@@ -27,6 +27,7 @@ nested repeats indent by two spaces.
 
 from __future__ import annotations
 
+import collections
 import math
 import re
 
@@ -75,14 +76,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "unit", "offset")
-
-    def __init__(self, kind, text, unit, offset):
-        self.kind = kind  # "number" | "ident" | "=" | "{" | "}" | "eof"
-        self.text = text
-        self.unit = unit
-        self.offset = offset
+# kind: "number" | "ident" | "=" | "{" | "}" | "eof"
+_Token = collections.namedtuple("_Token", "kind text unit offset")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -142,7 +142,7 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class PeriodicUniform:
+class PeriodicUniform(Uniform):
     """Uniform on [lo, hi], which spans ``periods`` whole periods of the
     integrand.
 
@@ -153,15 +153,14 @@ class PeriodicUniform:
     Samples are drawn from all of [lo, hi], as ``Uniform`` draws them.
     """
 
-    lo: float
-    hi: float
     periods: int
 
     max_nodes: ClassVar[int] = MAX_MC_SAMPLES
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or not self.lo < self.hi:
-            raise ValueError("PeriodicUniform bounds must be finite with lo < hi")
+        super().__post_init__()
+        if not self.lo < self.hi:
+            raise ValueError("PeriodicUniform requires lo < hi")
         if not isinstance(self.periods, int) or self.periods < 1:
             raise ValueError("PeriodicUniform periods must be an integer >= 1")
 
@@ -174,12 +173,8 @@ class PeriodicUniform:
         mid = 0.5 * (self.hi + self.lo)
         return mid + self.period * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=count)
-
     def to_dict(self) -> dict:
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi,
-                "rule": "periodic_midpoint", "periods": self.periods}
+        return {**super().to_dict(), "rule": "periodic_midpoint", "periods": self.periods}
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,7 @@ class Discrete:
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
 
-Distribution = Union[Gaussian, Uniform, PeriodicUniform, Discrete]
+Distribution = Union[Gaussian, Uniform, Discrete]
 
 DELTA_ZERO = Discrete(((0.0, 1.0),))
 

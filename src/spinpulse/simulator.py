@@ -25,7 +25,7 @@ Experiments:
 * ``echo_train`` - multi-echo decay for CP (refocusing in phase with the
   excitation) and CPMG (refocusing in quadrature), with optional
   composite refocusing pulses and an optional analytic T2 envelope; at
-  most ``MAX_MEMBER_ECHOES`` echoes times members.
+  most ``MAX_SAMPLES`` echoes and ``MAX_MEMBER_ECHOES`` member-echoes.
 
 Both experiments build their repeated block once on the engine and then
 advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
@@ -53,7 +53,6 @@ import numpy as np
 
 from .errors import (
     DELTA_ZERO,
-    MAX_MC_SAMPLES,
     EnsembleSpec,
     ErrorModel,
     NO_ERROR,
@@ -86,15 +85,14 @@ __all__ = [
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 
-# Largest number of trace samples (or scan points) accepted: the workloads
-# use at most a few hundred, and 1e5 already costs tens of megabytes.
+# Largest number of trace samples, echoes or scan points accepted: the
+# workloads use at most a few hundred, and 1e5 already costs tens of MB.
 MAX_SAMPLES = 100_000
 
-# Largest n_refocus * members accepted by echo_train.  A train holds at
-# most one slice of echoes, so this bounds time, not memory.  Each echo
-# is one vectorised step (~7 us at a few members), so a one-member train
-# at the bound takes about a minute.  It is the only bound on an exact
-# default train (2n + 1 members): n <= 2047.
+# Largest n_refocus * members accepted by echo_train.  A train's
+# propagation holds at most one slice of echoes, so this bounds time, not
+# memory; it is the bound an exact default train (2n + 1 members) meets
+# first: n <= 2047.
 MAX_MEMBER_ECHOES = 2**23
 
 # Member-echoes per slice of an echo train: the slice buffer holds two
@@ -283,7 +281,6 @@ def rabi_trace(
     if ns[-1] > MAX_REPETITIONS:
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
-    psi0 = IDENTITY[:, :1]  # spin-up
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY) if use_bb1 else None
     power, blocks = IDENTITY, 0
 
@@ -292,7 +289,8 @@ def rabi_trace(
         remainder = theta - n * math.pi
         if n > blocks:
             power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
-        final = power @ (_rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps) @ psi0)
+        # the first column of each rotation is its image of spin-up
+        final = power @ _rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps)[:, :, :1]
         sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
         samples.append((theta, _weighted_sum(weights, -sz)))
 
@@ -372,33 +370,31 @@ def echo_train(
     Echo amplitude k is the magnitude of the ensemble average of each
     member's signed ``<sy>``, the axis on which the ideal train keeps its
     echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
-    ``t_k = 2 * tau * k``.  A train whose ``n_refocus`` times the member
-    count (ensemble nodes or Monte Carlo samples) exceeds
-    ``MAX_MEMBER_ECHOES`` is rejected before propagation.
+    ``t_k = 2 * tau * k``.  A train of more than ``MAX_SAMPLES`` echoes, or
+    of more than ``MAX_MEMBER_ECHOES`` echoes times members (nodes or Monte
+    Carlo samples), is rejected before propagation.
 
     The cycle ``tau - refocusing pulse - tau`` runs once on the engine,
     from the identity, for its propagator ``C`` at every member; echo k is
     ``C`` applied to echo k-1, one 2x2 product per member and echo.  The
     echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
     member-echoes, and each slice is reduced before the next is advanced,
-    so memory does not grow with ``n_refocus``.  The samples equal, bit
+    so only the returned samples grow with ``n_refocus``.  They equal, bit
     for bit, those reduced one by one from the running product
     ``psi_k = C @ psi_(k-1)`` of the engine's cycle propagator.
     """
     mode_l = str(mode).lower()
     if mode_l not in ("cp", "cpmg"):
         raise ValueError(f"mode must be 'cp' or 'cpmg', got {mode!r}")
-    if not isinstance(n_refocus, int) or n_refocus < 1:
-        raise ValueError("n_refocus must be an integer >= 1")
+    if not isinstance(n_refocus, int) or not 1 <= n_refocus <= MAX_SAMPLES:
+        raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("epsilon must be finite with |epsilon| < 1")
     _check_tau(tau)
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
 
-    # capped so that a train too long for an exact default meets the
-    # member-echo bound below, not the node-count range
-    spec = ensemble_detuning or default_echo_ensemble(tau, min(2 * n_refocus + 1, MAX_MC_SAMPLES))
+    spec = ensemble_detuning or default_echo_ensemble(tau, 2 * n_refocus + 1)
     if spec.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "

@@ -21,7 +21,7 @@ from spinpulse import (
     verify_eq5_coefficients,
 )
 from spinpulse import analysis
-from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan, _model_ratio
+from spinpulse.analysis import FIT_MAX_RESIDUAL, FidelityScan
 from spinpulse.errors import _gauss_rule
 from spinpulse.simulator import MAX_SAMPLES
 
@@ -265,7 +265,6 @@ class TestEstimator:
 
     def test_cold_and_warm_rule_cache_agree_bitwise(self):
         def run():
-            _model_ratio.cache_clear()
             cp = echo_train("cp", 32, 0.1)
             cpmg = echo_train("cpmg", 32, 0.1)
             return cp.samples, estimate_rotation_error(cp, cpmg)
@@ -301,6 +300,12 @@ class TestEstimator:
         cp = echo_train("cp", 8, 0.1)
         cpmg = echo_train("cpmg", 6, 0.1)
         with pytest.raises(ValueError):
+            estimate_rotation_error(cp, cpmg)
+
+    def test_fewer_than_four_echoes_rejected(self):
+        cp = echo_train("cp", 3, 0.1)
+        cpmg = echo_train("cpmg", 3, 0.1)
+        with pytest.raises(ValueError, match="at least two even echoes"):
             estimate_rotation_error(cp, cpmg)
 
     def test_ensemble_mismatch_raises(self):
@@ -363,6 +368,11 @@ class TestEseem:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             EseemRatioSpec("hahn", 0.1)
+
+    @pytest.mark.parametrize("theta_eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_eps_rejected(self, theta_eps):
+        with pytest.raises(ValueError, match="theta_eps must be finite"):
+            EseemRatioSpec("pi", theta_eps)
 
 
 class TestMagicAngle:

@@ -212,6 +212,12 @@ class TestRabiCommand:
         assert code == 0, err
         assert len(out.splitlines()) == 12
 
+    def test_missing_required_option_exits_2(self, capsys):
+        code, out, err = run(capsys, "rabi", "--max", "1pi", "--step", "0.5pi")
+        assert code == 2
+        assert out == ""
+        assert "missing required option(s): --sigma" in err
+
     def test_monte_carlo_count_above_bound_exits_2(self, capsys):
         code, out, err = run(
             capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi",
@@ -296,6 +302,10 @@ class TestEchoCommand:
         code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "10000000")
         assert code == 2
         assert out == ""
+        assert "n_refocus must be an integer in [1, 100000]" in err
+        code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "2048")
+        assert code == 2
+        assert out == ""
         assert "member-echoes" in err
 
     def test_monte_carlo_count_above_bound_exits_2(self, capsys):
@@ -345,6 +355,22 @@ class TestEchoCommand:
         assert out == ""
         assert "finite" in err
 
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("echo_time_s,echo_amplitude\n", "expected a CSV header plus data rows"),
+            ("a,b,c\n1.0,2.0,3.0\n", "expected two CSV columns, got 3"),
+            ("echo_time_s,echo_amplitude\n2.0,0.5\n4.0\n", "malformed CSV row '4.0'"),
+        ],
+    )
+    def test_estimate_error_rejects_malformed_csv(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "estimate-error", "--cp", str(bad), "--cpmg", str(bad))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_estimate_error_on_mismatched_ensemble_exits_2(self, capsys, tmp_path):
         for mode in ("cp", "cpmg"):
@@ -432,6 +458,26 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "'bb1'" in err and repr(text) in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("theta 1pi\n", "run.cfg:1: expected key=value"),
+         ("epsilon=0.1\ntheta=1\n", "config key 'theta': angle unit required")],
+    )
+    def test_malformed_line_rejected(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_untyped_value_taken_as_text(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=cp\n", encoding="utf-8")
+        code, out, _ = run(capsys, "echo", "--n", "4", "--epsilon", "0.1", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "echo", "--mode", "cp", "--n", "4", "--epsilon", "0.1")[1]
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

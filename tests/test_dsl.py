@@ -95,6 +95,23 @@ def test_error_cases_have_locations(text, fragment):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+@pytest.mark.parametrize(
+    "text,fragment,line,col",
+    [
+        ("acquire\npulse theta=x phase=0pi", "expected an angle", 2, 13),
+        ("delay 1\n  delay x", "expected a number", 2, 9),
+        ("repeat x { acquire }", "expected an integer", 1, 8),
+        ("acquire\nacquire\n= 1", "expected a statement keyword", 3, 1),
+        ("repeat 2 {\n  1pi\n}", "expected a statement keyword", 2, 3),
+    ],
+)
+def test_expectation_errors_at_their_token(text, fragment, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert fragment in err.value.message
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_overflowing_delay_is_a_located_parse_error():
     with pytest.raises(ParseError) as err:
         parse_program("delay 1e999")

@@ -61,6 +61,9 @@ class TestApplyError:
             ErrorModel(epsilon=1.0)
         with pytest.raises(ValueError):
             ErrorModel(phase_offsets={0.0: math.pi / 2})
+        for offsets in ({0.0: math.nan}, {math.inf: 0.1}):
+            with pytest.raises(ValueError, match="phase offsets must be finite"):
+                ErrorModel(phase_offsets=offsets)
 
 
 class TestPhaseChannels:
@@ -100,6 +103,23 @@ class TestDistributions:
             Discrete(((0.0, 0.5), (1.0, 0.6)))
         with pytest.raises(ValueError):
             Discrete(((0.0, -0.1), (1.0, 1.1)))
+
+    @pytest.mark.parametrize(
+        "make,args,message",
+        [
+            (Gaussian, (math.nan, 0.1), "Gaussian parameters must be finite"),
+            (Gaussian, (0.0, math.inf), "Gaussian parameters must be finite"),
+            (Gaussian, (0.0, -0.1), "sigma must be >= 0"),
+            (Uniform, (-math.inf, 1.0), "Uniform bounds must be finite"),
+            (Uniform, (0.0, math.nan), "Uniform bounds must be finite"),
+            (Uniform, (1.0, 0.0), "lo <= hi"),
+            (Discrete, (((math.nan, 1.0),),), "atoms must be finite"),
+            (Discrete, (((0.0, math.inf),),), "atoms must be finite"),
+        ],
+    )
+    def test_parameter_validation(self, make, args, message):
+        with pytest.raises(ValueError, match=message):
+            make(*args)
 
     def test_gaussian_single_node_at_mean(self):
         spec = EnsembleSpec(Gaussian(0.02, 0.05), nodes=1)
@@ -184,6 +204,7 @@ class TestPeriodicUniform:
     def test_samples_the_whole_line_as_uniform_does(self):
         periodic = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-2.0, 2.0, 2), nodes=5)
         legendre = EnsembleSpec(DELTA_ZERO, Uniform(-2.0, 2.0), nodes=5)
+        assert isinstance(periodic.detuning_dist, Uniform)
         assert np.array_equal(monte_carlo_nodes(periodic, 500, 3), monte_carlo_nodes(legendre, 500, 3))
 
     def test_record_names_the_rule(self):
@@ -191,7 +212,9 @@ class TestPeriodicUniform:
             "kind": "uniform", "lo": -1.0, "hi": 1.0, "rule": "periodic_midpoint", "periods": 2,
         }
 
-    @pytest.mark.parametrize("args", [(1.0, 1.0, 1), (0.0, math.inf, 1), (0.0, 1.0, 0), (0.0, 1.0, 1.5)])
+    @pytest.mark.parametrize(
+        "args", [(1.0, 1.0, 1), (0.0, math.inf, 1), (0.0, 1.0, 0), (0.0, 1.0, 1.5), (2.0, 1.0, 1)]
+    )
     def test_validation(self, args):
         with pytest.raises(ValueError):
             PeriodicUniform(*args)

@@ -1,5 +1,7 @@
 import ast
 import inspect
+import re
+from pathlib import Path
 
 import spinpulse
 from spinpulse import analysis, dsl, errors, sequence, simulator, su2
@@ -52,3 +54,17 @@ def test_module_constants_are_listed():
                 name = getattr(target, "id", "")
                 if name.isupper() and not name.startswith("_"):
                     assert name in module.__all__, f"{module.__name__}.{name}"
+
+
+# A README statement of a constant: `module.NAME` = value, with ^ as a power.
+README_CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = ([0-9.e+-]+(?:\^[0-9]+)?)")
+
+
+def test_readme_constants_match_the_modules():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    statements = README_CONSTANT.findall(readme)
+    assert statements, "README states no `module.NAME` = value constant"
+    for module, name, text in statements:
+        base, _, power = text.partition("^")
+        stated = int(base) ** int(power) if power else float(base)
+        assert stated == getattr(getattr(spinpulse, module), name), f"{module}.{name} = {text}"

@@ -256,6 +256,8 @@ class TestBloch:
             SpinState(1.0, 1.0)
         with pytest.raises(ValueError):
             SpinState(math.nan, 0.0)
+        with pytest.raises(ValueError, match="exactly two amplitudes"):
+            SpinState.from_vector(np.ones(3) / math.sqrt(3))
 
 
 class TestRabi:
@@ -501,9 +503,10 @@ class TestEchoTrain:
 
     def test_exact_default_train_up_to_the_member_echo_bound(self):
         assert len(echo_train("cp", 2047, 0.1).samples) == 2047
-        for too_long in (2048, 600_000):
-            with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
-                echo_train("cp", too_long, 0.1)
+        with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
+            echo_train("cp", 2048, 0.1)
+        with pytest.raises(ValueError, match=f"in \\[1, {MAX_SAMPLES}\\]"):
+            echo_train("cp", 600_000, 0.1)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -622,10 +625,13 @@ class TestEchoTrain:
             echo_train("cp", too_long, 0.1)
         with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
             echo_train("cp", MAX_MEMBER_ECHOES // 1024 + 1, 0.1, mc_samples=1024)
-        # at the bound the train runs (one member, no propagation here)
-        one = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
+        # at the bound the train runs (no propagation here)
         with pytest.raises(AssertionError, match="propagated"):
-            echo_train("cp", MAX_MEMBER_ECHOES, 0.1, ensemble_detuning=one)
+            echo_train("cp", 2**16, 0.1, mc_samples=128)
+        # one member, but more echoes than MAX_SAMPLES
+        one = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
+        with pytest.raises(ValueError, match=f"in \\[1, {MAX_SAMPLES}\\]"):
+            echo_train("cp", MAX_SAMPLES + 1, 0.1, ensemble_detuning=one)
 
     def test_epsilon_distribution_rejected_before_nodes(self, monkeypatch):
         def no_nodes(*args):

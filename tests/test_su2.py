@@ -177,6 +177,21 @@ def test_unitary2_rejects_non_finite():
         Unitary2(math.nan, 0, 0, 1)
 
 
+def test_unitary2_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="expected a 2x2 matrix, got shape \\(3, 3\\)"):
+        Unitary2.from_matrix(np.eye(3))
+
+
+def test_unitary2_determinant_check():
+    # Entrywise unitarity within t bounds |det| to [sqrt(1 - 2t), 1 + t],
+    # so only rounding at the tolerance edge reaches this check: here each
+    # diagonal entry's |u|^2 rounds to within 1e-12 of 1 and |det| past it.
+    a = complex(-0.992729765673042, 0.12036449787103735)
+    b = complex(-0.4879940450109755, 0.872846957968478)
+    with pytest.raises(ValueError, match="determinant magnitude differs from 1"):
+        Unitary2(a, 0, 0, b)
+
+
 def test_unitary2_matrix_is_read_only():
     u = rotation(RotationSpec(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
