@@ -188,8 +188,6 @@ def cmd_rabi(args) -> int:
         args.step_rad,
         ensemble,
         use_bb1=args.bb1,
-        mc_samples=args.mc_samples,
-        mc_seed=args.seed,
     )
     _emit_rows(args, _signal_rows(signal), provenance=signal.provenance)
     return 0
@@ -211,8 +209,6 @@ def cmd_echo(args) -> int:
         use_bb1=args.bb1,
         t2_envelope=args.t2_s,
         tau=args.tau_s,
-        mc_samples=args.mc_samples,
-        mc_seed=args.seed,
     )
     _emit_rows(args, _signal_rows(signal), provenance=signal.provenance)
     return 0
@@ -321,8 +317,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="angle step (e.g. 0.25pi)")
     p.add_argument("--bb1", action="store_true", help="decompose into corrected pi blocks")
     p.add_argument("--nodes", type=int, default=41, help="quadrature nodes")
-    p.add_argument("--mc-samples", type=int, default=None, help="Monte Carlo cross-check")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     _add_common(p)
     p.set_defaults(func=cmd_rabi)
 
@@ -337,8 +331,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--span", dest="span_rad_per_s", type=float, default=None,
                    help="detuning half-span (rad/s)")
     p.add_argument("--nodes", type=int, default=257, help="Gauss-Legendre order of --span")
-    p.add_argument("--mc-samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_echo)
 

@@ -17,11 +17,10 @@ integrand (``PeriodicUniform``, exact for a trigonometric polynomial of
 degree below the node count) - so that every downstream number is
 bit-reproducible.  Each Gauss rule is solved once per order per process
 and kept read-only (``_gauss_rule``); a distribution maps it to fresh
-arrays of its own.  A seeded Monte Carlo sampler exists for
-cross-checks.  Each distribution kind owns its quadrature mapping,
-sampler and provenance record; ``ensemble_nodes`` and
-``monte_carlo_nodes`` return one ``(N, 3)`` array of (epsilon, delta,
-weight) rows.
+arrays of its own.  A sampled ensemble is a ``Discrete`` of equal-weight
+draws.  Each distribution kind owns its quadrature mapping and
+provenance record; ``ensemble_nodes`` returns one ``(N, 3)`` array of
+(epsilon, delta, weight) rows.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ __all__ = [
     "WEIGHT_SUM_TOL",
     "NODE_WEIGHT_TOL",
     "MAX_NODES",
-    "MAX_MC_SAMPLES",
+    "MAX_MEMBERS",
     "ensemble_nodes",
-    "monte_carlo_nodes",
 ]
 
 # A pulse phase matches an offset channel when within this tolerance (rad).
@@ -67,10 +65,10 @@ NODE_WEIGHT_TOL = 1e-10
 # midpoint rule of PeriodicUniform solves nothing and is not bound by it.
 MAX_NODES = 1024
 
-# Largest Monte Carlo sample count, and largest node count and ensemble
-# grid, accepted: as many members as the largest two-Gauss-rule grid
-# (MAX_NODES**2), ~25 MB of nodes.
-MAX_MC_SAMPLES = MAX_NODES**2
+# Largest node count of a rule that solves nothing (PeriodicUniform,
+# Discrete), and largest ensemble grid, accepted: as many members as the
+# largest two-Gauss-rule grid (MAX_NODES**2), ~25 MB of nodes.
+MAX_MEMBERS = MAX_NODES**2
 
 
 @functools.lru_cache(maxsize=32)
@@ -107,9 +105,6 @@ class Gaussian:
         x, w = _gauss_rule(np.polynomial.hermite.hermgauss, n)
         return self.mean + math.sqrt(2.0) * self.sigma * x, w / math.sqrt(math.pi)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, self.sigma, size=count)
-
     def to_dict(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean, "sigma": self.sigma}
 
@@ -134,9 +129,6 @@ class Uniform:
         half = 0.5 * (self.hi - self.lo)
         return mid + half * x, w / 2.0
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=count)
-
     def to_dict(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
@@ -150,12 +142,11 @@ class PeriodicUniform(Uniform):
     one, so the quadrature is the n-point midpoint rule on the period
     centred on the middle of [lo, hi], each node weighted 1/n.  It is exact
     for a trigonometric polynomial of degree below n in that period.
-    Samples are drawn from all of [lo, hi], as ``Uniform`` draws them.
     """
 
     periods: int
 
-    max_nodes: ClassVar[int] = MAX_MC_SAMPLES
+    max_nodes: ClassVar[int] = MAX_MEMBERS
 
     def __post_init__(self):
         super().__post_init__()
@@ -183,7 +174,7 @@ class Discrete:
 
     atoms: tuple[tuple[float, float], ...]
 
-    max_nodes: ClassVar[int] = MAX_MC_SAMPLES
+    max_nodes: ClassVar[int] = MAX_MEMBERS
 
     def __post_init__(self):
         atoms = tuple((float(v), float(w)) for v, w in self.atoms)
@@ -203,10 +194,6 @@ class Discrete:
         """The atoms' values and weights, whatever ``n``."""
         values, weights = np.array(self.atoms).T
         return values, weights
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        values, weights = np.array(self.atoms).T
-        return rng.choice(values, size=count, p=weights / weights.sum())
 
     def to_dict(self) -> dict:
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
@@ -264,7 +251,7 @@ class EnsembleSpec:
 
     ``nodes`` is the quadrature order used per continuous distribution,
     an integer from 1 to the smaller ``max_nodes`` of the two
-    distributions (``MAX_NODES`` for a Gauss rule, ``MAX_MC_SAMPLES``
+    distributions (``MAX_NODES`` for a Gauss rule, ``MAX_MEMBERS``
     otherwise); ``Discrete`` distributions contribute their atoms
     regardless of it.
     """
@@ -295,12 +282,12 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
     weights multiplying; the weights sum to 1 within 1e-10.  Raises
     ``ValueError`` when the quadrature cannot meet that (Gauss-Hermite
     overflows beyond about 370 nodes), or when the grid would have more
-    than ``MAX_MC_SAMPLES`` rows.
+    than ``MAX_MEMBERS`` rows.
     """
     evals, ewts = spec.epsilon_dist.quadrature(spec.nodes)
     dvals, dwts = spec.detuning_dist.quadrature(spec.nodes)
-    if evals.size * dvals.size > MAX_MC_SAMPLES:
-        raise ValueError(f"an ensemble grid of {evals.size * dvals.size} nodes exceeds {MAX_MC_SAMPLES}")
+    if evals.size * dvals.size > MAX_MEMBERS:
+        raise ValueError(f"an ensemble grid of {evals.size * dvals.size} nodes exceeds {MAX_MEMBERS}")
     weights = np.outer(ewts, dwts).ravel()
     if not np.all(np.isfinite(weights)) or abs(math.fsum(weights.tolist()) - 1.0) > NODE_WEIGHT_TOL:
         raise ValueError(
@@ -309,14 +296,3 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
         )
     return np.column_stack((np.repeat(evals, dvals.size), np.tile(dvals, evals.size), weights))
 
-
-def monte_carlo_nodes(spec: EnsembleSpec, count: int, seed: int = 0) -> np.ndarray:
-    """Seeded equal-weight samples in the layout of ``ensemble_nodes``;
-    cross-check companion to the quadrature.  ``count`` must lie in
-    [1, ``MAX_MC_SAMPLES``]."""
-    if not 1 <= count <= MAX_MC_SAMPLES:
-        raise ValueError(f"sample count must be in [1, {MAX_MC_SAMPLES}]")
-    rng = np.random.default_rng(seed)
-    eps = spec.epsilon_dist.sample(count, rng)
-    dlt = spec.detuning_dist.sample(count, rng)
-    return np.column_stack((eps, dlt, np.full(count, 1.0 / count)))

@@ -12,10 +12,10 @@ state, the two columns of the identity are the whole propagator - and
 ``propagate``, ``rabi_trace``, ``echo_train`` and the analysis
 fidelities all run through it (``propagate`` is the one-member batch).
 Its pulse matrices come from the one batched rotation formula in
-``su2``, and its members are the rows of the ``(N, 3)`` node array from
-``errors``.  Ensemble reductions are correctly rounded (``math.fsum``),
-so they do not depend on node order and results are bit-identical run to
-run.
+``su2``, and its members are the rows of ``errors.ensemble_nodes``, the
+one member representation.  Ensemble reductions are correctly rounded
+(``math.fsum``), so they do not depend on node order and results are
+bit-identical run to run.
 
 Experiments:
 
@@ -58,7 +58,6 @@ from .errors import (
     NO_ERROR,
     PeriodicUniform,
     ensemble_nodes,
-    monte_carlo_nodes,
 )
 from .sequence import MAX_REPETITIONS, Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
 from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, _rotations
@@ -224,13 +223,6 @@ def propagate(
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
-def _nodes_for(spec: EnsembleSpec, mc_samples: Optional[int], mc_seed: int) -> np.ndarray:
-    """The (eps, delta, weights) node columns, stacked as rows."""
-    if mc_samples is None:
-        return ensemble_nodes(spec).T
-    return monte_carlo_nodes(spec, mc_samples, mc_seed).T
-
-
 def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
     # Correctly rounded, so the result does not depend on node order.
     return math.fsum((weights * per_node).tolist())
@@ -246,8 +238,6 @@ def rabi_trace(
     step: float,
     ensemble: EnsembleSpec,
     use_bb1: bool = False,
-    mc_samples: Optional[int] = None,
-    mc_seed: int = 0,
 ) -> Signal:
     """Nutation signal ``-<sz>`` versus nominal drive angle.
 
@@ -258,7 +248,9 @@ def rabi_trace(
     convention puts the signal at +1 for an ideal pi rotation.  More
     than ``MAX_SAMPLES`` samples are rejected, and so is a BB1 trace
     whose last sample needs more than ``MAX_REPETITIONS`` pi blocks (the
-    bound ``bb1_rabi_program`` enforces through its ``Repeat``).
+    bound ``bb1_rabi_program`` enforces through its ``Repeat``).  A trace
+    runs no delay, so an ensemble whose detuning distribution is not
+    ``DELTA_ZERO`` is rejected before any node is built.
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
@@ -280,7 +272,9 @@ def rabi_trace(
     ns = [int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0 for theta in thetas]
     if ns[-1] > MAX_REPETITIONS:
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
-    eps, delta, weights = _nodes_for(ensemble, mc_samples, mc_seed)
+    if ensemble.detuning_dist != DELTA_ZERO:
+        raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
+    eps, delta, weights = ensemble_nodes(ensemble).T
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY) if use_bb1 else None
     power, blocks = IDENTITY, 0
 
@@ -306,7 +300,6 @@ def rabi_trace(
             "step_rad": step,
             "ensemble": ensemble.to_dict(),
             "error_model": {"epsilon": "ensemble", "phase_offsets": []},
-            "monte_carlo": None if mc_samples is None else {"samples": mc_samples, "seed": mc_seed},
         },
     )
 
@@ -348,8 +341,6 @@ def echo_train(
     use_bb1: bool = False,
     t2_envelope: Optional[float] = None,
     tau: float = DEFAULT_TAU,
-    mc_samples: Optional[int] = None,
-    mc_seed: int = 0,
 ) -> Signal:
     """Echo amplitudes of an ``n_refocus``-cycle CP or CPMG train.
 
@@ -364,15 +355,15 @@ def echo_train(
     ``DELTA_ZERO`` is rejected before any node is built.  The default
     ensemble is ``default_echo_ensemble(tau, 2 * n_refocus + 1)``, the
     fewest periodic midpoints whose mean is exact, and a periodic detuning
-    rule with fewer nodes is rejected; ``mc_samples`` replaces the nodes
-    by samples from the whole line.
+    rule with fewer nodes is rejected.  A sampled line is a ``Discrete``
+    detuning distribution of equal-weight draws.
 
     Echo amplitude k is the magnitude of the ensemble average of each
     member's signed ``<sy>``, the axis on which the ideal train keeps its
     echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
     ``t_k = 2 * tau * k``.  A train of more than ``MAX_SAMPLES`` echoes, or
-    of more than ``MAX_MEMBER_ECHOES`` echoes times members (nodes or Monte
-    Carlo samples), is rejected before propagation.
+    of more than ``MAX_MEMBER_ECHOES`` echoes times members, is rejected
+    before propagation.
 
     The cycle ``tau - refocusing pulse - tau`` runs once on the engine,
     from the identity, for its propagator ``C`` at every member; echo k is
@@ -400,11 +391,11 @@ def echo_train(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
             "epsilon_dist must be DELTA_ZERO"
         )
-    _, delta, weights = _nodes_for(spec, mc_samples, mc_seed)
+    _, delta, weights = ensemble_nodes(spec).T
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
     dist = spec.detuning_dist
-    if mc_samples is None and isinstance(dist, PeriodicUniform):
+    if isinstance(dist, PeriodicUniform):
         # Each echo is a trigonometric polynomial of degree <= 2n in
         # delta * tau, so the midpoint rule over one period 2*pi/tau is
         # exact from 2n + 1 nodes.
@@ -456,6 +447,5 @@ def echo_train(
             "tau_s": tau,
             "t2_s": t2_envelope,
             "ensemble": spec.to_dict(),
-            "monte_carlo": None if mc_samples is None else {"samples": mc_samples, "seed": mc_seed},
         },
     )

@@ -178,3 +178,21 @@ def random_program(rng: random.Random, max_elements: int = 6, depth: int = 0):
 
     elements = tuple(element(depth) for _ in range(rng.randint(0, max_elements)))
     return PulseProgram(elements)
+
+
+# ---------------------------------------------------------------------------
+# Sampled ensembles for statistical cross-checks
+# ---------------------------------------------------------------------------
+
+
+def sampled(dist, count: int, seed: int = 0):
+    """A ``Discrete`` of ``count`` seeded draws from a ``Gaussian`` or from
+    all of a ``Uniform``'s [lo, hi], each weighted ``1 / count``."""
+    from spinpulse import Discrete, Gaussian
+
+    rng = np.random.default_rng(seed)
+    if isinstance(dist, Gaussian):
+        draws = rng.normal(dist.mean, dist.sigma, size=count)
+    else:
+        draws = rng.uniform(dist.lo, dist.hi, size=count)
+    return Discrete(tuple((d, 1.0 / count) for d in draws.tolist()))

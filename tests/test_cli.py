@@ -218,14 +218,15 @@ class TestRabiCommand:
         assert out == ""
         assert "missing required option(s): --sigma" in err
 
-    def test_monte_carlo_count_above_bound_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi",
-            "--mc-samples", "100000000",
-        )
-        assert code == 2
-        assert out == ""
-        assert "sample count" in err
+    def test_sampling_options_are_unrecognised(self, capsys):
+        # a sampled ensemble is a Discrete of its draws, built in the library
+        for option in (("--mc-samples", "500"), ("--mc-samples", "100000000"), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi", *option)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
     def test_corrected_long_trace_keeps_contrast(self, capsys):
         code, out, _ = run(
@@ -308,13 +309,14 @@ class TestEchoCommand:
         assert out == ""
         assert "member-echoes" in err
 
-    def test_monte_carlo_count_above_bound_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, "echo", "--mode", "cp", "--n", "4", "--mc-samples", "100000000"
-        )
-        assert code == 2
-        assert out == ""
-        assert "sample count" in err
+    def test_sampling_options_are_unrecognised(self, capsys):
+        for option in (("--mc-samples", "500"), ("--mc-samples", "100000000"), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "echo", "--mode", "cp", "--n", "4", *option)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
     def test_estimate_error_round_trip(self, capsys, tmp_path):
         for mode in ("cp", "cpmg"):
@@ -481,10 +483,17 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate=1\n", encoding="utf-8")
-        code, _, err = run(capsys, "fidelity", "--theta", "1pi", "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key" in err
+        rabi = ("rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi")
+        echo = ("echo", "--mode", "cp", "--n", "4")
+        # a sampled ensemble is a Discrete of its draws, built in the library
+        cases = [("frobnicate", ("fidelity", "--theta", "1pi"))]
+        cases += [(key, argv) for key in ("mc-samples", "seed") for argv in (rabi, echo)]
+        for key, argv in cases:
+            cfg.write_text(f"{key}=500\n", encoding="utf-8")
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 2
+            assert out == ""
+            assert f"unknown config key {key!r}" in err
 
 
 class TestOutputFormat:
@@ -498,18 +507,6 @@ class TestOutputFormat:
         data = out.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
-
-    def test_monte_carlo_seed_controls_output(self, capsys, tmp_path):
-        base = ["rabi", "--sigma", "0.05", "--max", "2pi", "--step", "0.5pi",
-                "--mc-samples", "500"]
-        outs = {}
-        for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
-            path = tmp_path / f"{name}.csv"
-            assert main(base + ["--seed", seed, "--out", str(path), "--quiet"]) == 0
-            outs[name] = path.read_bytes()
-        capsys.readouterr()
-        assert outs["a"] == outs["b"]
-        assert outs["a"] != outs["c"]
 
 
 class TestDeterminism:
@@ -558,15 +555,14 @@ class TestConfigRecord:
     def test_rabi_keys(self, capsys):
         config = self.config(capsys, "rabi", "--sigma", "0.05", "--max", "1pi", "--step", "0.5pi")
         assert list(config) == [
-            "sigma", "mean", "max_rad", "step_rad", "bb1", "nodes", "mc_samples", "seed",
-            "provenance",
+            "sigma", "mean", "max_rad", "step_rad", "bb1", "nodes", "provenance",
         ]
 
     def test_echo_keys(self, capsys):
         config = self.config(capsys, "echo", "--mode", "cp", "--n", "2", "--nodes", "9")
         assert list(config) == [
             "mode", "n", "epsilon", "bb1", "tau_s", "t2_s", "span_rad_per_s", "nodes",
-            "mc_samples", "seed", "provenance",
+            "provenance",
         ]
 
     def test_estimate_error_keys(self, capsys, tmp_path):

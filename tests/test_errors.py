@@ -18,11 +18,10 @@ from spinpulse import (
     bb1_phases,
     bb1_sequence,
     ensemble_nodes,
-    monte_carlo_nodes,
     propagate,
     rotation,
 )
-from spinpulse.errors import MAX_MC_SAMPLES, MAX_NODES, _gauss_rule
+from spinpulse.errors import MAX_MEMBERS, MAX_NODES, _gauss_rule
 
 
 class TestApplyError:
@@ -201,12 +200,6 @@ class TestPeriodicUniform:
             got = math.fsum((weights * np.cos(k * values + 0.3)).tolist())
             assert got == pytest.approx(math.cos(0.3) if k == 0 else 0.0, abs=1e-13)
 
-    def test_samples_the_whole_line_as_uniform_does(self):
-        periodic = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-2.0, 2.0, 2), nodes=5)
-        legendre = EnsembleSpec(DELTA_ZERO, Uniform(-2.0, 2.0), nodes=5)
-        assert isinstance(periodic.detuning_dist, Uniform)
-        assert np.array_equal(monte_carlo_nodes(periodic, 500, 3), monte_carlo_nodes(legendre, 500, 3))
-
     def test_record_names_the_rule(self):
         assert PeriodicUniform(-1.0, 1.0, 2).to_dict() == {
             "kind": "uniform", "lo": -1.0, "hi": 1.0, "rule": "periodic_midpoint", "periods": 2,
@@ -223,15 +216,15 @@ class TestPeriodicUniform:
         spec = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=4095)
         assert len(ensemble_nodes(spec)) == 4095
         assert rule_calls == []
-        with pytest.raises(ValueError, match=f"\\[1, {MAX_MC_SAMPLES}\\]"):
-            EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_MC_SAMPLES + 1)
+        with pytest.raises(ValueError, match=f"\\[1, {MAX_MEMBERS}\\]"):
+            EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_MEMBERS + 1)
         with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
             EnsembleSpec(Gaussian(0.0, 0.1), PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_NODES + 1)
 
     def test_grid_bounded(self):
         wide = PeriodicUniform(-1.0, 1.0, 1)
         spec = EnsembleSpec(wide, wide, nodes=MAX_NODES + 1)
-        with pytest.raises(ValueError, match=f"exceeds {MAX_MC_SAMPLES}"):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_MEMBERS}"):
             ensemble_nodes(spec)
 
 
@@ -293,32 +286,3 @@ class TestRuleCache:
                 with pytest.raises(ValueError, match="400 nodes"):
                     ensemble_nodes(spec)
 
-
-class TestMonteCarlo:
-    def test_deterministic_for_fixed_seed(self):
-        spec = EnsembleSpec(Gaussian(0.0, 0.05), detuning_dist=Uniform(-1, 1), nodes=3)
-        a = monte_carlo_nodes(spec, 100, seed=42)
-        b = monte_carlo_nodes(spec, 100, seed=42)
-        assert np.array_equal(a, b)
-        c = monte_carlo_nodes(spec, 100, seed=43)
-        assert not np.array_equal(a, c)
-
-    def test_equal_weights(self):
-        spec = EnsembleSpec(Gaussian(0.0, 0.05))
-        nodes = monte_carlo_nodes(spec, 50, seed=1)
-        assert all(w == pytest.approx(1 / 50) for _, _, w in nodes)
-
-    def test_sample_moments_near_distribution(self):
-        spec = EnsembleSpec(Gaussian(0.0, 0.05))
-        nodes = monte_carlo_nodes(spec, 20000, seed=7)
-        eps = np.array([e for e, _, _ in nodes])
-        assert abs(eps.mean()) < 5 * 0.05 / math.sqrt(20000)
-        assert eps.std() == pytest.approx(0.05, rel=0.05)
-
-    def test_sample_count_bounded_before_sampling(self):
-        spec = EnsembleSpec(Gaussian(0.0, 0.05))
-        assert len(monte_carlo_nodes(spec, MAX_MC_SAMPLES)) == MAX_MC_SAMPLES
-        # 10**12 samples would exhaust memory if any were drawn
-        for count in (0, MAX_MC_SAMPLES + 1, 10**12):
-            with pytest.raises(ValueError, match=f"in \\[1, {MAX_MC_SAMPLES}\\]"):
-                monte_carlo_nodes(spec, count)

@@ -34,13 +34,25 @@ from spinpulse import (
 )
 from spinpulse import simulator
 from spinpulse.dsl import parse_program
-from spinpulse.errors import NO_ERROR, ensemble_nodes, monte_carlo_nodes
+from spinpulse.errors import NO_ERROR, ensemble_nodes
 from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
 from spinpulse.su2 import IDENTITY, Unitary2, _rotations
-from oracles import echo_train_oracle, gaussian_rabi_closed_form, propagate_oracle, random_program
+from oracles import (
+    echo_train_oracle,
+    gaussian_rabi_closed_form,
+    propagate_oracle,
+    random_program,
+    sampled,
+)
 
 ZERO_WIDTH = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
 GAUSS5 = EnsembleSpec(Gaussian(0.0, 0.05), nodes=41)
+
+
+def sampled_line(count, seed):
+    """The default detuning line at tau = 1 as ``count`` seeded equal-weight
+    draws from all of it."""
+    return EnsembleSpec(DELTA_ZERO, sampled(Uniform(-4 * math.pi, 4 * math.pi), count, seed))
 
 
 def with_depth(elements, depth=0):
@@ -296,7 +308,8 @@ class TestRabi:
 
     def test_monte_carlo_cross_check(self):
         quad = rabi_trace(4 * math.pi, 0.5 * math.pi, GAUSS5)
-        mc = rabi_trace(4 * math.pi, 0.5 * math.pi, GAUSS5, mc_samples=20000, mc_seed=3)
+        draws = EnsembleSpec(sampled(Gaussian(0.0, 0.05), 20000, 3))
+        mc = rabi_trace(4 * math.pi, 0.5 * math.pi, draws)
         assert np.max(np.abs(quad.values - mc.values)) < 0.02
 
     def test_step_validation(self):
@@ -332,7 +345,7 @@ class TestRabi:
             rabi_trace(1e9 * math.pi, 1e5 * math.pi, bad_nodes)
 
     @pytest.mark.parametrize(
-        "max_angle,step,sigma,mc_samples",
+        "max_angle,step,sigma,samples",
         [
             (40 * math.pi, 0.25 * math.pi, 0.05, None),
             (40 * math.pi, 0.25 * math.pi, 0.12, None),
@@ -340,12 +353,27 @@ class TestRabi:
             (20 * math.pi, 0.25 * math.pi, 0.05, 500),
         ],
     )
-    def test_bb1_trace_equals_reference_programs(self, max_angle, step, sigma, mc_samples):
+    def test_bb1_trace_equals_reference_programs(self, max_angle, step, sigma, samples):
         # each sample is bb1_rabi_program(n, r) run from spin-up at every
         # node, however the trace reaches it
-        spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=41)
-        sig = rabi_trace(max_angle, step, spec, use_bb1=True, mc_samples=mc_samples, mc_seed=5)
-        assert max_reference_miss(sig, spec, mc_samples, 5) < 1e-13
+        dist = Gaussian(0.0, sigma)
+        spec = EnsembleSpec(dist if samples is None else sampled(dist, samples, 5), nodes=41)
+        sig = rabi_trace(max_angle, step, spec, use_bb1=True)
+        assert max_reference_miss(sig, spec) < 1e-13
+
+    def test_detuning_distribution_rejected_before_nodes(self, monkeypatch):
+        # a trace runs no delay: a detuning spread would multiply the
+        # members for nothing
+        def no_nodes(*args):
+            raise AssertionError("built nodes for a rejected ensemble")
+
+        monkeypatch.setattr(simulator, "ensemble_nodes", no_nodes)
+        wide = Uniform(-1.0, 1.0)
+        for detuning in (wide, Discrete(((0.5, 1.0),)), sampled(wide, 16)):
+            spec = EnsembleSpec(Gaussian(0.0, 0.05), detuning_dist=detuning, nodes=41)
+            for use_bb1 in (False, True):
+                with pytest.raises(ValueError, match="detuning_dist must be DELTA_ZERO"):
+                    rabi_trace(4 * math.pi, 0.25 * math.pi, spec, use_bb1=use_bb1)
 
     def test_simple_trace_builds_no_bb1_block(self, monkeypatch):
         def no_block(*args, **kwargs):
@@ -360,14 +388,13 @@ class TestRabi:
         # squaring, not by 410 running products
         sig = rabi_trace(4096 * math.pi, 409.6 * math.pi, GAUSS5, use_bb1=True)
         assert len(sig.samples) == 11
-        assert max_reference_miss(sig, GAUSS5, None, 0) < 1e-11
+        assert max_reference_miss(sig, GAUSS5) < 1e-11
 
 
-def max_reference_miss(sig, spec, mc_samples, mc_seed):
+def max_reference_miss(sig, spec):
     """Largest distance of a BB1 trace from bb1_rabi_program(n, r) run at
     every node."""
-    nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
-    eps, delta, weights = nodes.T
+    eps, delta, weights = ensemble_nodes(spec).T
     worst = 0.0
     for theta, value in sig.samples:
         n = int(math.floor(theta / math.pi + 1e-12))
@@ -381,9 +408,7 @@ def max_reference_miss(sig, spec, mc_samples, mc_seed):
     return worst
 
 
-def engine_echo_samples(
-    mode, n, epsilon, use_bb1=False, mc_samples=None, mc_seed=0, spec=None, reference_member=False
-):
+def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_member=False):
     """An echo train as the running product psi_k = C @ psi_(k-1) of the
     engine's cycle propagator C on ``spec`` (default: the train's 2n + 1
     periodic midpoints), each echo reduced on its own: the weighted sum of
@@ -391,8 +416,7 @@ def engine_echo_samples(
     on.  With ``reference_member`` the detection axis is instead that of an
     extra zero-error, zero-detuning member, left out of the sum."""
     spec = spec or default_echo_ensemble(1.0, 2 * n + 1)
-    nodes = ensemble_nodes(spec) if mc_samples is None else monte_carlo_nodes(spec, mc_samples, mc_seed)
-    _, delta, weights = nodes.T
+    _, delta, weights = ensemble_nodes(spec).T
     eps = np.full(delta.shape, float(epsilon))
     if reference_member:
         eps, delta = np.append(eps, 0.0), np.append(delta, 0.0)
@@ -493,8 +517,8 @@ class TestEchoTrain:
         with pytest.raises(ValueError, match="at least 33 nodes"):
             echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 32))
         echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 33))
-        # samples replace the nodes, so their count does not matter
-        echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 3), mc_samples=8)
+        # a sampled line is a Discrete, not a periodic rule: its count does not matter
+        echo_train("cp", 16, 0.1, ensemble_detuning=sampled_line(8, 0))
         # a rule period other than the echo's 2*pi/tau is refused
         two = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-4 * math.pi, 4 * math.pi, 2), nodes=65)
         for spec, tau in ((two, 1.0), (default_echo_ensemble(1.0, 33), 1.5)):
@@ -531,7 +555,7 @@ class TestEchoTrain:
 
     def test_monte_carlo_cross_check(self):
         quad = echo_train("cpmg", 4, 0.1)
-        mc = echo_train("cpmg", 4, 0.1, mc_samples=20000, mc_seed=11)
+        mc = echo_train("cpmg", 4, 0.1, sampled_line(20000, 11))
         assert np.max(np.abs(quad.values - mc.values)) < 0.02
 
     def test_invalid_arguments(self):
@@ -557,16 +581,17 @@ class TestEchoTrain:
         assert got == engine_echo_samples(mode, n, 0.1, use_bb1)
 
     @pytest.mark.parametrize(
-        "mode,n,mc_samples",
+        "mode,n,members",
         [
             ("cp", 305, 3000),  # ten echoes per slice: thirty full slices and a part
             ("cpmg", 4, 40000),  # more members than a slice holds: one echo each
         ],
     )
-    def test_sliced_train_equals_engine_program_bitwise(self, mode, n, mc_samples):
-        assert simulator._SLICE_MEMBER_ECHOES // mc_samples < n
-        got = echo_train(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7).samples
-        assert got == engine_echo_samples(mode, n, 0.1, mc_samples=mc_samples, mc_seed=7)
+    def test_sliced_train_equals_engine_program_bitwise(self, mode, n, members):
+        assert simulator._SLICE_MEMBER_ECHOES // members < n
+        line = sampled_line(members, 7)
+        got = echo_train(mode, n, 0.1, line).samples
+        assert got == engine_echo_samples(mode, n, 0.1, spec=line)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -585,8 +610,9 @@ class TestEchoTrain:
         # over one or more slice boundaries
         members = simulator._SLICE_MEMBER_ECHOES // rows + offset
         n = rows * (1 + extra) + offset % 2
-        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, mc_samples=members, mc_seed=seed)
-        want = engine_echo_samples(mode, n, epsilon, use_bb1, members, seed)
+        line = sampled_line(members, seed)
+        got = echo_train(mode, n, epsilon, line, use_bb1)
+        want = engine_echo_samples(mode, n, epsilon, use_bb1, line)
         assert got.samples == want
 
     @pytest.mark.parametrize("use_bb1", [False, True])
@@ -595,9 +621,9 @@ class TestEchoTrain:
         # the ideal train keeps its echoes on +-y, the axis an extra
         # zero-error, zero-detuning member finds to rounding
         legendre = EnsembleSpec(DELTA_ZERO, Uniform(-4 * math.pi, 4 * math.pi), nodes=65)
-        for spec, mc_samples in ((None, None), (None, 3000), (legendre, None)):
-            got = echo_train(mode, 128, 0.1, spec, use_bb1, mc_samples=mc_samples, mc_seed=3)
-            want = engine_echo_samples(mode, 128, 0.1, use_bb1, mc_samples, 3, spec, True)
+        for spec in (None, sampled_line(3000, 3), legendre):
+            got = echo_train(mode, 128, 0.1, spec, use_bb1)
+            want = engine_echo_samples(mode, 128, 0.1, use_bb1, spec, True)
             assert got.x.tolist() == [x for x, _ in want]
             assert max(abs(y - w) for y, (_, w) in zip(got.values, want)) <= 2.3e-16
 
@@ -624,10 +650,10 @@ class TestEchoTrain:
         with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
             echo_train("cp", too_long, 0.1)
         with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
-            echo_train("cp", MAX_MEMBER_ECHOES // 1024 + 1, 0.1, mc_samples=1024)
+            echo_train("cp", MAX_MEMBER_ECHOES // 1024 + 1, 0.1, sampled_line(1024, 0))
         # at the bound the train runs (no propagation here)
         with pytest.raises(AssertionError, match="propagated"):
-            echo_train("cp", 2**16, 0.1, mc_samples=128)
+            echo_train("cp", 2**16, 0.1, sampled_line(128, 0))
         # one member, but more echoes than MAX_SAMPLES
         one = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
         with pytest.raises(ValueError, match=f"in \\[1, {MAX_SAMPLES}\\]"):
@@ -638,12 +664,10 @@ class TestEchoTrain:
             raise AssertionError("built nodes for a rejected ensemble")
 
         monkeypatch.setattr(simulator, "ensemble_nodes", no_nodes)
-        monkeypatch.setattr(simulator, "monte_carlo_nodes", no_nodes)
-        spec = EnsembleSpec(Gaussian(0.0, 0.1), detuning_dist=Uniform(-1.0, 1.0), nodes=65)
-        with pytest.raises(ValueError, match="DELTA_ZERO"):
-            echo_train("cp", 4, 0.1, ensemble_detuning=spec)
-        with pytest.raises(ValueError, match="DELTA_ZERO"):
-            echo_train("cp", 4, 0.1, ensemble_detuning=spec, mc_samples=16)
+        for eps_dist in (Gaussian(0.0, 0.1), sampled(Gaussian(0.0, 0.1), 16)):
+            spec = EnsembleSpec(eps_dist, detuning_dist=Uniform(-1.0, 1.0), nodes=65)
+            with pytest.raises(ValueError, match="DELTA_ZERO"):
+                echo_train("cp", 4, 0.1, ensemble_detuning=spec)
 
 
 def test_experiments_build_no_validated_wrappers(monkeypatch):
@@ -658,7 +682,7 @@ def test_experiments_build_no_validated_wrappers(monkeypatch):
         rabi_trace(4 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=use_bb1)
         for mode in ("cp", "cpmg"):
             echo_train(mode, 4, 0.1, use_bb1=use_bb1)
-            echo_train(mode, 4, 0.1, use_bb1=use_bb1, mc_samples=64, mc_seed=1)
+            echo_train(mode, 4, 0.1, sampled_line(64, 1), use_bb1)
     with pytest.raises(AssertionError, match="validated wrapper"):
         SpinState.spin_up()
 
