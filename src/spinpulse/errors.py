@@ -11,11 +11,9 @@ Two systematic error channels are modeled:
 
 Ensembles over ``epsilon`` (and optionally over detuning) are evaluated
 with deterministic quadrature - Gauss-Hermite for Gaussian weights,
-Gauss-Legendre for uniform ones, and the equal-weight midpoint rule on
-one period for a uniform spread over whole periods of a periodic
-integrand (``PeriodicUniform``, exact for a trigonometric polynomial of
-degree below the node count) - so that every downstream number is
-bit-reproducible.  Each Gauss rule is solved once per order per process
+Gauss-Legendre for uniform ones - so that every downstream number is
+bit-reproducible; the exact midpoint line of an echo train is the
+simulator's own.  Each Gauss rule is solved once per order per process
 and kept read-only (``_gauss_rule``); a distribution maps it to fresh
 arrays of its own.  A sampled ensemble is a ``Discrete`` of equal-weight
 draws.  Each distribution kind owns its quadrature mapping and
@@ -37,7 +35,6 @@ from .su2 import TWO_PI
 __all__ = [
     "Gaussian",
     "Uniform",
-    "PeriodicUniform",
     "Discrete",
     "Distribution",
     "DELTA_ZERO",
@@ -61,13 +58,12 @@ NODE_WEIGHT_TOL = 1e-10
 # Largest Gauss rule order accepted (Gaussian and Uniform).  The
 # companion-matrix eigensolve grows as n^3 (leggauss takes ~0.1 s at 1024
 # nodes, ~0.7 s at 2048) and is paid once per rule and order per process
-# (``_gauss_rule``); Gauss-Hermite already fails past ~370 nodes.  The
-# midpoint rule of PeriodicUniform solves nothing and is not bound by it.
+# (``_gauss_rule``); Gauss-Hermite already fails past ~370 nodes.
 MAX_NODES = 1024
 
-# Largest node count of a rule that solves nothing (PeriodicUniform,
-# Discrete), and largest ensemble grid, accepted: as many members as the
-# largest two-Gauss-rule grid (MAX_NODES**2), ~25 MB of nodes.
+# Largest node count beside a rule that solves nothing (a Discrete), and
+# largest ensemble grid, accepted: as many members as the largest
+# two-Gauss-rule grid (MAX_NODES**2), ~25 MB of nodes.
 MAX_MEMBERS = MAX_NODES**2
 
 
@@ -134,41 +130,6 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class PeriodicUniform(Uniform):
-    """Uniform on [lo, hi], which spans ``periods`` whole periods of the
-    integrand.
-
-    The mean of a periodic integrand over whole periods is its mean over
-    one, so the quadrature is the n-point midpoint rule on the period
-    centred on the middle of [lo, hi], each node weighted 1/n.  It is exact
-    for a trigonometric polynomial of degree below n in that period.
-    """
-
-    periods: int
-
-    max_nodes: ClassVar[int] = MAX_MEMBERS
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.lo < self.hi:
-            raise ValueError("PeriodicUniform requires lo < hi")
-        if not isinstance(self.periods, int) or self.periods < 1:
-            raise ValueError("PeriodicUniform periods must be an integer >= 1")
-
-    @property
-    def period(self) -> float:
-        return (self.hi - self.lo) / self.periods
-
-    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoints of one period and their equal weights."""
-        mid = 0.5 * (self.hi + self.lo)
-        return mid + self.period * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "rule": "periodic_midpoint", "periods": self.periods}
-
-
-@dataclass(frozen=True)
 class Discrete:
     """Weighted atoms; weights must be positive and sum to 1 within 1e-12."""
 
@@ -212,7 +173,9 @@ class ErrorModel:
     (rad); it accepts a mapping or an iterable of pairs and is stored as
     a sorted tuple with each phase reduced to [0, 2pi), as ``Pulse``
     reduces its phase.  Offsets must satisfy ``|dphi| < pi/2`` and the
-    amplitude error ``|epsilon| < 1``.
+    amplitude error ``|epsilon| < 1``.  No two channels may lie within
+    ``2 * PHASE_MATCH_TOL`` of each other on the circle, where one pulse
+    phase could match both.
     """
 
     epsilon: float = 0.0
@@ -230,6 +193,11 @@ class ErrorModel:
             if abs(d) >= math.pi / 2:
                 raise ValueError("phase offsets must satisfy |dphi| < pi/2")
         offsets = tuple(sorted((p % TWO_PI, d) for p, d in offsets))
+        phases = [p for p, _ in offsets]
+        # neighbours on the circle, the last channel's neighbour being the first
+        for a, b in zip(phases, phases[1:] + [p + TWO_PI for p in phases[:1]]):
+            if b - a <= 2 * PHASE_MATCH_TOL:
+                raise ValueError("phase channels must lie more than 2 * PHASE_MATCH_TOL apart")
         object.__setattr__(self, "phase_offsets", offsets)
 
     def offset_for(self, phi: float) -> float:

@@ -26,6 +26,8 @@ Experiments:
   excitation) and CPMG (refocusing in quadrature), with optional
   composite refocusing pulses and an optional analytic T2 envelope; at
   most ``MAX_SAMPLES`` echoes and ``MAX_MEMBER_ECHOES`` member-echoes.
+  Its default detuning line is its own (``_EchoLine``): the midpoint
+  rule on 2n + 1 members of one period, exact for n cycles.
 
 Both experiments build their repeated block once on the engine and then
 advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
@@ -47,16 +49,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import ClassVar, Literal, Optional
 
 import numpy as np
 
 from .errors import (
     DELTA_ZERO,
+    MAX_MEMBERS,
     EnsembleSpec,
     ErrorModel,
     NO_ERROR,
-    PeriodicUniform,
     ensemble_nodes,
 )
 from .sequence import MAX_REPETITIONS, Acquire, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
@@ -73,14 +75,13 @@ __all__ = [
     "DEFAULT_DETUNING_SPAN",
     "MAX_SAMPLES",
     "MAX_MEMBER_ECHOES",
-    "default_echo_ensemble",
 ]
 
 # Echo-experiment defaults: detuning spread wide enough to fully dephase
 # the ensemble between refocusing pulses (span * tau covers 4*pi of
 # accumulated phase, four whole periods of delta * tau), averaged by the
-# periodic midpoint rule, which is exact for n-cycle trains with at least
-# 2n + 1 nodes; echo_train without an ensemble takes exactly 2n + 1.
+# periodic midpoint rule of _EchoLine, which is exact for n-cycle trains
+# with at least 2n + 1 nodes; echo_train without an ensemble takes 2n + 1.
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 
@@ -309,20 +310,25 @@ def rabi_trace(
 # ---------------------------------------------------------------------------
 
 
-def _check_tau(tau: float) -> None:
-    if not (tau > 0) or not math.isfinite(tau):
-        raise ValueError("tau must be positive")
+@dataclass(frozen=True)
+class _EchoLine:
+    """The default detuning line of an echo train: uniform over
+    ``DEFAULT_DETUNING_SPAN / tau``, four whole periods ``2*pi/tau`` of
+    every echo, so its mean is the mean over one period.  The n-point
+    midpoint rule on the central period, each node weighted 1/n, is exact
+    for a trigonometric polynomial of degree below n in ``delta * tau``."""
 
+    tau: float
 
-def default_echo_ensemble(tau: float, nodes: int) -> EnsembleSpec:
-    """Uniform detuning ensemble spanning ``DEFAULT_DETUNING_SPAN / tau``,
-    four whole periods of the echo's ``2*pi/tau``, averaged by the periodic
-    midpoint rule; ``tau`` must be finite and positive."""
-    _check_tau(tau)
-    span = DEFAULT_DETUNING_SPAN / tau
-    return EnsembleSpec(
-        epsilon_dist=DELTA_ZERO, detuning_dist=PeriodicUniform(-span, span, 4), nodes=nodes
-    )
+    max_nodes: ClassVar[int] = MAX_MEMBERS
+
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints of the central period and their equal weights."""
+        return (TWO_PI / self.tau) * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
+
+    def to_dict(self) -> dict:
+        span = DEFAULT_DETUNING_SPAN / self.tau
+        return {"kind": "uniform", "lo": -span, "hi": span, "rule": "periodic_midpoint", "periods": 4}
 
 
 def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
@@ -352,11 +358,11 @@ def echo_train(
     (default: uniform, fully dephasing between pulses) represents the
     inhomogeneously broadened line; the refocusing error is the explicit
     scalar argument, so an ensemble whose epsilon distribution is not
-    ``DELTA_ZERO`` is rejected before any node is built.  The default
-    ensemble is ``default_echo_ensemble(tau, 2 * n_refocus + 1)``, the
-    fewest periodic midpoints whose mean is exact, and a periodic detuning
-    rule with fewer nodes is rejected.  A sampled line is a ``Discrete``
-    detuning distribution of equal-weight draws.
+    ``DELTA_ZERO`` is rejected before any node is built.  The default line
+    spans four whole periods ``2*pi/tau`` and is averaged by the midpoint
+    rule on ``2 * n_refocus + 1`` members of one period, the fewest whose
+    mean is exact, recorded as ``periodic_midpoint``.  A sampled line is a
+    ``Discrete`` detuning distribution of equal-weight draws.
 
     Echo amplitude k is the magnitude of the ensemble average of each
     member's signed ``<sy>``, the axis on which the ideal train keeps its
@@ -381,11 +387,14 @@ def echo_train(
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("epsilon must be finite with |epsilon| < 1")
-    _check_tau(tau)
+    if not (tau > 0) or not math.isfinite(tau):
+        raise ValueError("tau must be positive")
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
 
-    spec = ensemble_detuning or default_echo_ensemble(tau, 2 * n_refocus + 1)
+    # each echo is a trigonometric polynomial of degree <= 2n in delta * tau:
+    # 2n + 1 midpoints of one period give its mean exactly
+    spec = ensemble_detuning or EnsembleSpec(DELTA_ZERO, _EchoLine(tau), nodes=2 * n_refocus + 1)
     if spec.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
@@ -394,18 +403,6 @@ def echo_train(
     _, delta, weights = ensemble_nodes(spec).T
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
-    dist = spec.detuning_dist
-    if isinstance(dist, PeriodicUniform):
-        # Each echo is a trigonometric polynomial of degree <= 2n in
-        # delta * tau, so the midpoint rule over one period 2*pi/tau is
-        # exact from 2n + 1 nodes.
-        if abs(dist.period * tau - TWO_PI) > 1e-9 * TWO_PI:
-            raise ValueError("a periodic detuning rule for echo trains needs a period of 2*pi/tau")
-        if spec.nodes < 2 * n_refocus + 1:
-            raise ValueError(
-                f"a periodic detuning rule is exact for {n_refocus} cycles only with at least "
-                f"{2 * n_refocus + 1} nodes, got {spec.nodes}"
-            )
 
     refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
     eps = np.full(delta.shape, float(epsilon))

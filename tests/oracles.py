@@ -196,3 +196,14 @@ def sampled(dist, count: int, seed: int = 0):
     else:
         draws = rng.uniform(dist.lo, dist.hi, size=count)
     return Discrete(tuple((d, 1.0 / count) for d in draws.tolist()))
+
+
+def periodic_line(tau: float, count: int):
+    """An echo-train line spelled out: an ``EnsembleSpec`` whose detuning is
+    a ``Discrete`` of ``count`` equal-weight midpoints of the period
+    ``2*pi/tau`` centred on zero."""
+    from spinpulse import DELTA_ZERO, Discrete, EnsembleSpec
+
+    deltas = (2.0 * math.pi / tau) * ((np.arange(count) + 0.5) / count - 0.5)
+    atoms = tuple((d, 1.0 / count) for d in deltas.tolist())
+    return EnsembleSpec(DELTA_ZERO, Discrete(atoms), nodes=count)

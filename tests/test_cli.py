@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from spinpulse.cli import main
-from spinpulse.simulator import default_echo_ensemble, echo_train
+from spinpulse.simulator import echo_train
+
+from oracles import periodic_line
 
 
 def run(capsys, *argv):
@@ -275,7 +277,7 @@ class TestEchoCommand:
         train = [float(row.split(",")[1]) for row in out.strip().split("\n")[1:]]
         assert len(train) == 128
         for nodes, tol in ((257, 1e-13), (515, 1e-12)):
-            line = echo_train("cp", 128, 0.1, default_echo_ensemble(1.0, nodes), tau=1.0)
+            line = echo_train("cp", 128, 0.1, periodic_line(1.0, nodes), tau=1.0)
             assert max(abs(a - b) for a, b in zip(train, line.values)) < tol
 
     def test_default_line_is_echo_trains_own(self, capsys):

@@ -10,7 +10,6 @@ from spinpulse import (
     EnsembleSpec,
     ErrorModel,
     Gaussian,
-    PeriodicUniform,
     Pulse,
     PulseProgram,
     RotationSpec,
@@ -83,6 +82,23 @@ class TestPhaseChannels:
     def test_keys_stored_reduced(self):
         model = ErrorModel(0.0, {-math.pi / 2: 0.1, 2.5 * math.pi: 0.2})
         assert model.phase_offsets == ((0.5 * math.pi, 0.2), (1.5 * math.pi, 0.1))
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            ((0.0, 0.1), (0.0, 0.2)),
+            {0.0: 0.2, 2 * math.pi - 1e-12: 0.1},
+            [(1.0, 0.3), (1.0 + 5e-10, -0.3)],
+        ],
+    )
+    def test_channels_one_phase_could_match_rejected(self, offsets):
+        with pytest.raises(ValueError, match="2 \\* PHASE_MATCH_TOL apart"):
+            ErrorModel(0.0, offsets)
+
+    def test_channels_just_apart_accepted(self):
+        model = ErrorModel(0.0, {1.0: 0.1, 1.0 + 2.5e-9: 0.2, 1.2e-9: 0.3, -1.2e-9: 0.4})
+        phases = (1.0, 1.0 + 2.5e-9, 1.2e-9, 2 * math.pi - 1.2e-9)
+        assert [model.offset_for(p) for p in phases] == [0.1, 0.2, 0.3, 0.4]
 
     def test_match_wraps_at_zero(self):
         model = ErrorModel(0.0, {1e-10: 0.01})
@@ -183,49 +199,28 @@ class TestDistributions:
             ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=400))
 
 
-class TestPeriodicUniform:
-    """The midpoint rule on one period of a uniform spread over whole
-    periods: exact for trigonometric polynomials of degree below n."""
+def equal_atoms(count: int) -> Discrete:
+    return Discrete(tuple((k / count, 1.0 / count) for k in range(count)))
 
-    def test_midpoints_of_the_central_period(self):
-        values, weights = PeriodicUniform(-3.0, 5.0, 4).quadrature(4)
-        assert values.tolist() == [0.25, 0.75, 1.25, 1.75]
-        assert weights.tolist() == [0.25] * 4
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 64])
-    def test_exact_below_degree_n(self, n):
-        lo, hi, periods = -3 * math.pi, 5 * math.pi, 4  # period 2pi
-        values, weights = PeriodicUniform(lo, hi, periods).quadrature(n)
-        for k in range(-(n - 1), n):
-            got = math.fsum((weights * np.cos(k * values + 0.3)).tolist())
-            assert got == pytest.approx(math.cos(0.3) if k == 0 else 0.0, abs=1e-13)
-
-    def test_record_names_the_rule(self):
-        assert PeriodicUniform(-1.0, 1.0, 2).to_dict() == {
-            "kind": "uniform", "lo": -1.0, "hi": 1.0, "rule": "periodic_midpoint", "periods": 2,
-        }
-
-    @pytest.mark.parametrize(
-        "args", [(1.0, 1.0, 1), (0.0, math.inf, 1), (0.0, 1.0, 0), (0.0, 1.0, 1.5), (2.0, 1.0, 1)]
-    )
-    def test_validation(self, args):
-        with pytest.raises(ValueError):
-            PeriodicUniform(*args)
+class TestDiscreteBounds:
+    """A Discrete solves no rule: the Gauss order bound does not apply
+    beside it, the bound on members does."""
 
     def test_gauss_bound_does_not_apply(self, rule_calls):
-        spec = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=4095)
-        assert len(ensemble_nodes(spec)) == 4095
+        line = equal_atoms(4095)
+        assert len(ensemble_nodes(EnsembleSpec(DELTA_ZERO, line, nodes=4095))) == 4095
         assert rule_calls == []
         with pytest.raises(ValueError, match=f"\\[1, {MAX_MEMBERS}\\]"):
-            EnsembleSpec(DELTA_ZERO, PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_MEMBERS + 1)
+            EnsembleSpec(DELTA_ZERO, line, nodes=MAX_MEMBERS + 1)
         with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
-            EnsembleSpec(Gaussian(0.0, 0.1), PeriodicUniform(-1.0, 1.0, 1), nodes=MAX_NODES + 1)
+            EnsembleSpec(Gaussian(0.0, 0.1), line, nodes=MAX_NODES + 1)
 
     def test_grid_bounded(self):
-        wide = PeriodicUniform(-1.0, 1.0, 1)
-        spec = EnsembleSpec(wide, wide, nodes=MAX_NODES + 1)
+        # 1025 x 1025 atoms is more than MAX_MEMBERS = 1024**2
+        wide = equal_atoms(MAX_NODES + 1)
         with pytest.raises(ValueError, match=f"exceeds {MAX_MEMBERS}"):
-            ensemble_nodes(spec)
+            ensemble_nodes(EnsembleSpec(wide, wide, nodes=1))
 
 
 @pytest.fixture

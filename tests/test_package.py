@@ -16,7 +16,7 @@ PINNED_NAMES = """
     bb1_phases bb1_sequence bb1_rabi_program
     ParseError parse_program format_program parse_angle_literal
     Gaussian Uniform Discrete ErrorModel EnsembleSpec ensemble_nodes
-    SpinState Signal propagate bloch rabi_trace echo_train default_echo_ensemble
+    SpinState Signal propagate bloch rabi_trace echo_train
     FidelityScan EseemRatioSpec PhaseSensitivityReport bb1_fidelity scan_order
     phase_sensitivity_prediction verify_eq5_coefficients estimate_rotation_error
     ensemble_mean_fidelity eseem_ratio magic_refocus_angle __version__
@@ -24,7 +24,7 @@ PINNED_NAMES = """
 
 
 def test_pinned_names_stay_exported():
-    assert len(PINNED_NAMES) == 44
+    assert len(PINNED_NAMES) == 43
     assert set(PINNED_NAMES) <= set(spinpulse.__all__)
 
 
@@ -68,3 +68,21 @@ def test_readme_constants_match_the_modules():
         base, _, power = text.partition("^")
         stated = int(base) ** int(power) if power else float(base)
         assert stated == getattr(getattr(spinpulse, module), name), f"{module}.{name} = {text}"
+
+
+def test_readme_names_resolve():
+    # the leading name of each "Ensembles" bullet, and every name in the
+    # library rows of the layout table, is in its module's __all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    ensembles = readme.split("\n## Ensembles\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `(\w+)", ensembles, re.M)
+    assert bullets, "README lists no ensemble distribution"
+    for name in bullets:
+        assert name in errors.__all__, f"errors.{name}"
+    rows = re.findall(r"^\| `spinpulse\.(\w+)` *\| (.*) \|$", readme, re.M)
+    listed = {module: re.findall(r"`(\w+)`", names) for module, names in rows}
+    short = {module.__name__.rsplit(".", 1)[1]: module for module in MODULES}
+    assert sorted(listed) == sorted([*short, "cli"])
+    for name, module in short.items():
+        for listed_name in listed[name]:
+            assert listed_name in module.__all__, f"{name}.{listed_name}"

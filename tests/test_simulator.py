@@ -22,12 +22,10 @@ from spinpulse import (
     SpinState,
     Signal,
     MAX_REPETITIONS,
-    PeriodicUniform,
     Uniform,
     bb1_rabi_program,
     bb1_sequence,
     bloch,
-    default_echo_ensemble,
     echo_train,
     propagate,
     rabi_trace,
@@ -40,6 +38,7 @@ from spinpulse.su2 import IDENTITY, Unitary2, _rotations
 from oracles import (
     echo_train_oracle,
     gaussian_rabi_closed_form,
+    periodic_line,
     propagate_oracle,
     random_program,
     sampled,
@@ -415,7 +414,7 @@ def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_me
     every member's signed <sy>, the axis the ideal train keeps its echoes
     on.  With ``reference_member`` the detection axis is instead that of an
     extra zero-error, zero-detuning member, left out of the sum."""
-    spec = spec or default_echo_ensemble(1.0, 2 * n + 1)
+    spec = spec or periodic_line(1.0, 2 * n + 1)
     _, delta, weights = ensemble_nodes(spec).T
     eps = np.full(delta.shape, float(epsilon))
     if reference_member:
@@ -507,23 +506,24 @@ class TestEchoTrain:
         # 2n + 1 periodic midpoints give the same mean as 4n + 3 of them
         # and as the oracle's own midpoint loop
         got = echo_train(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
-        finer = echo_train(mode, n, epsilon, default_echo_ensemble(tau, 4 * n + 3), use_bb1, tau=tau)
+        finer = echo_train(mode, n, epsilon, periodic_line(tau, 4 * n + 3), use_bb1, tau=tau)
         assert got.provenance["ensemble"]["nodes"] == 2 * n + 1
         assert np.max(np.abs(got.values - finer.values)) < 1e-12
         oracle = echo_train_oracle(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
         assert np.max(np.abs(got.values - oracle)) < 1e-12
 
-    def test_periodic_rule_needs_2n_plus_1_nodes(self):
-        with pytest.raises(ValueError, match="at least 33 nodes"):
-            echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 32))
-        echo_train("cp", 16, 0.1, ensemble_detuning=default_echo_ensemble(1.0, 33))
-        # a sampled line is a Discrete, not a periodic rule: its count does not matter
-        echo_train("cp", 16, 0.1, ensemble_detuning=sampled_line(8, 0))
-        # a rule period other than the echo's 2*pi/tau is refused
-        two = EnsembleSpec(DELTA_ZERO, PeriodicUniform(-4 * math.pi, 4 * math.pi, 2), nodes=65)
-        for spec, tau in ((two, 1.0), (default_echo_ensemble(1.0, 33), 1.5)):
-            with pytest.raises(ValueError, match="period of 2\\*pi/tau"):
-                echo_train("cp", 16, 0.1, ensemble_detuning=spec, tau=tau)
+    def test_default_line_is_one_member_build(self, monkeypatch):
+        # the default line goes through ensemble_nodes, once, on 2n + 1 rows
+        rows = []
+
+        def spy(spec):
+            nodes = ensemble_nodes(spec)
+            rows.append(nodes.shape)
+            return nodes
+
+        monkeypatch.setattr(simulator, "ensemble_nodes", spy)
+        echo_train("cpmg", 16, 0.1, use_bb1=True, tau=0.7)
+        assert rows == [(33, 3)]
 
     def test_exact_default_train_up_to_the_member_echo_bound(self):
         assert len(echo_train("cp", 2047, 0.1).samples) == 2047
@@ -557,6 +557,8 @@ class TestEchoTrain:
         quad = echo_train("cpmg", 4, 0.1)
         mc = echo_train("cpmg", 4, 0.1, sampled_line(20000, 11))
         assert np.max(np.abs(quad.values - mc.values)) < 0.02
+        # a sampled line's member count is not tied to n: 8 members run 16 cycles
+        assert len(echo_train("cp", 16, 0.1, sampled_line(8, 0)).samples) == 16
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -570,8 +572,6 @@ class TestEchoTrain:
         for tau in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive"):
                 echo_train("cp", 4, 0.1, tau=tau)
-            with pytest.raises(ValueError, match="tau must be positive"):
-                default_echo_ensemble(tau, 33)
 
     @pytest.mark.parametrize("n", [1, 2, 32])
     @pytest.mark.parametrize("use_bb1", [False, True])
@@ -668,6 +668,23 @@ class TestEchoTrain:
             spec = EnsembleSpec(eps_dist, detuning_dist=Uniform(-1.0, 1.0), nodes=65)
             with pytest.raises(ValueError, match="DELTA_ZERO"):
                 echo_train("cp", 4, 0.1, ensemble_detuning=spec)
+
+
+class TestEchoLine:
+    """The default echo line's rule: the midpoint rule on one period
+    2*pi/tau, exact for trigonometric polynomials of degree below n."""
+
+    def test_midpoints_of_the_central_period(self):
+        values, weights = simulator._EchoLine(math.pi).quadrature(4)  # period 2
+        assert values.tolist() == [-0.75, -0.25, 0.25, 0.75]
+        assert weights.tolist() == [0.25] * 4
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_exact_below_degree_n(self, n):
+        values, weights = simulator._EchoLine(1.0).quadrature(n)  # period 2pi
+        for k in range(-(n - 1), n):
+            got = math.fsum((weights * np.cos(k * values + 0.3)).tolist())
+            assert got == pytest.approx(math.cos(0.3) if k == 0 else 0.0, abs=1e-13)
 
 
 def test_experiments_build_no_validated_wrappers(monkeypatch):
