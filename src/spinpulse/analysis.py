@@ -78,12 +78,14 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
     """Fidelity of ``pulses`` against the ideal ``theta`` rotation about x,
     for every amplitude error in ``eps``: the engine propagates the
     identity over the whole array at once."""
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("epsilon must be finite")
-    net = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
-    # the target goes through the public `rotation`, one wrapper per call and
-    # none per node: perfbench's program_check needs su2.rotation.calls > 0
-    return _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
+    with np.errstate(over="ignore", invalid="ignore"):
+        net = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
+        # the target goes through the public `rotation`, one wrapper per call and
+        # none per node: perfbench's program_check needs su2.rotation.calls > 0
+        fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
+    if not np.isfinite(fidelities).all():
+        raise ValueError("epsilon and theta must give finite rotation angles")
+    return fidelities
 
 
 def _bb1_pulses(theta: float, offsets: tuple[float, float] = (0.0, 0.0)) -> list[Pulse]:
@@ -126,8 +128,8 @@ def scan_order(
     lo, hi = eps_range
     if not (0.0 < lo < hi <= 0.3):
         raise ValueError("eps_range must satisfy 0 < lo < hi <= 0.3")
-    if not 5 <= n_points <= MAX_SAMPLES:
-        raise ValueError(f"n_points must lie in [5, {MAX_SAMPLES}]")
+    if type(n_points) is not int or not 5 <= n_points <= MAX_SAMPLES:
+        raise ValueError(f"n_points must be an integer in [5, {MAX_SAMPLES}]")
     eps = np.geomspace(lo, hi, n_points)
     pulses = _bb1_pulses(theta) if use_bb1 else [Pulse(theta, 0.0)]
     infid = 1.0 - _fidelities_over(theta, pulses, eps)

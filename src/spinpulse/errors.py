@@ -13,12 +13,12 @@ Ensembles over ``epsilon`` (and optionally over detuning) are evaluated
 with deterministic quadrature - Gauss-Hermite for Gaussian weights,
 Gauss-Legendre for uniform ones - so that every downstream number is
 bit-reproducible; the exact midpoint line of an echo train is the
-simulator's own.  Each Gauss rule is solved once per order per process
-and kept read-only (``_gauss_rule``); a distribution maps it to fresh
-arrays of its own.  A sampled ensemble is a ``Discrete`` of equal-weight
-draws.  Each distribution kind owns its quadrature mapping and
-provenance record; ``ensemble_nodes`` returns one ``(N, 3)`` array of
-(epsilon, delta, weight) rows.
+simulator's own.  Each Gauss rule, of order at most ``MAX_NODES``, is
+solved once per order per process and kept read-only (``_gauss_rule``);
+a distribution maps it to fresh arrays of its own.  A sampled ensemble
+is a ``Discrete`` of equal-weight draws.  Each distribution kind owns
+its quadrature mapping and provenance record; ``ensemble_nodes``
+returns one ``(N, 3)`` array of (epsilon, delta, weight) rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -55,15 +55,14 @@ PHASE_MATCH_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
 NODE_WEIGHT_TOL = 1e-10
 
-# Largest Gauss rule order accepted (Gaussian and Uniform).  The
-# companion-matrix eigensolve grows as n^3 (leggauss takes ~0.1 s at 1024
-# nodes, ~0.7 s at 2048) and is paid once per rule and order per process
-# (``_gauss_rule``); Gauss-Hermite already fails past ~370 nodes.
+# Largest Gauss rule order accepted, checked by ``_gauss_rule`` before it
+# solves anything.  The companion-matrix eigensolve grows as n^3 (leggauss
+# takes ~0.1 s at 1024 nodes, ~0.7 s at 2048) and is paid once per rule and
+# order per process; Gauss-Hermite already fails from 371 nodes.
 MAX_NODES = 1024
 
-# Largest node count beside a rule that solves nothing (a Discrete), and
-# largest ensemble grid, accepted: as many members as the largest
-# two-Gauss-rule grid (MAX_NODES**2), ~25 MB of nodes.
+# Largest ensemble grid accepted by ``ensemble_nodes``: as many members as
+# the largest two-Gauss-rule grid (MAX_NODES**2), ~25 MB of nodes.
 MAX_MEMBERS = MAX_NODES**2
 
 
@@ -72,10 +71,12 @@ def _gauss_rule(rule, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical nodes and weights of ``rule`` (``hermgauss`` or
     ``leggauss``) at order ``n``, solved once per process and read-only.
 
-    Overflow at large n leaves non-finite weights, which are cached as
-    they are and which ensemble_nodes reports as an error on every call;
-    numpy's warnings add nothing.
+    An order above ``MAX_NODES`` is refused unsolved.  Weights spoilt by
+    overflow are cached as they are, and ensemble_nodes refuses them on
+    every call; numpy's warnings add nothing.
     """
+    if n > MAX_NODES:
+        raise ValueError(f"a Gauss rule node count of {n} exceeds {MAX_NODES}")
     with np.errstate(all="ignore"):
         x, w = rule(n)
     x.setflags(write=False)
@@ -87,8 +88,6 @@ def _gauss_rule(rule, n: int) -> tuple[np.ndarray, np.ndarray]:
 class Gaussian:
     mean: float
     sigma: float
-
-    max_nodes: ClassVar[int] = MAX_NODES
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
@@ -109,8 +108,6 @@ class Gaussian:
 class Uniform:
     lo: float
     hi: float
-
-    max_nodes: ClassVar[int] = MAX_NODES
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -134,8 +131,6 @@ class Discrete:
     """Weighted atoms; weights must be positive and sum to 1 within 1e-12."""
 
     atoms: tuple[tuple[float, float], ...]
-
-    max_nodes: ClassVar[int] = MAX_MEMBERS
 
     def __post_init__(self):
         atoms = tuple((float(v), float(w)) for v, w in self.atoms)
@@ -218,10 +213,10 @@ class EnsembleSpec:
     """Distributions over amplitude error and detuning, plus node count.
 
     ``nodes`` is the quadrature order used per continuous distribution,
-    an integer from 1 to the smaller ``max_nodes`` of the two
-    distributions (``MAX_NODES`` for a Gauss rule, ``MAX_MEMBERS``
-    otherwise); ``Discrete`` distributions contribute their atoms
-    regardless of it.
+    an integer >= 1; ``Discrete`` distributions contribute their atoms
+    regardless of it.  Its bounds apply where they bound work: a Gauss
+    rule refuses an order above ``MAX_NODES``, and ``ensemble_nodes`` a
+    grid of more than ``MAX_MEMBERS`` rows.
     """
 
     epsilon_dist: Distribution
@@ -229,9 +224,8 @@ class EnsembleSpec:
     nodes: int = 41
 
     def __post_init__(self):
-        cap = min(self.epsilon_dist.max_nodes, self.detuning_dist.max_nodes)
-        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= cap:
-            raise ValueError(f"node count must be an integer in [1, {cap}]")
+        if type(self.nodes) is not int or self.nodes < 1:
+            raise ValueError("node count must be an integer >= 1")
 
     def to_dict(self) -> dict:
         """Provenance record: both distributions and the node count."""
@@ -249,11 +243,12 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
     The product grid of the two marginal node sets, epsilon-major, with
     weights multiplying; the weights sum to 1 within 1e-10.  Raises
     ``ValueError`` when the quadrature cannot meet that (Gauss-Hermite
-    overflows beyond about 370 nodes), or when the grid would have more
-    than ``MAX_MEMBERS`` rows.
+    overflows from 371 nodes), when the grid would have more than
+    ``MAX_MEMBERS`` rows, or when a member's value overflows.
     """
-    evals, ewts = spec.epsilon_dist.quadrature(spec.nodes)
-    dvals, dwts = spec.detuning_dist.quadrature(spec.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evals, ewts = spec.epsilon_dist.quadrature(spec.nodes)
+        dvals, dwts = spec.detuning_dist.quadrature(spec.nodes)
     if evals.size * dvals.size > MAX_MEMBERS:
         raise ValueError(f"an ensemble grid of {evals.size * dvals.size} nodes exceeds {MAX_MEMBERS}")
     weights = np.outer(ewts, dwts).ravel()
@@ -262,5 +257,7 @@ def ensemble_nodes(spec: EnsembleSpec) -> np.ndarray:
             f"quadrature with {spec.nodes} nodes gives weights that are not finite "
             "or do not sum to 1 within 1e-10; use fewer nodes"
         )
+    if not (np.isfinite(evals).all() and np.isfinite(dvals).all()):
+        raise ValueError("ensemble member values overflow to non-finite numbers")
     return np.column_stack((np.repeat(evals, dvals.size), np.tile(dvals, evals.size), weights))
 

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
 from .errors import (
     DELTA_ZERO,
-    MAX_MEMBERS,
     EnsembleSpec,
     ErrorModel,
     NO_ERROR,
@@ -320,8 +319,6 @@ class _EchoLine:
 
     tau: float
 
-    max_nodes: ClassVar[int] = MAX_MEMBERS
-
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints of the central period and their equal weights."""
         return (TWO_PI / self.tau) * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
@@ -383,7 +380,7 @@ def echo_train(
     mode_l = str(mode).lower()
     if mode_l not in ("cp", "cpmg"):
         raise ValueError(f"mode must be 'cp' or 'cpmg', got {mode!r}")
-    if not isinstance(n_refocus, int) or not 1 <= n_refocus <= MAX_SAMPLES:
+    if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("epsilon must be finite with |epsilon| < 1")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestBb1Fidelity:
         with pytest.raises(ValueError, match="finite"):
             bb1_fidelity(math.pi, math.nan)
 
+    def test_overflowing_angle_rejected(self):
+        # theta * (1 + epsilon) overflows: an error, not a fidelity of nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                bb1_fidelity(math.pi, 1e308)
+            with pytest.raises(ValueError, match="finite"):
+                scan_order(1.7e308, (0.01, 0.1), 9, use_bb1=False)
+
     def test_measured_phase_scenario(self):
         f = bb1_fidelity(math.pi, 0.1, (0.007 * math.pi, 0.001 * math.pi))
         assert f == pytest.approx(BB1_MEASURED_PHASE_FIDELITY, rel=1e-9)
@@ -169,6 +179,20 @@ class TestScanOrder:
             FidelityScan(1.0, ((0.1, 0.0), (0.1, 0.0)))
         with pytest.raises(ValueError):
             FidelityScan(1.0, ((0.1, -1e-9),))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: echo_train("cp", True, 0.1), "n_refocus"),
+        (lambda: scan_order(math.pi, (0.01, 0.1), 9.0), "n_points"),
+        (lambda: EnsembleSpec(Uniform(-1.0, 1.0), nodes=True), "node count"),
+    ],
+    ids=["echo_train", "scan_order", "EnsembleSpec"],
+)
+def test_counts_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=f"{message} must be an integer"):
+        call()
 
 
 class TestPhaseSensitivity:

@@ -634,6 +634,21 @@ class TestEntryPoint:
         assert code == 0
         assert proc.stdout == out
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("fidelity", "--theta", "1pi", "--epsilon", "1e308", "--bb1"), "finite"),
+            (("echo", "--mode", "cp", "--n", "4", "--tau", "1e-310"), "overflow"),
+        ],
+        ids=["fidelity", "echo"],
+    )
+    def test_overflow_exits_2_without_warnings(self, argv, message):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_domain_error_exits_2(self):
         proc = run_module("eseem-ratio", "--mode", "magic", "--theta-eps", "0rad")
         assert proc.returncode == 2

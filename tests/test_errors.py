@@ -185,14 +185,29 @@ class TestDistributions:
         with pytest.raises(ValueError):
             EnsembleSpec(Gaussian(0, 0.1), nodes=0)
 
-    def test_node_count_bounded(self):
-        # constructing the spec alone must refuse; no quadrature is built
-        assert EnsembleSpec(Uniform(-1.0, 1.0), nodes=MAX_NODES).nodes == MAX_NODES
-        with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
-            EnsembleSpec(Uniform(-1.0, 1.0), nodes=10**6)
+    def test_node_count_bounded(self, rule_calls):
+        # the spec constructs; the Gauss rule refuses the order before solving it
+        spec = EnsembleSpec(Uniform(-1.0, 1.0), nodes=10**6)
+        with pytest.raises(ValueError, match="node count"):
+            ensemble_nodes(spec)
+        assert rule_calls == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnsembleSpec(Uniform(-1e308, 1e308), nodes=3),
+            EnsembleSpec(Gaussian(1e308, 1e308), nodes=3),
+            EnsembleSpec(DELTA_ZERO, Uniform(-1e308, 1e308), nodes=3),
+        ],
+    )
+    def test_overflowing_members_rejected(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ensemble_nodes(spec)
 
     def test_overflowing_quadrature_rejected(self):
-        # Gauss-Hermite weights overflow to nan near 373 nodes; 300 is fine
+        # Gauss-Hermite weights are all zero at 371 nodes and nan from 372; 300 is fine
         nodes = ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=300))
         assert math.fsum(w for _, _, w in nodes) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(ValueError, match="400 nodes"):
@@ -211,10 +226,9 @@ class TestDiscreteBounds:
         line = equal_atoms(4095)
         assert len(ensemble_nodes(EnsembleSpec(DELTA_ZERO, line, nodes=4095))) == 4095
         assert rule_calls == []
-        with pytest.raises(ValueError, match=f"\\[1, {MAX_MEMBERS}\\]"):
-            EnsembleSpec(DELTA_ZERO, line, nodes=MAX_MEMBERS + 1)
-        with pytest.raises(ValueError, match=f"\\[1, {MAX_NODES}\\]"):
-            EnsembleSpec(Gaussian(0.0, 0.1), line, nodes=MAX_NODES + 1)
+        with pytest.raises(ValueError, match="node count"):
+            ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.1), line, nodes=MAX_NODES + 1))
+        assert rule_calls == []
 
     def test_grid_bounded(self):
         # 1025 x 1025 atoms is more than MAX_MEMBERS = 1024**2
@@ -272,12 +286,27 @@ class TestRuleCache:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
+    def test_order_above_bound_refused_unsolved(self, rule_calls):
+        rule = np.polynomial.legendre.leggauss
+        for cache in ("cold", "warm"):
+            with pytest.raises(ValueError, match=f"node count of {MAX_NODES + 1} exceeds {MAX_NODES}"):
+                _gauss_rule(rule, MAX_NODES + 1)
+            assert _gauss_rule.cache_info().currsize == {"cold": 0, "warm": 1}[cache]
+            _gauss_rule(rule, MAX_NODES)
+        assert rule_calls == [("leggauss", MAX_NODES)]
+
     def test_overflowed_rule_rejected_cold_and_warm(self):
+        # Gauss-Hermite holds to 370 nodes; at 371 its weights are finite and
+        # all zero, so only the sum clause refuses them; from 372 they are not finite
         _gauss_rule.cache_clear()
-        spec = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in ("cold", "warm"):
-                with pytest.raises(ValueError, match="400 nodes"):
-                    ensemble_nodes(spec)
-
+                nodes = ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=370))
+                assert math.fsum(nodes[:, 2].tolist()) == pytest.approx(1.0, abs=1e-10)
+                for n in (371, 372, 400):
+                    with pytest.raises(ValueError, match=f"{n} nodes"):
+                        ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.05), nodes=n))
+        w = _gauss_rule(np.polynomial.hermite.hermgauss, 371)[1]
+        assert np.all(np.isfinite(w)) and not np.any(w)
+        assert not np.all(np.isfinite(_gauss_rule(np.polynomial.hermite.hermgauss, 372)[1]))

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,13 @@ class TestEchoTrain:
         for tau in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive"):
                 echo_train("cp", 4, 0.1, tau=tau)
+
+    def test_overflowing_default_line_rejected(self):
+        # the default line's period 2*pi/tau overflows at tau = 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                echo_train("cp", 4, 0.1, tau=1e-310)
 
     @pytest.mark.parametrize("n", [1, 2, 32])
     @pytest.mark.parametrize("use_bb1", [False, True])
