@@ -373,13 +373,14 @@ def eseem_ratio(spec: EseemRatioSpec) -> float:
     sign of ``t``; take the magnitude if only sizes matter.
     """
     t = spec.theta_eps
-    if spec.mode == "pi":
-        return 2.0 * t * t
-    if t == 0.0:
+    if spec.mode == "magic" and t == 0.0:
         raise ValueError(
             "ratio diverges for a perfect magic-angle pulse (the doubled component vanishes)"
         )
-    return math.sqrt(2.0) / t
+    ratio = 2.0 * t * t if spec.mode == "pi" else math.sqrt(2.0) / t
+    if not math.isfinite(ratio):
+        raise ValueError(f"the ratio is not finite for theta_eps={t!r} ({spec.mode} mode)")
+    return ratio
 
 
 def magic_refocus_angle() -> float:

@@ -255,10 +255,8 @@ def _format_elements(elements, indent: int, out: list[str]) -> None:
             out.append(f"{pad}repeat {el.count} {{")
             _format_elements(el.body, indent + 1, out)
             out.append(f"{pad}}}")
-        elif isinstance(el, Acquire):
-            out.append(f"{pad}acquire")
         else:
-            raise TypeError(f"unknown sequence element {el!r}")
+            out.append(f"{pad}acquire")
 
 
 def format_program(p: PulseProgram) -> str:
@@ -275,9 +273,7 @@ def _element_to_ast(el) -> dict:
         return {"type": "delay", "tau_s": el.tau}
     if isinstance(el, Repeat):
         return {"type": "repeat", "count": el.count, "body": [_element_to_ast(b) for b in el.body]}
-    if isinstance(el, Acquire):
-        return {"type": "acquire"}
-    raise TypeError(f"unknown sequence element {el!r}")
+    return {"type": "acquire"}
 
 
 def program_to_ast(p: PulseProgram) -> dict:

@@ -92,10 +92,10 @@ class Repeat:
     body: tuple["SequenceElement", ...]
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
+        if type(self.count) is not int or self.count < 1:
             raise ValueError("repeat count must be >= 1 and an integer")
         object.__setattr__(self, "body", tuple(self.body))
-        if self.count * max(1, _applications(self.body)) > MAX_REPETITIONS:
+        if self.count * max(1, _walk(self.body)[0]) > MAX_REPETITIONS:
             raise ValueError(
                 f"repeat count times the runs of one pulse or delay per pass exceeds "
                 f"{MAX_REPETITIONS}"
@@ -110,21 +110,19 @@ class Acquire:
 SequenceElement = Union[Pulse, Delay, Repeat, Acquire]
 
 
-def _applications(elements) -> int:
-    """Most times any one ``Pulse`` or ``Delay`` in ``elements`` runs."""
-    return max(
-        (el.count * _applications(el.body) if isinstance(el, Repeat) else 1
-         for el in elements if not isinstance(el, Acquire)),
-        default=0,
-    )
-
-
-def _nesting_depth(elements) -> int:
-    depth = 0
+def _walk(elements) -> tuple[int, int]:
+    """Most runs of any one ``Pulse`` or ``Delay`` in ``elements``, and the ``Repeat`` depth."""
+    runs = depth = 0
     for el in elements:
         if isinstance(el, Repeat):
-            depth = max(depth, 1 + _nesting_depth(el.body))
-    return depth
+            body_runs, body_depth = _walk(el.body)
+            runs = max(runs, el.count * body_runs)
+            depth = max(depth, 1 + body_depth)
+        elif isinstance(el, (Pulse, Delay)):
+            runs = max(runs, 1)
+        elif not isinstance(el, Acquire):
+            raise ValueError(f"not a sequence element: {el!r}")
+    return runs, depth
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ class PulseProgram:
     """An ordered, immutable sequence of elements with a free-form name.
 
     The name is metadata only and does not participate in equality.
-    Repeat nesting deeper than ``MAX_NESTING_DEPTH`` is rejected.
+    Repeat nesting deeper than ``MAX_NESTING_DEPTH``, or a non-element at any depth, is rejected.
     """
 
     elements: tuple[SequenceElement, ...]
@@ -140,7 +138,7 @@ class PulseProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if _nesting_depth(self.elements) > MAX_NESTING_DEPTH:
+        if _walk(self.elements)[1] > MAX_NESTING_DEPTH:
             raise ValueError(f"nesting depth exceeds {MAX_NESTING_DEPTH}")
 
 
@@ -186,7 +184,7 @@ def bb1_rabi_program(n: int, remainder_theta: float) -> PulseProgram:
     correction phases.  The net propagator at zero error equals a simple
     rotation by ``n*pi + remainder_theta`` about x.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("cycle count n must be an integer >= 0")
     if not math.isfinite(remainder_theta) or not (0.0 <= remainder_theta < math.pi):
         raise ValueError("remainder_theta must lie in [0, pi)")

@@ -110,7 +110,7 @@ class RotationSpec:
 
     ``theta`` must be non-negative and ``phi`` is normalized to [0, 2pi).
     ``epsilon`` is the fractional over/under-rotation: the realized angle
-    is ``theta * (1 + epsilon)``.
+    is ``theta * (1 + epsilon)``, which must be finite.
     """
 
     theta: float
@@ -123,6 +123,8 @@ class RotationSpec:
                 raise ValueError(f"{name} must be finite")
         if self.theta < 0:
             raise ValueError("theta must be >= 0")
+        if not math.isfinite(self.theta * (1.0 + self.epsilon)):
+            raise ValueError("the rotation angle theta * (1 + epsilon) must be finite")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 

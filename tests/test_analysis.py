@@ -382,6 +382,11 @@ class TestEseem:
         with pytest.raises(ValueError):
             eseem_ratio(EseemRatioSpec("magic", 0.0))
 
+    @pytest.mark.parametrize("mode,theta_eps", [("pi", 1e308), ("magic", 1e-320)])
+    def test_non_finite_ratio_rejected(self, mode, theta_eps):
+        with pytest.raises(ValueError, match="not finite"):
+            eseem_ratio(EseemRatioSpec(mode, theta_eps))
+
     def test_parity(self):
         for t in (0.03, 0.1, 0.2):
             assert eseem_ratio(EseemRatioSpec("pi", -t)) == eseem_ratio(EseemRatioSpec("pi", t))

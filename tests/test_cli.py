@@ -639,8 +639,11 @@ class TestEntryPoint:
         [
             (("fidelity", "--theta", "1pi", "--epsilon", "1e308", "--bb1"), "finite"),
             (("echo", "--mode", "cp", "--n", "4", "--tau", "1e-310"), "overflow"),
+            (("fidelity", "--theta", "1pi", "--epsilon", "1e308"), "rotation angle"),
+            (("eseem-ratio", "--mode", "pi", "--theta-eps", "1e308rad"), "not finite"),
+            (("eseem-ratio", "--mode", "magic", "--theta-eps", "1e-320rad"), "not finite"),
         ],
-        ids=["fidelity", "echo"],
+        ids=["fidelity", "echo", "fidelity-simple", "eseem-pi", "eseem-magic"],
     )
     def test_overflow_exits_2_without_warnings(self, argv, message):
         proc = run_module(*argv)

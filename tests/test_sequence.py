@@ -120,6 +120,8 @@ class TestBb1RabiProgram:
             bb1_rabi_program(2, math.pi)
         with pytest.raises(ValueError):
             bb1_rabi_program(2, -0.1)
+        with pytest.raises(ValueError, match="integer"):
+            bb1_rabi_program(True, 0.0)
 
 
 class TestElements:
@@ -140,6 +142,21 @@ class TestElements:
     def test_repeat_rejects_bad_count(self):
         with pytest.raises(ValueError):
             Repeat(0, (Acquire(),))
+        with pytest.raises(ValueError, match="integer"):
+            Repeat(True, (Acquire(),))
+
+    @pytest.mark.parametrize(
+        "build,culprit",
+        [
+            (lambda: PulseProgram(("junk",)), "'junk'"),
+            (lambda: PulseProgram((Repeat(2, (None,)),)), "None"),
+            (lambda: Repeat(2, (Pulse(1.0, 0.0), "x")), "'x'"),
+        ],
+        ids=["top-level", "nested", "repeat-body"],
+    )
+    def test_non_element_rejected(self, build, culprit):
+        with pytest.raises(ValueError, match=f"not a sequence element: {culprit}"):
+            build()
 
     def test_repeat_bounded_by_nested_repetitions(self):
         assert MAX_REPETITIONS == 2**23

@@ -263,6 +263,12 @@ class TestBloch:
         s = SpinState(math.cos(0.3), math.sin(0.3) * np.exp(1j * 0.9))
         assert np.linalg.norm(bloch(s)) <= 1 + 1e-12
 
+    def test_repr_round_trips(self):
+        s = SpinState(math.cos(0.3), math.sin(0.3) * np.exp(1j * 0.9))
+        back = eval(repr(s), {"SpinState": SpinState, "np": np})
+        assert isinstance(back, SpinState)
+        assert np.array_equal(back.vector, s.vector)
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             SpinState(1.0, 1.0)

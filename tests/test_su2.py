@@ -140,9 +140,12 @@ def test_axis_angle_identity():
 
 
 def test_axis_angle_pi_about_x():
-    axis, angle = axis_angle(rotation(RotationSpec(math.pi, 0.0, 0.0)))
-    assert angle == pytest.approx(math.pi, abs=1e-12)
-    assert np.allclose(axis, [1, 0, 0], atol=1e-12)
+    # phase pi is the axis -x: a pi rotation's axis is reported with its
+    # first nonzero component positive, so it too comes back as +x
+    for phi in (0.0, math.pi):
+        axis, angle = axis_angle(rotation(RotationSpec(math.pi, phi, 0.0)))
+        assert angle == pytest.approx(math.pi, abs=1e-12)
+        assert np.allclose(axis, [1, 0, 0], atol=1e-12)
 
 
 @given(st.floats(0.1, math.pi - 0.1), phases)
@@ -192,6 +195,13 @@ def test_unitary2_determinant_check():
         Unitary2(a, 0, 0, b)
 
 
+def test_unitary2_repr_round_trips():
+    u = rotation(RotationSpec(1.0, 0.3, 0.1))
+    back = eval(repr(u), {"Unitary2": Unitary2, "np": np})
+    assert isinstance(back, Unitary2)
+    assert np.array_equal(back.matrix, u.matrix)
+
+
 def test_unitary2_matrix_is_read_only():
     u = rotation(RotationSpec(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -205,5 +215,8 @@ def test_rotation_spec_validation():
         RotationSpec(math.inf, 0.0, 0.0)
     with pytest.raises(ValueError):
         RotationSpec(1.0, 0.0, math.nan)
+    # finite inputs whose realized angle overflows are refused before any matrix
+    with pytest.raises(ValueError, match=r"rotation angle theta \* \(1 \+ epsilon\) must be finite"):
+        RotationSpec(math.pi, 0.0, 1e308)
     assert RotationSpec(1.0, -math.pi / 2, 0.0).phi == pytest.approx(1.5 * math.pi)
     assert RotationSpec(1.0, 2.0 * math.pi, 0.0).phi == 0.0
