@@ -85,7 +85,8 @@ class Repeat:
 
     ``count`` times the most runs of any one ``Pulse`` or ``Delay`` in the
     body (nested repeats multiply, an ``Acquire`` runs nothing) must not
-    exceed ``MAX_REPETITIONS``; so must ``count`` itself.
+    exceed ``MAX_REPETITIONS``; so must ``count`` itself.  The repeat and
+    the repeats it nests may be at most ``MAX_NESTING_DEPTH`` deep.
     """
 
     count: int
@@ -95,7 +96,10 @@ class Repeat:
         if type(self.count) is not int or self.count < 1:
             raise ValueError("repeat count must be >= 1 and an integer")
         object.__setattr__(self, "body", tuple(self.body))
-        if self.count * max(1, _walk(self.body)[0]) > MAX_REPETITIONS:
+        runs, depth = _walk(self.body)
+        if 1 + depth > MAX_NESTING_DEPTH:
+            raise ValueError(f"nesting depth exceeds {MAX_NESTING_DEPTH}")
+        if self.count * max(1, runs) > MAX_REPETITIONS:
             raise ValueError(
                 f"repeat count times the runs of one pulse or delay per pass exceeds "
                 f"{MAX_REPETITIONS}"
@@ -129,8 +133,9 @@ def _walk(elements) -> tuple[int, int]:
 class PulseProgram:
     """An ordered, immutable sequence of elements with a free-form name.
 
-    The name is metadata only and does not participate in equality.
-    Repeat nesting deeper than ``MAX_NESTING_DEPTH``, or a non-element at any depth, is rejected.
+    The name is metadata only and does not participate in equality.  A
+    non-element at any depth is rejected; each ``Repeat`` bounds its own
+    nesting depth.
     """
 
     elements: tuple[SequenceElement, ...]
@@ -138,8 +143,7 @@ class PulseProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if _walk(self.elements)[1] > MAX_NESTING_DEPTH:
-            raise ValueError(f"nesting depth exceeds {MAX_NESTING_DEPTH}")
+        _walk(self.elements)
 
 
 def bb1_phases(theta: float) -> tuple[float, float]:

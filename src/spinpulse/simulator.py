@@ -31,12 +31,14 @@ Experiments:
 
 Both experiments build their repeated block once on the engine and then
 advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
-to each gap's power by the engine's ``Repeat`` rule, and ``echo_train``
-builds the echo-cycle propagator and advances every member by one 2x2
-product per echo.  An echo train is taken in slices of at most
-``_SLICE_MEMBER_ECHOES`` member-echoes, each reduced as one array
-operation before the next is advanced, so a train never holds more than
-one slice.
+to each gap's power by the engine's ``Repeat`` rule, and the echo kernel
+(``_echo_amplitudes``) builds the echo-cycle propagator and advances every
+member by one 2x2 product per echo.  The kernel runs a block of amplitude
+errors at once (every error with every detuning node), so the rotation
+error fit runs its grid and each refinement step as one call;
+``echo_train`` is its one-error case.  Echoes are taken in slices of at
+most ``_SLICE_MEMBER_ECHOES`` member-echoes, each reduced before the next
+is advanced, so a block never holds more than one slice.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -88,15 +90,17 @@ DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 # workloads use at most a few hundred, and 1e5 already costs tens of MB.
 MAX_SAMPLES = 100_000
 
-# Largest n_refocus * members accepted by echo_train.  A train's
-# propagation holds at most one slice of echoes, so this bounds time, not
-# memory; it is the bound an exact default train (2n + 1 members) meets
-# first: n <= 2047.
+# Largest n_refocus * members accepted by echo_train, and so by the
+# rotation-error fit on its default line.  A train's propagation holds at
+# most one slice of echoes, so this bounds time, not memory; it is the
+# bound an exact default train (2n + 1 members) meets first: n <= 2047.
 MAX_MEMBER_ECHOES = 2**23
 
-# Member-echoes per slice of an echo train: the slice buffer holds two
-# complex amplitudes per member-echo (1 MB), plus the slice's reduction.
-_SLICE_MEMBER_ECHOES = 2**15
+# Member-echoes per slice of an echo block: the slice buffer holds two
+# complex amplitudes per member-echo (128 kB), plus the slice's reduction.
+# A fit's 31-error grid (31 x 65 members) peaks at 2.8 MB traced with
+# slices of 2^15 and at 0.55 MB with 2^12, at the same speed.
+_SLICE_MEMBER_ECHOES = 2**12
 
 
 class SpinState:
@@ -134,7 +138,8 @@ class SpinState:
         return self._v
 
     def __repr__(self) -> str:
-        return f"SpinState({self._v[0]!r}, {self._v[1]!r})"
+        up, down = self._v.tolist()  # Python complex values: the repr needs no numpy
+        return f"SpinState({up!r}, {down!r})"
 
 
 def bloch(state: SpinState) -> np.ndarray:
@@ -334,6 +339,94 @@ def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
     return (Delay(tau), *pulses, Delay(tau))
 
 
+# Phase of the refocusing pulses: CP refocuses about x, CPMG about y.
+_REFOCUS_PHASE = {"cp": 0.0, "cpmg": math.pi / 2.0}
+
+
+def _default_line(n_refocus: int, tau: float) -> EnsembleSpec:
+    # each echo is a trigonometric polynomial of degree <= 2n in delta * tau:
+    # 2n + 1 midpoints of one period give its mean exactly
+    return EnsembleSpec(DELTA_ZERO, _EchoLine(tau), nodes=2 * n_refocus + 1)
+
+
+def _echo_nodes(
+    n_refocus: int, tau: float, spec: Optional[EnsembleSpec] = None
+) -> tuple[EnsembleSpec, np.ndarray, np.ndarray]:
+    """The line, detuning nodes and weights of an ``n_refocus``-cycle train
+    on ``spec`` (default: the exact default line), after the bounds every
+    train meets before any work: at most ``MAX_SAMPLES`` echoes, a finite
+    positive ``tau``, no amplitude-error distribution, and at most
+    ``MAX_MEMBER_ECHOES`` member-echoes."""
+    if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
+        raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
+    if not (tau > 0) or not math.isfinite(tau):
+        raise ValueError("tau must be positive")
+    spec = spec or _default_line(n_refocus, tau)
+    if spec.epsilon_dist != DELTA_ZERO:
+        raise ValueError(
+            "echo_train takes its amplitude error from epsilon; the ensemble's "
+            "epsilon_dist must be DELTA_ZERO"
+        )
+    _, delta, weights = ensemble_nodes(spec).T
+    if n_refocus * delta.size > MAX_MEMBER_ECHOES:
+        raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
+    return spec, delta, weights
+
+
+def _echo_amplitudes(
+    refocus_phase: float,
+    n: int,
+    eps_values: np.ndarray,
+    delta: np.ndarray,
+    weights: np.ndarray,
+    use_bb1: bool,
+    tau: float,
+) -> np.ndarray:
+    """Echo amplitudes, before any T2 envelope, of an ``n``-cycle train at
+    every amplitude error in ``eps_values``: row ``e`` of the ``(E, n)``
+    result is the train at ``eps_values[e]`` on the detuning nodes
+    ``delta`` with ``weights``.
+
+    The E * M members (``np.repeat(eps, M)`` by ``np.tile(delta, E)``) run
+    as one block: the cycle propagator ``C`` is built once on the engine,
+    and echo k is ``C`` applied to echo k-1, in the column form, one 2x2
+    product per member and echo.  The echoes are taken in slices of at
+    most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each slice is reduced
+    (one ``math.fsum`` per echo and amplitude error) before the next is
+    advanced, so only the returned array grows with ``n``.  Each member's
+    arithmetic does not depend on the others, so a row equals, bit for bit,
+    the train run at that amplitude error alone.
+    """
+    count_eps, members = eps_values.size, delta.size
+    eps = np.repeat(eps_values, members)
+    cycle = _propagate_nodes(
+        _echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, np.tile(delta, count_eps), IDENTITY
+    )
+    a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
+    del cycle  # not held through the echo loop, where the block peaks
+    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
+    u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
+    rows = min(n, max(1, _SLICE_MEMBER_ECHOES // eps.size))
+    up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
+
+    sums = np.empty((n, count_eps))
+    for start in range(0, n, rows):
+        count = min(rows, n - start)
+        for j in range(count):
+            # both columns are computed before either is stored; the engine's product
+            # `cycle @ psi` gives the same echoes bit for bit but is slower (5.38 against
+            # 4.36 us per echo at 65 members, 2-vCPU VM), so the column form stays
+            u, v = a * u + b * v, c * u + d * v
+            up[j], down[j] = u, v
+        # the ideal train keeps every echo on +-y: the signed <sy> of each member
+        sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag
+        terms = (weights * sy.reshape(count, count_eps, members)).reshape(-1, members)
+        sums[start : start + count] = np.fromiter(
+            map(math.fsum, terms.tolist()), float, count * count_eps
+        ).reshape(count, count_eps)
+    return np.abs(sums.T)
+
+
 def echo_train(
     mode: Literal["cp", "cpmg"],
     n_refocus: int,
@@ -366,65 +459,31 @@ def echo_train(
     of more than ``MAX_MEMBER_ECHOES`` echoes times members, is rejected
     before propagation.
 
-    The cycle ``tau - refocusing pulse - tau`` runs once on the engine,
-    from the identity, for its propagator ``C`` at every member; echo k is
-    ``C`` applied to echo k-1, one 2x2 product per member and echo.  The
-    echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
-    member-echoes, and each slice is reduced before the next is advanced,
-    so only the returned samples grow with ``n_refocus``.  They equal, bit
-    for bit, those reduced one by one from the running product
+    The train is the one-row case of the echo kernel (``_echo_amplitudes``):
+    the cycle ``tau - refocusing pulse - tau`` runs once on the engine, from
+    the identity, for its propagator ``C`` at every member, and echo k is
+    ``C`` applied to echo k-1, taken in slices of bounded size.  The echoes
+    equal, bit for bit, those reduced one by one from the running product
     ``psi_k = C @ psi_(k-1)`` of the engine's cycle propagator.
     """
     mode_l = str(mode).lower()
-    if mode_l not in ("cp", "cpmg"):
+    if mode_l not in _REFOCUS_PHASE:
         raise ValueError(f"mode must be 'cp' or 'cpmg', got {mode!r}")
-    if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
-        raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("epsilon must be finite with |epsilon| < 1")
-    if not (tau > 0) or not math.isfinite(tau):
-        raise ValueError("tau must be positive")
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
+    spec, delta, weights = _echo_nodes(n_refocus, tau, ensemble_detuning)
 
-    # each echo is a trigonometric polynomial of degree <= 2n in delta * tau:
-    # 2n + 1 midpoints of one period give its mean exactly
-    spec = ensemble_detuning or EnsembleSpec(DELTA_ZERO, _EchoLine(tau), nodes=2 * n_refocus + 1)
-    if spec.epsilon_dist != DELTA_ZERO:
-        raise ValueError(
-            "echo_train takes its amplitude error from epsilon; the ensemble's "
-            "epsilon_dist must be DELTA_ZERO"
-        )
-    _, delta, weights = ensemble_nodes(spec).T
-    if n_refocus * delta.size > MAX_MEMBER_ECHOES:
-        raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
-
-    refocus_phase = 0.0 if mode_l == "cp" else math.pi / 2.0
-    eps = np.full(delta.shape, float(epsilon))
-    cycle = _propagate_nodes(_echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, delta, IDENTITY)
-    a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
-    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
-    u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
-    rows = min(n_refocus, max(1, _SLICE_MEMBER_ECHOES // eps.size))
-    up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
-
+    amps = _echo_amplitudes(
+        _REFOCUS_PHASE[mode_l], n_refocus, np.array([float(epsilon)]), delta, weights, use_bb1, tau
+    )
     samples = []
-    for start in range(0, n_refocus, rows):
-        count = min(rows, n_refocus - start)
-        for j in range(count):
-            # both columns are computed before either is stored; the engine's product
-            # `cycle @ psi` gives the same echoes bit for bit but is slower (5.38 against
-            # 4.36 us per echo at 65 members, 2-vCPU VM), so the column form stays
-            u, v = a * u + b * v, c * u + d * v
-            up[j], down[j] = u, v
-        # the ideal train keeps every echo on +-y: the signed <sy> of each member
-        sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag
-        for k, row in enumerate(weights * sy, start=start + 1):
-            amp = abs(math.fsum(row.tolist()))
-            t_k = 2.0 * tau * k
-            if t2_envelope is not None:
-                amp *= math.exp(-t_k / t2_envelope)
-            samples.append((t_k, amp))
+    for k, amp in enumerate(amps[0].tolist(), start=1):
+        t_k = 2.0 * tau * k
+        if t2_envelope is not None:
+            amp *= math.exp(-t_k / t2_envelope)
+        samples.append((t_k, amp))
 
     return Signal(
         axis_label="echo_time",

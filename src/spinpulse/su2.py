@@ -100,8 +100,8 @@ class Unitary2:
         return Unitary2.from_matrix(self._m.conj().T)
 
     def __repr__(self) -> str:
-        u = self._m
-        return f"Unitary2({u[0, 0]!r}, {u[0, 1]!r}, {u[1, 0]!r}, {u[1, 1]!r})"
+        # Python complex values, whose repr needs no numpy to evaluate
+        return f"Unitary2({', '.join(map(repr, self._m.ravel().tolist()))})"
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,46 @@ class TestEstimator:
         eps_hat, _ = estimate_rotation_error(cp, cpmg)
         assert abs(eps_hat - 0.1) <= 0.01
 
+    @pytest.mark.parametrize("t2", [None, 30.0])
+    @pytest.mark.parametrize("eps_true", [0.023, 0.123, 0.247])
+    @pytest.mark.parametrize("tau", [0.7, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_noise_free_round_trip_to_rounding(self, n, tau, eps_true, t2):
+        cp = echo_train("cp", n, eps_true, t2_envelope=t2, tau=tau)
+        cpmg = echo_train("cpmg", n, eps_true, t2_envelope=t2, tau=tau)
+        eps_hat, residual = estimate_rotation_error(cp, cpmg)
+        assert abs(eps_hat - eps_true) <= 1e-12
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("t2", [None, 30.0])
+    @pytest.mark.parametrize("tau", [0.7, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_zero_error_ends_within_the_bracket_tolerance(self, n, tau, t2):
+        # the ratio is even in eps, so its Jacobian vanishes at 0; where
+        # Gauss-Newton does not converge, golden section ends the fit
+        cp = echo_train("cp", n, 0.0, t2_envelope=t2, tau=tau)
+        cpmg = echo_train("cpmg", n, 0.0, t2_envelope=t2, tau=tau)
+        eps_hat, residual = estimate_rotation_error(cp, cpmg)
+        assert 0.0 <= eps_hat <= analysis.FIT_TOL
+        assert residual <= 1e-7
+
+    def test_step_held_at_the_bracket_edge_is_not_convergence(self):
+        # from the grid point eps = 0, where the Jacobian nearly vanishes, the
+        # first step points below the bracket; clamped, it does not move
+        cp = echo_train("cp", 64, 0.001, tau=0.7)
+        cpmg = echo_train("cpmg", 64, 0.001, tau=0.7)
+        eps_hat, residual = estimate_rotation_error(cp, cpmg)
+        assert abs(eps_hat - 0.001) <= analysis.FIT_TOL
+        assert residual <= 1e-4
+
+    def test_golden_section_fallback(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_gauss_newton", lambda *args: None)
+        cp = echo_train("cp", 16, 0.123, tau=0.7)
+        cpmg = echo_train("cpmg", 16, 0.123, tau=0.7)
+        eps_hat, residual = estimate_rotation_error(cp, cpmg)
+        assert abs(eps_hat - 0.123) <= analysis.FIT_TOL
+        assert 0.0 < residual <= 1e-4
+
     def test_cold_and_warm_rule_cache_agree_bitwise(self):
         def run():
             cp = echo_train("cp", 32, 0.1)
@@ -299,7 +339,8 @@ class TestEstimator:
         assert _gauss_rule.cache_info().currsize == 0
         assert run() == cold
         # the epsilon_hat of the README's example, bit for bit
-        assert cold[1][0] == 0.10000280033582074
+        assert cold[1][0] == 0.1
+        assert abs(cold[1][0] - 0.1) <= 1e-12
 
     def test_returns_plain_floats(self):
         cp = echo_train("cp", 4, 0.05)
@@ -354,7 +395,8 @@ class TestEstimator:
 
         cp = echo_train("cp", 8, 0.1)
         cpmg = echo_train("cpmg", 8, 0.1)
-        monkeypatch.setattr(analysis, "_model_ratio", no_model)
+        for name in ("_model_ratio", "_echo_amplitudes", "echo_train"):
+            monkeypatch.setattr(analysis, name, no_model)
         with pytest.raises(ValueError, match=r"eps_max must lie in \(0, 1\)"):
             estimate_rotation_error(cp, cpmg, eps_max=eps_max)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from spinpulse import analysis
 from spinpulse.cli import main
 from spinpulse.simulator import echo_train
 
@@ -413,6 +414,33 @@ class TestEchoCommand:
         assert code == 2
         assert out == ""
         assert "eps_max must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize(
+        "rows,tau,message",
+        [
+            (2048, 1.0, "exceeds 8388608 member-echoes"),
+            (100_001, 1.0, "n_refocus must be an integer in [1, 100000]"),
+            (16, 0.0, "strictly increasing"),  # all times 0: the Signal refuses it
+        ],
+    )
+    def test_estimate_error_bounds_checked_before_any_train(
+        self, capsys, tmp_path, monkeypatch, rows, tau, message
+    ):
+        # a pair no echo_train could simulate is refused before the fit's grid
+        def no_train(*args, **kwargs):
+            raise AssertionError("simulated a train")
+
+        for name in ("_echo_amplitudes", "echo_train"):
+            monkeypatch.setattr(analysis, name, no_train)
+        text = "echo_time_s,echo_amplitude\n" + "".join(
+            f"{2.0 * tau * k!r},0.5\n" for k in range(1, rows + 1)
+        )
+        path = tmp_path / "train.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "estimate-error", "--cp", str(path), "--cpmg", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestEseemCommand:

@@ -11,6 +11,7 @@ from spinpulse import (
     PulseProgram,
     Repeat,
     RotationSpec,
+    MAX_NESTING_DEPTH,
     MAX_REPETITIONS,
     bb1_phases,
     bb1_rabi_program,
@@ -188,6 +189,14 @@ class TestElements:
         a = PulseProgram((Pulse(1.0, 0.0),), name="a")
         b = PulseProgram((Pulse(1.0, 0.0),), name="b")
         assert a == b
+
+    def test_repeat_bounds_its_own_nesting_depth(self):
+        nested = Pulse(1.0, 0.0)
+        for level in range(1, MAX_NESTING_DEPTH + 1):
+            nested = Repeat(1, (nested,))
+        assert level == 16
+        with pytest.raises(ValueError, match=f"nesting depth exceeds {MAX_NESTING_DEPTH}"):
+            Repeat(1, (nested,))  # level 17
 
     def test_program_depth_guard(self):
         inner: tuple = (Acquire(),)

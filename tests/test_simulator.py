@@ -265,7 +265,7 @@ class TestBloch:
 
     def test_repr_round_trips(self):
         s = SpinState(math.cos(0.3), math.sin(0.3) * np.exp(1j * 0.9))
-        back = eval(repr(s), {"SpinState": SpinState, "np": np})
+        back = eval(repr(s), {"SpinState": SpinState})
         assert isinstance(back, SpinState)
         assert np.array_equal(back.vector, s.vector)
 
@@ -597,7 +597,8 @@ class TestEchoTrain:
     @pytest.mark.parametrize(
         "mode,n,members",
         [
-            ("cp", 305, 3000),  # ten echoes per slice: thirty full slices and a part
+            ("cp", 305, 400),  # ten echoes per slice: 30 full slices and a partial one
+            ("cp", 305, 3000),  # one echo per slice: 305 slices
             ("cpmg", 4, 40000),  # more members than a slice holds: one echo each
         ],
     )
@@ -628,6 +629,39 @@ class TestEchoTrain:
         got = echo_train(mode, n, epsilon, line, use_bb1)
         want = engine_echo_samples(mode, n, epsilon, use_bb1, line)
         assert got.samples == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        use_bb1=st.booleans(),
+        line=st.sampled_from(["default", "legendre", "discrete"]),
+        n=st.integers(1, 24),
+        size=st.integers(16, 600),
+        rows=st.integers(4, 8),
+        side=st.integers(0, 1),
+        tau=st.sampled_from([0.7, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_rows_equal_trains_bitwise(
+        self, mode, use_bb1, line, n, size, rows, side, tau, seed
+    ):
+        # E amplitude errors in one block, E on either side of the count at
+        # which a slice holds `rows` echoes
+        spec = {
+            "default": None,
+            "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
+            "discrete": sampled_line(size, seed),
+        }[line]
+        _, delta, weights = ensemble_nodes(spec or simulator._default_line(n, tau)).T
+        count = max(1, simulator._SLICE_MEMBER_ECHOES // rows // delta.size + side)
+        eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
+        eps[0] = 0.0
+        phase = simulator._REFOCUS_PHASE[mode]
+        block = simulator._echo_amplitudes(phase, n, eps, delta, weights, use_bb1, tau)
+        assert block.shape == (count, n)
+        for e, row in zip(eps, block):
+            train = echo_train(mode, n, float(e), spec, use_bb1, tau=tau)
+            assert row.tolist() == train.values.tolist()
 
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])

@@ -197,7 +197,7 @@ def test_unitary2_determinant_check():
 
 def test_unitary2_repr_round_trips():
     u = rotation(RotationSpec(1.0, 0.3, 0.1))
-    back = eval(repr(u), {"Unitary2": Unitary2, "np": np})
+    back = eval(repr(u), {"Unitary2": Unitary2})
     assert isinstance(back, Unitary2)
     assert np.array_equal(back.matrix, u.matrix)
 
