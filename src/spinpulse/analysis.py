@@ -39,7 +39,7 @@ from .simulator import (
     _echo_amplitudes,
     _echo_nodes,
     _propagate_nodes,
-    _weighted_sum,
+    _weighted_sums,
     echo_train,
 )
 from .su2 import IDENTITY, RotationSpec, _fidelities, rotation
@@ -252,7 +252,7 @@ def ensemble_mean_fidelity(sigma_theta: float, nodes: int = 201) -> float:
     if sigma_theta == 0.0:
         return 1.0
     err, _, w = ensemble_nodes(EnsembleSpec(Gaussian(0.0, sigma_theta), nodes=nodes)).T
-    return _weighted_sum(w, _fidelities_over(math.pi, [Pulse(math.pi, 0.0)], err / math.pi))
+    return _weighted_sums(w, _fidelities_over(math.pi, [Pulse(math.pi, 0.0)], err / math.pi)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,22 @@ Experiments:
   Its default detuning line is its own (``_EchoLine``): the midpoint
   rule on 2n + 1 members of one period, exact for n cycles.
 
-Both experiments build their repeated block once on the engine and then
-advance by products: ``rabi_trace`` raises the BB1 pi-block propagator
-to each gap's power by the engine's ``Repeat`` rule, and the echo kernel
-(``_echo_amplitudes``) builds the echo-cycle propagator and advances every
-member by one 2x2 product per echo.  The kernel runs a block of amplitude
-errors at once (every error with every detuning node), so the rotation
-error fit runs its grid and each refinement step as one call;
-``echo_train`` is its one-error case.  Echoes are taken in slices of at
-most ``_SLICE_MEMBER_ECHOES`` member-echoes, each reduced before the next
-is advanced, so a block never holds more than one slice.
+Both experiments are block kernels: they build their repeated block once
+on the engine and then advance by products.  ``rabi_trace`` raises the
+BB1 pi-block propagator to each new block count by the engine's
+``Repeat`` rule, takes the remainder rotations of many samples in one
+batched ``_rotations`` call, and applies the powers to them in the
+column form.  The echo kernel (``_echo_amplitudes``) builds the
+echo-cycle propagator and advances every member by one 2x2 product per
+echo; it runs a block of amplitude errors at once (every error with
+every detuning node), so the rotation error fit runs its grid and each
+refinement step as one call, and ``echo_train`` is its one-error case.
+Both take their samples or echoes in slices of at most
+``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice, one
+``math.fsum`` per row (``_weighted_sums``), before the next is
+advanced, so a block never holds more than one slice.  A trace costs
+one numpy round per slice: two for the 161 samples of a 41-node trace
+to 40 pi.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -87,7 +93,10 @@ DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 
 # Largest number of trace samples, echoes or scan points accepted: the
-# workloads use at most a few hundred, and 1e5 already costs tens of MB.
+# workloads use at most a few hundred, and 1e5 already costs 14-21 MB
+# traced (a 41-node Rabi trace 15-18 MB, a one-member echo train 14 MB, a
+# scan 21 MB), mostly the Python sample lists: the sliced trace and echo
+# kernels hold one slice at a time.
 MAX_SAMPLES = 100_000
 
 # Largest n_refocus * members accepted by echo_train, and so by the
@@ -96,10 +105,13 @@ MAX_SAMPLES = 100_000
 # bound an exact default train (2n + 1 members) meets first: n <= 2047.
 MAX_MEMBER_ECHOES = 2**23
 
-# Member-echoes per slice of an echo block: the slice buffer holds two
-# complex amplitudes per member-echo (128 kB), plus the slice's reduction.
-# A fit's 31-error grid (31 x 65 members) peaks at 2.8 MB traced with
-# slices of 2^15 and at 0.55 MB with 2^12, at the same speed.
+# Member-echoes (member-samples for a Rabi trace) per slice of a block:
+# the echo slice buffer holds two complex amplitudes per member-echo
+# (128 kB), plus the slice's reduction.  A fit's 31-error grid (31 x 65
+# members) peaks at 2.8 MB traced with slices of 2^15 and at 0.55 MB with
+# 2^12, at the same speed.  A BB1 trace slice holds its rotations and its
+# gathered block powers, 64 B each per member-sample: a 41-node trace
+# peaks at 0.86 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -226,9 +238,12 @@ def propagate(
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
-def _weighted_sum(weights: np.ndarray, per_node: np.ndarray) -> float:
-    # Correctly rounded, so the result does not depend on node order.
-    return math.fsum((weights * per_node).tolist())
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray) -> list[float]:
+    # One correctly rounded sum of weights * row per row, so no result
+    # depends on node order.  Kept out of the kernels' long frames: under
+    # tracemalloc each float of the list is charged a scan of its frame's
+    # line table.
+    return list(map(math.fsum, (weights * rows).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +276,17 @@ def rabi_trace(
     trace, so ``B**n`` is a running product: a gap of ``g`` new blocks
     multiplies it by ``B**g``, raised by squaring as a ``Repeat`` is
     (``np.linalg.matrix_power``, which returns ``B`` itself for ``g = 1``),
-    so a trace costs O(K log n) products.
+    so K samples reaching n blocks cost O(K log n) 2x2 products per member.
+
+    The samples run as a block, in slices of at most
+    ``_SLICE_MEMBER_ECHOES`` member-samples (at least one sample each).
+    A slice's remainder rotations are one batched ``_rotations`` call, whose
+    first columns are the images of spin-up; the running power is taken
+    at the slice's distinct block counts, gathered per sample and applied
+    in the column form; and ``-<sz>`` is reduced one ``math.fsum`` per
+    sample.  Each sample equals, bit for bit, the product
+    ``B**n @ R(r)[:, :1]`` taken and reduced for that sample alone, and a
+    trace costs one numpy round per slice.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -279,17 +304,33 @@ def rabi_trace(
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY) if use_bb1 else None
-    power, blocks = IDENTITY, 0
+    power, blocks = np.broadcast_to(IDENTITY, (eps.size, 2, 2)), 0  # stacks with B**n
+    rows = max(1, _SLICE_MEMBER_ECHOES // eps.size)
 
     samples = []
-    for theta, n in zip(thetas, ns):
-        remainder = theta - n * math.pi
-        if n > blocks:
-            power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
+    for start in range(0, len(thetas), rows):
+        stop = start + rows
+        remainders = (theta - n * math.pi for theta, n in zip(thetas[start:stop], ns[start:stop]))
+        r = [x if x > 1e-15 else 0.0 for x in remainders]
         # the first column of each rotation is its image of spin-up
-        final = power @ _rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps)[:, :, :1]
-        sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
-        samples.append((theta, _weighted_sum(weights, -sz)))
+        u, v = np.moveaxis(_rotations(np.array(r)[:, None], 0.0, eps)[..., 0], -1, 0)
+        if block is not None:
+            # the slice's powers B**n, one per distinct n, then one per sample
+            levels, powers = sorted(set(ns[start:stop])), []
+            for n in levels:
+                if n > blocks:
+                    power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
+                powers.append(power)
+            # a slice of one power, as every slice of more members than a
+            # slice holds is, needs no gathered copy
+            if len(powers) == 1:
+                p = power[None]
+            else:
+                p = np.stack(powers)[np.searchsorted(levels, ns[start:stop])]
+            u, v = p[..., 0, 0] * u + p[..., 0, 1] * v, p[..., 1, 0] * u + p[..., 1, 1] * v
+        sz = np.abs(u) ** 2 - np.abs(v) ** 2
+        del u, v  # the slice's states are not held through its reduction
+        samples.extend(zip(thetas[start:stop], _weighted_sums(weights, -sz)))
 
     return Signal(
         axis_label="theta",
@@ -420,10 +461,9 @@ def _echo_amplitudes(
             up[j], down[j] = u, v
         # the ideal train keeps every echo on +-y: the signed <sy> of each member
         sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag
-        terms = (weights * sy.reshape(count, count_eps, members)).reshape(-1, members)
-        sums[start : start + count] = np.fromiter(
-            map(math.fsum, terms.tolist()), float, count * count_eps
-        ).reshape(count, count_eps)
+        sums[start : start + count] = np.reshape(
+            _weighted_sums(weights, sy.reshape(-1, members)), (count, count_eps)
+        )
     return np.abs(sums.T)
 
 

@@ -128,21 +128,23 @@ class RotationSpec:
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
-def _rotations(theta: float, phi: float, eps: np.ndarray) -> np.ndarray:
+def _rotations(theta, phi: float, eps: np.ndarray) -> np.ndarray:
     """Rotation matrices of one pulse for every amplitude error in ``eps``,
     shape (M, 2, 2): ``cos(a) I + i sin(a) (sx cos(phi) + sy sin(phi))``
-    with ``a = theta(1+eps)/2``."""
+    with ``a = theta(1+eps)/2``.  An array ``theta`` broadcasts against
+    ``eps``: an (S, 1) column gives the (S, M, 2, 2) rotations of S angles,
+    each row equal to the call at that angle alone."""
     # Halving last keeps the error exactly foldable into the angle, even
     # for subnormal theta.
     a = 0.5 * (theta * (1.0 + eps))
     c = np.cos(a)
     s = np.sin(a)
     e_minus = complex(math.cos(phi), -math.sin(phi))
-    out = np.empty((eps.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = 1j * s * e_minus
-    out[:, 1, 0] = 1j * s * e_minus.conjugate()
-    out[:, 1, 1] = c
+    out = np.empty((*a.shape, 2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = 1j * s * e_minus
+    out[..., 1, 0] = 1j * s * e_minus.conjugate()
+    out[..., 1, 1] = c
     return out
 
 

@@ -396,6 +396,84 @@ class TestRabi:
         assert len(sig.samples) == 11
         assert max_reference_miss(sig, GAUSS5) < 1e-11
 
+    @pytest.mark.parametrize("use_bb1", [False, True])
+    @pytest.mark.parametrize(
+        "max_angle,step,spec",
+        [
+            (40 * math.pi, 0.25 * math.pi, GAUSS5),  # two slices of 41 nodes
+            (13.7, 0.037 * math.pi, GAUSS5),  # a step that does not divide pi
+            (4096 * math.pi, 409.6 * math.pi, GAUSS5),  # 410-block gaps
+            (0.0, 0.25 * math.pi, GAUSS5),  # one sample
+            (3 * math.pi, 0.25 * math.pi, ZERO_WIDTH),  # one member: every sample in one slice
+            (2 * math.pi, 0.25 * math.pi, EnsembleSpec(sampled(Gaussian(0.0, 0.05), 5000, 2))),
+        ],
+    )
+    def test_trace_equals_engine_samples_bitwise(self, max_angle, step, spec, use_bb1):
+        # the last case holds more members than a slice: one sample per slice
+        got = rabi_trace(max_angle, step, spec, use_bb1).samples
+        assert got == engine_rabi_samples(max_angle, step, spec, use_bb1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        use_bb1=st.booleans(),
+        rows=st.integers(1, 12),
+        offset=st.integers(-2, 2),
+        extra=st.integers(0, 2),
+        step_pi=st.sampled_from([0.25, 0.3, 0.037, 1.0, 2.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_slices_equal_engine_samples_bitwise(
+        self, use_bb1, rows, offset, extra, step_pi, seed
+    ):
+        # members around the count at which a slice holds `rows` samples,
+        # over one or more slice boundaries
+        members = simulator._SLICE_MEMBER_ECHOES // rows + offset
+        samples = rows * (1 + extra) + offset % 2
+        spec = EnsembleSpec(sampled(Gaussian(0.0, 0.05), members, seed))
+        step = step_pi * math.pi
+        max_angle = (samples - 1) * step
+        got = rabi_trace(max_angle, step, spec, use_bb1).samples
+        assert len(got) == samples
+        assert got == engine_rabi_samples(max_angle, step, spec, use_bb1)
+
+    def test_memory_stays_within_the_per_sample_loop(self):
+        # 2^14 members, beyond a slice: each sample is its own slice; one
+        # block of all 41 samples peaks at 70 MB (simple) and 130 MB (BB1)
+        spec = EnsembleSpec(sampled(Gaussian(0.0, 0.05), 2**14, 1))
+        # the running per-sample product peaked at 2.894 MB (simple) and
+        # 4.989 MB (BB1) traced on this trace (Python 3.11.7, numpy 2.4.6)
+        for use_bb1, parent_peak in ((False, 2.894e6), (True, 4.989e6)):
+            tracemalloc.start()
+            try:
+                rabi_trace(10 * math.pi, 0.25 * math.pi, spec, use_bb1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= parent_peak
+
+
+def engine_rabi_samples(max_angle, step, spec, use_bb1):
+    """A Rabi trace sample by sample: sample theta = n*pi + r is the
+    running power B**n of the engine's BB1 pi-block propagator B (``n = 0``
+    for simple pulses), raised gap by gap with ``np.linalg.matrix_power``,
+    applied to R(r)'s image of spin-up, and reduced on its own."""
+    thetas = []
+    while len(thetas) * step <= max_angle * (1 + 1e-12):
+        thetas.append(len(thetas) * step)
+    eps, delta, weights = ensemble_nodes(spec).T
+    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
+    power, blocks = IDENTITY, 0
+    samples = []
+    for theta in thetas:
+        n = int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0
+        remainder = theta - n * math.pi
+        if n > blocks:
+            power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
+        final = power @ _rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps)[:, :, :1]
+        sz = np.abs(final[:, 0, 0]) ** 2 - np.abs(final[:, 1, 0]) ** 2
+        samples.append((theta, math.fsum((weights * -sz).tolist())))
+    return samples
+
 
 def max_reference_miss(sig, spec):
     """Largest distance of a BB1 trace from bb1_rabi_program(n, r) run at

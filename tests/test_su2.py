@@ -13,6 +13,7 @@ from spinpulse import (
     fidelity,
     rotation,
 )
+from spinpulse import su2
 from oracles import rotation_expm
 
 angles = st.floats(0.0, 4.0 * math.pi)
@@ -62,6 +63,41 @@ def test_error_folds_into_angle_exactly(theta, phi, eps):
     a = rotation(RotationSpec(theta, phi, eps))
     b = rotation(RotationSpec(theta * (1.0 + eps), phi, 0.0))
     assert np.array_equal(a.matrix, b.matrix)
+
+
+@given(
+    st.lists(angles, min_size=1, max_size=6),
+    phases,
+    st.lists(errors, min_size=1, max_size=9),
+)
+@example(thetas=[0.0, 2.225073858507203e-309, 5e-324, 1.3], phi=0.0, eps=[-0.5, 0.0, 0.125])
+def test_column_of_angles_equals_stacked_scalar_calls(thetas, phi, eps):
+    # theta = 0 and subnormal angles included: each row is the scalar call
+    eps = np.array(eps)
+    block = su2._rotations(np.array(thetas)[:, None], phi, eps)
+    assert block.shape == (len(thetas), eps.size, 2, 2)
+    want = np.stack([su2._rotations(theta, phi, eps) for theta in thetas])
+    assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+
+
+class _CountingNumpy:
+    """Stands in for ``su2.np`` and records every numpy name looked up."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("theta", [1.3, np.array([[0.2], [1.3]])])
+def test_rotations_call_numpy_three_times(monkeypatch, theta):
+    # broadcasting costs the scalar path (the engine's pulses) no numpy call
+    counting = _CountingNumpy()
+    monkeypatch.setattr(su2, "np", counting)
+    su2._rotations(theta, 0.4, np.array([0.0, 0.1]))
+    assert counting.names == ["cos", "sin", "empty"]
 
 
 def test_compose_same_axis_adds_angles():
