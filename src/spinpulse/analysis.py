@@ -14,12 +14,11 @@ direct computation.
 ``estimate_rotation_error`` recovers the refocusing-pulse amplitude
 error from a CP/CPMG echo-train pair by fitting the per-even-echo ratio
 against the simulator's own decay model: a coarse grid run as one echo
-block per mode, then Gauss-Newton steps of one three-error block each,
-with golden section on the grid bracket where Gauss-Newton does not
-converge.  The output is deterministic, and noise-free trains are
-recovered to rounding unless their error lies within half a grid step of
-zero.  Dividing by CPMG removes any decay shared by both trains, such as
-a T2 envelope.
+block per mode, then Gauss-Newton steps in ``s = eps**2`` (the ratio is
+even in ``eps``) of one three-error block each.  The output is
+deterministic, and noise-free trains are recovered to rounding, to 1e-9
+at ``eps = 0``.  Dividing by CPMG removes any decay shared by both
+trains, such as a T2 envelope.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ __all__ = [
     "EQ5_EPSILON",
     "EQ5_STEP",
     "FIT_COARSE_POINTS",
-    "FIT_TOL",
     "FIT_STEP",
     "FIT_MAX_STEPS",
     "FIT_STEP_TOL",
@@ -277,61 +275,45 @@ def _model_ratio(
     return cp / cpmg
 
 
-# Coarse grid size of the fit, and the golden-section bracket width of its
-# fallback refinement.
 FIT_COARSE_POINTS = 31
-FIT_TOL = 1e-5
 
-# Gauss-Newton refinement: central-difference step of the Jacobian, most
-# steps, and the step size below which the fit has converged.
-FIT_STEP = 1e-6
+# Gauss-Newton refinement in s = eps**2: finite-difference step of the
+# Jacobian in s, most steps, and the convergence tolerance, measured in eps
+# (a step in s of at most 2 * FIT_STEP_TOL * sqrt(s)).
+FIT_STEP = 1e-8
 FIT_MAX_STEPS = 12
 FIT_STEP_TOL = 1e-12
 
 # Largest RMS misfit of the even-echo ratios a fit may return.  Noise-free
-# trains fit to below 1e-14 where Gauss-Newton converges (n 4-64, tau
-# 0.5-1.5, eps 0.01-0.29, with and without T2), and below 2e-5 where golden
-# section ends the fit (eps 0 to 0.001); trains recorded on another detuning
+# trains fit to below 2e-14, eps = 0 included (n 4-64, tau 0.5-1.5, eps
+# 0-0.29, with and without T2); trains recorded on another detuning
 # ensemble, or with an error beyond eps_max, leave about 0.1.
 FIT_MAX_RESIDUAL = 1e-2
 
 
-def _gauss_newton(misfit, eps: float, lo: float, hi: float) -> float | None:
-    """Gauss-Newton least squares from ``eps``, each step clamped into
-    ``[lo, hi]``; None where the Jacobian vanishes or the steps do not
-    converge within ``FIT_MAX_STEPS``."""
+def _gauss_newton(misfit, s: float, lo: float, hi: float) -> float:
+    """Least-squares ``s = eps**2`` in ``[lo, hi]`` by Gauss-Newton from ``s``,
+    under the stopping rules of ``estimate_rotation_error``."""
+    prev, prev_cost = s, math.inf
     for _ in range(FIT_MAX_STEPS):
-        below, at, above = misfit(np.array([eps - FIT_STEP, eps, eps + FIT_STEP]))
-        jac = (above - below) / (2.0 * FIT_STEP)
+        below = max(s - FIT_STEP, lo)
+        above = below + 2.0 * FIT_STEP
+        r_below, r_at, r_above = misfit(np.sqrt([below, s, above]))
+        cost = float(r_at @ r_at)
+        if not cost < prev_cost:
+            return prev
+        jac = (r_above - r_below) / (above - below)
         jj = float(jac @ jac)
         if not jj > 0.0:
-            return None
-        step = -float(jac @ at) / jj
-        new = min(max(eps + step, lo), hi)
-        if abs(step) <= FIT_STEP_TOL:
+            raise ValueError(f"the fit's Jacobian vanishes at epsilon = {math.sqrt(s)!r}")
+        step = -float(jac @ r_at) / jj
+        new = min(max(s + step, lo), hi)
+        if abs(step) <= 2.0 * FIT_STEP_TOL * math.sqrt(s) or new == s:
             return new
-        if new == eps:  # held at an edge of the bracket: no later step moves either
-            return None
-        eps = new
-    return None
-
-
-def _golden_section(cost, a: float, b: float) -> float:
-    """Minimum of ``cost`` on ``[a, b]`` by golden section, to a bracket of ``FIT_TOL``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = cost(c), cost(d)
-    while b - a > FIT_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = cost(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = cost(d)
-    return 0.5 * (a + b)
+        prev, prev_cost, s = s, cost, new
+    # steps that shrink only linearly leave a residual the model does not explain
+    raise ValueError(f"the fit did not converge within {FIT_MAX_STEPS} Gauss-Newton steps: "
+                     "likely an ensemble mismatch, or an error beyond eps_max")
 
 
 def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> tuple[float, float]:
@@ -340,18 +322,21 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     Fits the per-even-echo amplitude ratio CP/CPMG against the simulated
     simple-pulse decay model in ``|eps|``.  A ``FIT_COARSE_POINTS``-point
     grid on ``[0, eps_max]``, run as one echo block per mode, brackets the
-    best grid point by its neighbours.  Gauss-Newton then refines from that
-    point: each step runs the three errors ``eps - h, eps, eps + h`` as one
-    block, takes the Jacobian by central differences, and is clamped into
-    the bracket; the fit has converged when a step is at most
-    ``FIT_STEP_TOL``.  Where the Jacobian vanishes (at ``eps = 0`` the
-    ratio is even in ``eps``) or the steps do not converge within
-    ``FIT_MAX_STEPS``, golden section on the bracket to a width of
-    ``FIT_TOL`` refines instead; so noise-free trains are recovered to
-    rounding except within half a grid step of zero.  Any decay envelope
-    common to both trains divides out of the ratio.  For trains recorded
-    with composite refocusing pulses the estimate reads as the residual
-    error of the corrected rotation.
+    best grid point by its neighbours, ``[lo, hi]``.  Gauss-Newton refines
+    from it in ``s = eps**2``, where the Jacobian of the even ratio does not
+    vanish at 0: each step runs ``sqrt`` of ``b, s, b + 2h`` as one block
+    (``h = FIT_STEP``, ``b = max(s - h, lo**2)``) and is clamped into
+    ``[lo**2, hi**2]``.  The fit ends at a step of at most ``FIT_STEP_TOL``
+    in ``eps``, at a bracket edge a clamped step does not leave, or at the
+    previous point when a step does not lower the cost; a vanishing
+    Jacobian or no end within ``FIT_MAX_STEPS`` raises ``ValueError``.  A
+    residual above 1e-12 is refined again from the better neighbour, the
+    lower residual kept: with n = 4 or 8 a minimum beside an echo's zero
+    crossing can hold the first start.  Noise-free trains are recovered
+    to 1e-12, and to 1e-9 at ``eps = 0``.  Any decay envelope common to
+    both trains divides out of the ratio.  For trains recorded with
+    composite refocusing pulses the estimate reads as the residual error
+    of the corrected rotation.
 
     Both trains must sample the echo times ``t_k = 2*tau*k`` (to a
     relative 1e-9), with ``tau`` read from the first CP echo.
@@ -388,16 +373,27 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
         return _model_ratio(eps, n, tau, delta, weights) - data_ratio
 
     grid = np.linspace(0.0, eps_max, FIT_COARSE_POINTS)
-    i = int(np.argmin(np.mean(misfit(grid) ** 2, axis=1)))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, FIT_COARSE_POINTS - 1)])
-    eps_hat = _gauss_newton(misfit, float(grid[i]), lo, hi)
-    if eps_hat is None:
-        eps_hat = _golden_section(lambda e: float(np.mean(misfit(np.array([e])) ** 2)), lo, hi)
+    cost = np.mean(misfit(grid) ** 2, axis=1)
+    i = int(np.argmin(cost))
+    j_lo, j_hi = max(i - 1, 0), min(i + 1, FIT_COARSE_POINTS - 1)
+    lo, hi = float(grid[j_lo]) ** 2, float(grid[j_hi]) ** 2
 
-    fit_cp, fit_cpmg = (echo_train(mode, n, eps_hat, tau=tau) for mode in ("cp", "cpmg"))
-    model = _even_echoes(fit_cp) / _even_echoes(fit_cpmg)
-    residual = math.sqrt(float(np.mean((model - data_ratio) ** 2)))
+    def fit_from(j: int) -> tuple[float, float]:
+        """(residual, eps_hat) of the refinement from grid point ``j``."""
+        eps = math.sqrt(_gauss_newton(misfit, float(grid[j]) ** 2, lo, hi))
+        fit_cp, fit_cpmg = (echo_train(mode, n, eps, tau=tau) for mode in ("cp", "cpmg"))
+        model = _even_echoes(fit_cp) / _even_echoes(fit_cpmg)
+        return math.sqrt(float(np.mean((model - data_ratio) ** 2))), eps
+
+    residual, eps_hat = fit_from(i)
+    if residual > 1e-12:
+        # echo magnitudes fold the model where an echo crosses zero, and a minimum
+        # beside the fold can hold the first start; a second that fails is dropped
+        other = min((j for j in (j_lo, j_hi) if j != i), key=lambda j: cost[j])
+        try:
+            residual, eps_hat = min((residual, eps_hat), fit_from(other))
+        except ValueError:
+            pass
     if residual > FIT_MAX_RESIDUAL:
         raise ValueError(
             f"fit residual {residual:.3g} exceeds {FIT_MAX_RESIDUAL}: likely an ensemble "

@@ -337,7 +337,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = subs.add_parser("estimate-error", help="fit the rotation error from CP/CPMG CSV files")
     p.add_argument("--cp", default=_REQUIRED, help="CSV produced by 'echo --mode cp'")
     p.add_argument("--cpmg", default=_REQUIRED, help="CSV produced by 'echo --mode cpmg'")
-    p.add_argument("--eps-max", type=float, default=0.3)
+    p.add_argument("--eps-max", type=float, default=0.3,
+                   help="largest |epsilon| fitted, in (0, 1)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate_error)
 

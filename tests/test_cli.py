@@ -415,6 +415,25 @@ class TestEchoCommand:
         assert out == ""
         assert "eps_max must lie in (0, 1)" in err
 
+    def test_estimate_error_steps_that_do_not_converge_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 1)
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "16", "--epsilon", "0.123", "--tau", "0.7",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        code, out, err = run(
+            capsys,
+            "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"),
+            "--cpmg", str(tmp_path / "cpmg.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "did not converge within 1 Gauss-Newton steps" in err
+
     @pytest.mark.parametrize(
         "rows,tau,message",
         [
