@@ -30,7 +30,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .su2 import TWO_PI
+from .su2 import TWO_PI, _wrap_phase
 
 __all__ = [
     "Gaussian",
@@ -187,7 +187,7 @@ class ErrorModel:
                 raise ValueError("phase offsets must be finite")
             if abs(d) >= math.pi / 2:
                 raise ValueError("phase offsets must satisfy |dphi| < pi/2")
-        offsets = tuple(sorted((p % TWO_PI, d) for p, d in offsets))
+        offsets = tuple(sorted((_wrap_phase(p), d) for p, d in offsets))
         phases = [p for p, _ in offsets]
         # neighbours on the circle, the last channel's neighbour being the first
         for a, b in zip(phases, phases[1:] + [p + TWO_PI for p in phases[:1]]):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .su2 import TWO_PI
+from .su2 import _wrap_phase
 
 __all__ = [
     "Pulse",
@@ -65,7 +65,7 @@ class Pulse:
             raise ValueError("pulse angles must be finite")
         if self.theta < 0:
             raise ValueError("pulse theta must be >= 0")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        object.__setattr__(self, "phi", _wrap_phase(self.phi))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,13 @@ TWO_PI = 2.0 * math.pi
 UNITARITY_TOL = 1e-12
 
 
+def _wrap_phase(phi: float) -> float:
+    """``phi`` reduced to [0, 2pi): ``phi % TWO_PI``, except that a tiny
+    negative phase, whose remainder rounds up to 2pi, gives 0.0."""
+    reduced = phi % TWO_PI
+    return 0.0 if reduced == TWO_PI else reduced
+
+
 class Unitary2:
     """A validated complex 2x2 unitary operator.
 
@@ -125,7 +132,7 @@ class RotationSpec:
             raise ValueError("theta must be >= 0")
         if not math.isfinite(self.theta * (1.0 + self.epsilon)):
             raise ValueError("the rotation angle theta * (1 + epsilon) must be finite")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        object.__setattr__(self, "phi", _wrap_phase(self.phi))
 
 
 def _rotations(theta, phi: float, eps: np.ndarray) -> np.ndarray:

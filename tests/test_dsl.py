@@ -171,6 +171,7 @@ def test_nested_repeats_bounded_by_their_product():
 def test_round_trip_examples():
     for text in (
         "pulse theta=1pi phase=0pi",
+        "pulse theta=1pi phase=-1e-300rad",
         "bb1 theta=1pi",
         "repeat 2 { delay 1e-6 pulse theta=0.5pi phase=90deg }",
         "acquire",

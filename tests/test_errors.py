@@ -82,6 +82,7 @@ class TestPhaseChannels:
     def test_keys_stored_reduced(self):
         model = ErrorModel(0.0, {-math.pi / 2: 0.1, 2.5 * math.pi: 0.2})
         assert model.phase_offsets == ((0.5 * math.pi, 0.2), (1.5 * math.pi, 0.1))
+        assert ErrorModel(0.0, {-1e-300: 0.1}).phase_offsets == ((0.0, 0.1),)
 
     @pytest.mark.parametrize(
         "offsets",

@@ -129,6 +129,8 @@ class TestElements:
     def test_pulse_normalizes_phase(self):
         assert Pulse(1.0, 2.0 * math.pi).phi == 0.0
         assert Pulse(1.0, -math.pi / 2).phi == pytest.approx(1.5 * math.pi)
+        # the remainder of a tiny negative phase rounds up to 2pi
+        assert Pulse(1.0, -1e-300).phi == 0.0
 
     def test_pulse_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -256,3 +256,15 @@ def test_rotation_spec_validation():
         RotationSpec(math.pi, 0.0, 1e308)
     assert RotationSpec(1.0, -math.pi / 2, 0.0).phi == pytest.approx(1.5 * math.pi)
     assert RotationSpec(1.0, 2.0 * math.pi, 0.0).phi == 0.0
+    assert RotationSpec(1.0, -1e-300, 0.0).phi == 0.0
+
+
+@given(st.floats(-1e6, 1e6))
+@example(-1e-300)
+@example(-5e-324)
+@example(-2.0 * math.pi)
+def test_wrapped_phase_is_the_remainder_in_range(phi):
+    wrapped = su2._wrap_phase(phi)
+    assert 0.0 <= wrapped < su2.TWO_PI
+    # every phase keeps its remainder bit for bit, but one that rounds up to 2pi
+    assert wrapped == phi % su2.TWO_PI or (wrapped == 0.0 and phi % su2.TWO_PI == su2.TWO_PI)
