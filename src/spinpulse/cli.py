@@ -12,9 +12,11 @@ artifact's ``meta.config``, with the unit in the name (``--theta`` is
 check.
 
 An optional ``--config FILE`` reads ``key=value`` lines (same names as
-the long flags, ``#`` comments allowed); explicit flags override file
-values.  A switch such as ``bb1`` takes ``true/false``, ``1/0``,
-``yes/no`` or ``on/off`` in any case; any other value is an error.
+the long flags, ``#`` comments allowed; ``help``, ``config`` and a key
+given twice are errors); explicit flags override file values.  A switch
+such as ``bb1`` takes ``true/false``, ``1/0``, ``yes/no`` or ``on/off``
+in any case; any other value is an error.  The file's values go into the
+parsed options, never into the parser, which is built once per process.
 Identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
@@ -23,6 +25,7 @@ Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -227,7 +230,10 @@ def _read_signal_csv(path: str) -> Signal:
         cells = ln.split(",")
         if len(cells) != 2:
             raise ValueError(f"{path}: malformed CSV row {ln!r}")
-        samples.append((float(cells[0]), float(cells[1])))
+        try:
+            samples.append((float(cells[0]), float(cells[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed CSV row {ln!r}: {exc}") from exc
     name_unit = header[0].rsplit("_", 1)
     axis = name_unit[0] if len(name_unit) == 2 else header[0]
     unit = name_unit[1] if len(name_unit) == 2 else ""
@@ -352,8 +358,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs.choices
 
 
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command tree, built on the first ``main`` call and shared after it."""
+    return build_parser()
+
+
+def _config_key(key: str) -> str:
+    return key.replace("_", "-")
+
+
 def _load_config(path: str) -> dict:
     values = {}
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -361,8 +378,11 @@ def _load_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if _config_key(key) in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            seen.add(_config_key(key))
+            values[key] = value
     return values
 
 
@@ -370,11 +390,12 @@ _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
 
 
-def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> None:
-    defaults = {}
+def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> dict:
+    """The config file's values, typed by ``subparser``'s options, by dest."""
+    typed = {}
     for key, text in values.items():
-        action = subparser._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None:
+        action = subparser._option_string_actions.get("--" + _config_key(key))
+        if action is None or action.dest in ("help", "config"):
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(action, argparse._StoreConstAction):  # a switch
             flag = text.lower()
@@ -390,18 +411,22 @@ def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> None:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         else:
             value = text
-        defaults[action.dest] = value
-    subparser.set_defaults(**defaults)
+        typed[action.dest] = value
+    return typed
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser, registry = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, registry = _parser()
     args = parser.parse_args(argv)
     subparser = registry[args.command]
     try:
         if args.config:
-            _apply_config(subparser, _load_config(args.config))
-            args = parser.parse_args(argv)
+            # Re-parse the command's own tokens over the file's values, so
+            # flags still win; updating ``args`` keeps its declaration order.
+            preset = {**vars(args), **_apply_config(subparser, _load_config(args.config))}
+            args = subparser.parse_args(argv[1:], argparse.Namespace(**preset))
         _require(subparser, args)
         return args.func(args)
     except ParseError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spinpulse import analysis
+from spinpulse import analysis, cli
 from spinpulse.cli import main
 from spinpulse.simulator import echo_train
 
@@ -367,6 +367,10 @@ class TestEchoCommand:
             ("echo_time_s,echo_amplitude\n", "expected a CSV header plus data rows"),
             ("a,b,c\n1.0,2.0,3.0\n", "expected two CSV columns, got 3"),
             ("echo_time_s,echo_amplitude\n2.0,0.5\n4.0\n", "malformed CSV row '4.0'"),
+            (
+                "echo_time_s,echo_amplitude\n1,abc\n",
+                "bad.csv: malformed CSV row '1,abc': could not convert string to float: 'abc'",
+            ),
         ],
     )
     def test_estimate_error_rejects_malformed_csv(self, capsys, tmp_path, text, message):
@@ -535,7 +539,7 @@ class TestConfigFile:
         rabi = ("rabi", "--sigma", "0.05", "--max", "2pi", "--step", "1pi")
         echo = ("echo", "--mode", "cp", "--n", "4")
         # a sampled ensemble is a Discrete of its draws, built in the library
-        cases = [("frobnicate", ("fidelity", "--theta", "1pi"))]
+        cases = [(key, ("fidelity", "--theta", "1pi")) for key in ("frobnicate", "help", "config")]
         cases += [(key, argv) for key in ("mc-samples", "seed") for argv in (rabi, echo)]
         for key, argv in cases:
             cfg.write_text(f"{key}=500\n", encoding="utf-8")
@@ -543,6 +547,67 @@ class TestConfigFile:
             assert code == 2
             assert out == ""
             assert f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (("fidelity",), "theta=1pi\n# the second value\ntheta=2pi\n",
+             "run.cfg:3: key 'theta' given twice"),
+            (("estimate-error", "--cp", "a.csv", "--cpmg", "b.csv"), "eps_max=0.2\neps-max=0.25\n",
+             "run.cfg:2: key 'eps-max' given twice"),
+        ],
+    )
+    def test_key_given_twice_rejected(self, capsys, tmp_path, argv, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "command,text,key,leaked",
+        [
+            ("fidelity", "theta=1pi\nepsilon=0.2\n", "epsilon", 0.2),
+            ("fidelity", "theta=1pi\nepsilon=0.1\nbb1=yes\n", "bb1", True),
+            ("scan", "theta=1pi\nsimple=yes\n", "bb1", False),
+        ],
+        ids=["value", "switch", "store-false"],
+    )
+    def test_config_does_not_reach_the_next_call(self, capsys, tmp_path, command, text, key, leaked):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, command, "--config", str(cfg), "--json", "--quiet")
+        assert code == 0
+        assert json.loads(out)["meta"]["config"][key] == leaked
+        code, out, _ = run(capsys, command, "--theta", "1pi", "--json", "--quiet")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["config"][key] != leaked
+        if command == "fidelity":
+            assert doc["meta"]["config"]["epsilon"] == 0.0
+            assert doc["data"] == [{"fidelity": 1.0, "infidelity": 0.0}]
+
+    def test_parser_built_once_per_process(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=0.1\n", encoding="utf-8")
+        for argv in (
+            ("fidelity", "--theta", "1pi"),
+            ("fidelity", "--theta", "1pi", "--config", str(cfg)),
+            ("eseem-ratio", "--mode", "pi", "--theta-eps", "0.1rad"),
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+        assert cli._parser() is cli._parser()
 
 
 class TestOutputFormat:
@@ -643,6 +708,13 @@ class TestConfigRecord:
         assert config["bb1"] is False
         assert 1.9 <= config["slope"] <= 2.1
 
+    def test_config_keeps_declaration_order(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dphi2=0.001pi\nbb1=yes\nepsilon=0.1\ntheta=1pi\n", encoding="utf-8")
+        config = self.config(capsys, "fidelity", "--config", str(cfg))
+        assert list(config) == ["theta_rad", "epsilon", "bb1", "dphi1_rad", "dphi2_rad"]
+        assert config["dphi2_rad"] == pytest.approx(0.001 * math.pi)
+
 
 def test_readme_example_prints_its_comment(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -698,6 +770,17 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert message in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=0.2\ntheta=1pi\n", encoding="utf-8")
+        argv = ("fidelity", "--config", str(cfg), "--epsilon", "0.1", "--json")
+        proc = run_module(*argv)
+        assert proc.returncode == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert proc.stdout == out
+        assert json.loads(out)["meta"]["config"]["epsilon"] == 0.1
 
     def test_domain_error_exits_2(self):
         proc = run_module("eseem-ratio", "--mode", "magic", "--theta-eps", "0rad")
