@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -371,9 +372,11 @@ def _config_key(key: str) -> str:
 def _load_config(path: str) -> dict:
     values = {}
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark; a "#" starts a comment only at the
+    # start of a line or after whitespace, so a value may hold one
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -411,6 +414,9 @@ def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> dict:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         else:
             value = text
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
         typed[action.dest] = value
     return typed
 

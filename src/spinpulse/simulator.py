@@ -33,8 +33,9 @@ Both experiments are block kernels: they build their repeated block once
 on the engine and then advance by products.  ``rabi_trace`` raises the
 BB1 pi-block propagator to each new block count by the engine's
 ``Repeat`` rule, takes the remainder rotations of many samples in one
-batched ``_rotations`` call, and applies the powers to them in the
-column form.  The echo kernel (``_echo_amplitudes``) builds the
+batched ``_rotations`` call, keeps their images of spin-up, and
+multiplies each run of samples that share a block count by its power
+with the engine's ``@``.  The echo kernel (``_echo_amplitudes``) builds the
 echo-cycle propagator and advances every member by one 2x2 product per
 echo; it runs a block of amplitude errors at once (every error with
 every detuning node), so the rotation error fit runs its grid and each
@@ -43,8 +44,8 @@ Both take their samples or echoes in slices of at most
 ``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice, one
 ``math.fsum`` per row (``_weighted_sums``), before the next is
 advanced, so a block never holds more than one slice.  A trace costs
-one numpy round per slice: two for the 161 samples of a 41-node trace
-to 40 pi.
+one numpy round per slice, plus a BB1 trace's one product per block
+count: two slices for the 161 samples of a 41-node trace to 40 pi.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Literal, Optional
 
 import numpy as np
@@ -109,9 +111,9 @@ MAX_MEMBER_ECHOES = 2**23
 # the echo slice buffer holds two complex amplitudes per member-echo
 # (128 kB), plus the slice's reduction.  A fit's 31-error grid (31 x 65
 # members) peaks at 2.8 MB traced with slices of 2^15 and at 0.55 MB with
-# 2^12, at the same speed.  A BB1 trace slice holds its rotations and its
-# gathered block powers, 64 B each per member-sample: a 41-node trace
-# peaks at 0.86 MB traced.
+# 2^12, at the same speed.  A Rabi trace slice keeps the spin-up column of
+# its rotations, 32 B per member-sample (the full rotations, 64 B, only
+# while they are built): a 41-node BB1 trace peaks at 0.51 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -280,13 +282,14 @@ def rabi_trace(
 
     The samples run as a block, in slices of at most
     ``_SLICE_MEMBER_ECHOES`` member-samples (at least one sample each).
-    A slice's remainder rotations are one batched ``_rotations`` call, whose
-    first columns are the images of spin-up; the running power is taken
-    at the slice's distinct block counts, gathered per sample and applied
-    in the column form; and ``-<sz>`` is reduced one ``math.fsum`` per
-    sample.  Each sample equals, bit for bit, the product
+    A slice's remainder rotations are one batched ``_rotations`` call, of
+    which only the first columns, the images of spin-up, are kept; each
+    run of samples that share a block count is multiplied in place by the
+    running power with ``@``; and ``-<sz>`` is reduced one ``math.fsum``
+    per sample.  Each sample equals, bit for bit, the product
     ``B**n @ R(r)[:, :1]`` taken and reduced for that sample alone, and a
-    trace costs one numpy round per slice.
+    trace costs one numpy round per slice, plus one product per block
+    count when ``use_bb1`` is set.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -313,23 +316,17 @@ def rabi_trace(
         remainders = (theta - n * math.pi for theta, n in zip(thetas[start:stop], ns[start:stop]))
         r = [x if x > 1e-15 else 0.0 for x in remainders]
         # the first column of each rotation is its image of spin-up
-        u, v = np.moveaxis(_rotations(np.array(r)[:, None], 0.0, eps)[..., 0], -1, 0)
+        states = _rotations(np.array(r)[:, None], 0.0, eps)[..., :1].copy()
         if block is not None:
-            # the slice's powers B**n, one per distinct n, then one per sample
-            levels, powers = sorted(set(ns[start:stop])), []
-            for n in levels:
+            i = 0
+            for n, run in groupby(ns[start:stop]):
                 if n > blocks:
                     power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
-                powers.append(power)
-            # a slice of one power, as every slice of more members than a
-            # slice holds is, needs no gathered copy
-            if len(powers) == 1:
-                p = power[None]
-            else:
-                p = np.stack(powers)[np.searchsorted(levels, ns[start:stop])]
-            u, v = p[..., 0, 0] * u + p[..., 0, 1] * v, p[..., 1, 0] * u + p[..., 1, 1] * v
-        sz = np.abs(u) ** 2 - np.abs(v) ** 2
-        del u, v  # the slice's states are not held through its reduction
+                j = i + len(list(run))
+                states[i:j] = power @ states[i:j]
+                i = j
+        sz = np.abs(states[..., 0, 0]) ** 2 - np.abs(states[..., 1, 0]) ** 2
+        del states  # the slice's states are not held through its reduction
         samples.extend(zip(thetas[start:stop], _weighted_sums(weights, -sz)))
 
     return Signal(

@@ -379,6 +379,17 @@ class TestEstimator:
         with pytest.raises(ValueError, match="did not converge within 1 Gauss-Newton steps"):
             estimate_rotation_error(cp, cpmg)
 
+    def test_flat_model_raises_vanishing_jacobian(self, monkeypatch):
+        # a model ratio that does not depend on epsilon gives the refinement
+        # no direction to step in
+        monkeypatch.setattr(
+            analysis, "_model_ratio", lambda eps, n, tau, delta, weights: np.ones((eps.size, n // 2))
+        )
+        cp = echo_train("cp", 8, 0.1)
+        cpmg = echo_train("cpmg", 8, 0.1)
+        with pytest.raises(ValueError, match="Jacobian vanishes at epsilon = 0.0"):
+            estimate_rotation_error(cp, cpmg)
+
     @settings(max_examples=25, deadline=None)
     @given(
         eps_true=st.one_of(

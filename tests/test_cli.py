@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinpulse import analysis, cli
@@ -419,6 +420,27 @@ class TestEchoCommand:
         assert out == ""
         assert "eps_max must lie in (0, 1)" in err
 
+    def test_estimate_error_flat_model_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "_model_ratio", lambda eps, n, tau, delta, weights: np.ones((eps.size, n // 2))
+        )
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "8", "--epsilon", "0.1",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        code, out, err = run(
+            capsys,
+            "estimate-error",
+            "--cp", str(tmp_path / "cp.csv"),
+            "--cpmg", str(tmp_path / "cpmg.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "the fit's Jacobian vanishes" in err
+
     def test_estimate_error_steps_that_do_not_converge_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 1)
         for mode in ("cp", "cpmg"):
@@ -481,15 +503,17 @@ class TestEseemCommand:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta=1pi\nepsilon=0.2\n# comment\n", encoding="utf-8")
-        code, out, _ = run(capsys, "fidelity", "--config", str(cfg))
-        assert code == 0
-        f_cfg = float(out.split()[0].split("=")[1])
-        assert f_cfg == pytest.approx(math.cos(0.1 * math.pi), abs=1e-9)
+        # utf-8-sig writes a byte-order mark, which the reader drops
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg.write_text("theta=1pi\nepsilon=0.2\n# comment\n", encoding=encoding)
+            code, out, _ = run(capsys, "fidelity", "--config", str(cfg))
+            assert code == 0
+            f_cfg = float(out.split()[0].split("=")[1])
+            assert f_cfg == pytest.approx(math.cos(0.1 * math.pi), abs=1e-9)
 
-        code, out, _ = run(capsys, "fidelity", "--config", str(cfg), "--epsilon", "0.1")
-        f_cli = float(out.split()[0].split("=")[1])
-        assert f_cli == pytest.approx(math.cos(0.05 * math.pi), abs=1e-9)
+            code, out, _ = run(capsys, "fidelity", "--config", str(cfg), "--epsilon", "0.1")
+            f_cli = float(out.split()[0].split("=")[1])
+            assert f_cli == pytest.approx(math.cos(0.05 * math.pi), abs=1e-9)
 
     @pytest.mark.parametrize(
         "text,bb1",
@@ -547,6 +571,35 @@ class TestConfigFile:
             assert code == 2
             assert out == ""
             assert f"unknown config key {key!r}" in err
+
+    def test_hash_inside_a_value_is_kept(self, capsys, tmp_path, monkeypatch):
+        # "#" starts a comment only at the start of a line or after whitespace
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("#header\ntheta=1pi  # target\nout=run#2.csv\n", encoding="utf-8")
+        code, out, _ = run(capsys, "fidelity", "--config", str(cfg), "--quiet")
+        assert code == 0
+        assert out == ""
+        assert (tmp_path / "run#2.csv").read_text(encoding="utf-8").startswith("F=1.0")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (("echo", "--n", "4", "--epsilon", "0.1"), "mode=CP\n",
+             "config key 'mode': invalid choice 'CP' (choose from 'cp', 'cpmg')"),
+            (("eseem-ratio", "--theta-eps", "0.1rad"), "mode=Pi\n",
+             "config key 'mode': invalid choice 'Pi' (choose from 'pi', 'magic')"),
+        ],
+        ids=["echo", "eseem-ratio"],
+    )
+    def test_value_outside_choices_rejected(self, capsys, tmp_path, argv, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv,text,message",
