@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NO_ERROR
-from .sequence import Pulse, bb1_sequence
+from .errors import NO_ERROR, ErrorModel
+from .sequence import Pulse, bb1_phases, bb1_sequence
 from .simulator import (
     MAX_SAMPLES,
     _REFOCUS_PHASE,
@@ -86,12 +86,12 @@ class FidelityScan:
             raise ValueError("infidelity must be >= -1e-12")
 
 
-def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
-    """Fidelity of ``pulses`` against the ideal ``theta`` rotation about x,
-    for every amplitude error in ``eps``: the engine propagates the
-    identity over the whole array at once."""
+def _fidelities_over(theta: float, pulses, eps: np.ndarray, error=NO_ERROR) -> np.ndarray:
+    """Fidelity of ``pulses`` under the phase offsets of ``error`` against the
+    ideal ``theta`` rotation about x, for every amplitude error in ``eps``:
+    the engine propagates the identity over the whole array at once."""
     with np.errstate(over="ignore", invalid="ignore"):
-        net = _propagate_nodes(pulses, NO_ERROR, eps, np.zeros(eps.size), IDENTITY)
+        net = _propagate_nodes(pulses, error, eps, np.zeros(eps.size), IDENTITY)
         # the target goes through the public `rotation`, one wrapper per call and
         # none per node: perfbench's program_check needs su2.rotation.calls > 0
         fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
@@ -100,24 +100,21 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray) -> np.ndarray:
     return fidelities
 
 
-def _bb1_pulses(theta: float, offsets: tuple[float, float] = (0.0, 0.0)) -> list[Pulse]:
-    d1, d2 = offsets
-    # Offsets go by position: both pi pulses share the first channel even
-    # where a correction phase coincides with the target pulse's (theta=2pi)
-    # or with the other correction phase (theta=4pi).
-    return [Pulse(p.theta, p.phi + d) for p, d in zip(bb1_sequence(theta), (0.0, d1, d2, d1))]
-
-
 def bb1_fidelity(
     theta: float, epsilon: float, offsets: tuple[float, float] = (0.0, 0.0)
 ) -> float:
     """Fidelity of the corrected four-pulse sequence against the ideal rotation.
 
-    The two correction phase channels carry offsets ``(dphi1, dphi2)``;
-    every pulse carries the fractional amplitude error ``epsilon``.  With
-    exact phases and zero error the value is 1 to machine precision.
+    Every pulse carries the fractional amplitude error ``epsilon``.  Each
+    nonzero offset of ``(dphi1, dphi2)`` is an ``ErrorModel`` channel at its
+    phase of ``bb1_phases(theta)``, and every pulse at that phase takes it:
+    at ``theta = 2pi``, where ``phi2`` is the target pulse's phase 0,
+    ``dphi2`` shifts the target pulse too, and at ``4pi``, where ``phi1 =
+    phi2 = pi``, two nonzero offsets are refused, as is any ``|dphi| >=
+    pi/2``.  With exact phases and zero error the value is 1 to rounding.
     """
-    return float(_fidelities_over(theta, _bb1_pulses(theta, offsets), np.array([epsilon]))[0])
+    model = ErrorModel(0.0, [(p, d) for p, d in zip(bb1_phases(theta), offsets) if d != 0.0])
+    return float(_fidelities_over(theta, bb1_sequence(theta), np.array([epsilon]), model)[0])
 
 
 def scan_order(
@@ -143,7 +140,7 @@ def scan_order(
     if type(n_points) is not int or not 5 <= n_points <= MAX_SAMPLES:
         raise ValueError(f"n_points must be an integer in [5, {MAX_SAMPLES}]")
     eps = np.geomspace(lo, hi, n_points)
-    pulses = _bb1_pulses(theta) if use_bb1 else [Pulse(theta, 0.0)]
+    pulses = bb1_sequence(theta) if use_bb1 else [Pulse(theta, 0.0)]
     infid = 1.0 - _fidelities_over(theta, pulses, eps)
     scan = FidelityScan(theta=theta, points=tuple(zip(eps.tolist(), infid.tolist())))
 
@@ -173,19 +170,21 @@ def phase_sensitivity_prediction(offsets: tuple[float, float], epsilon: float) -
     The model is a truncated expansion: it omits terms of order eps^6
     (present even at zero offsets) and higher-order offset terms, so it
     is accurate only for small offsets.  A warning is issued when either
-    offset exceeds 0.05*pi.
+    offset exceeds 0.05*pi; a value that is not finite raises ``ValueError``.
     """
     d1, d2 = offsets
-    if max(abs(d1), abs(d2)) > OFFSET_WARN_THRESHOLD:
-        warnings.warn(
-            "phase offsets exceed 0.05*pi; the truncated model loses accuracy",
-            stacklevel=2,
-        )
     a, b, c = SENSITIVITY_QUAD_COEFFS
     p, q = SENSITIVITY_LIN_COEFFS
-    quad = (a * d1 * d1 + b * d1 * d2 + c * d2 * d2) * epsilon**2 * math.pi**2
-    lin = (p * d1 + q * d2) * epsilon**4 * math.pi**4
-    return 1.0 - quad - lin
+    try:
+        quad = (a * d1 * d1 + b * d1 * d2 + c * d2 * d2) * epsilon**2 * math.pi**2
+        fidelity = 1.0 - quad - (p * d1 + q * d2) * epsilon**4 * math.pi**4
+    except OverflowError:  # a float power past the largest double
+        fidelity = math.inf
+    if not math.isfinite(fidelity):  # a non-finite input, or an overflow
+        raise ValueError(f"no finite model value at offsets {offsets!r}, epsilon {epsilon!r}")
+    if max(abs(d1), abs(d2)) > OFFSET_WARN_THRESHOLD:
+        warnings.warn("phase offsets exceed 0.05*pi; the truncated model loses accuracy", stacklevel=2)
+    return fidelity
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,8 @@ class ErrorModel:
         # neighbours on the circle, the last channel's neighbour being the first
         for a, b in zip(phases, phases[1:] + [p + TWO_PI for p in phases[:1]]):
             if b - a <= 2 * PHASE_MATCH_TOL:
-                raise ValueError("phase channels must lie more than 2 * PHASE_MATCH_TOL apart")
+                raise ValueError(f"phase channels {a!r} and {_wrap_phase(b)!r} rad must lie "
+                                 "more than 2 * PHASE_MATCH_TOL apart")
         object.__setattr__(self, "phase_offsets", offsets)
 
     def offset_for(self, phi: float) -> float:

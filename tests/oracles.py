@@ -117,13 +117,19 @@ def echo_train_oracle(
     return np.abs(amps)
 
 
+def _circle_gap(a: float, b: float) -> float:
+    gap = abs(a - b) % (2.0 * math.pi)
+    return min(gap, 2.0 * math.pi - gap)
+
+
 def propagate_oracle(
     elements, epsilon: float, offsets, delta: float, psi0: np.ndarray, snapshots=None
 ) -> np.ndarray:
     """Brute-force 2x2 product for a pulse program, one spin.
 
     ``offsets`` is a list of ``(nominal_phase, dphi)`` channels; a pulse
-    whose phase lies within 1e-9 of a channel picks up its offset.
+    whose phase lies within 1e-9 of a channel on the circle picks up its
+    offset.  ``psi0`` is a spinor, or a 2x2 matrix for the propagator.
     Repeats are fully unrolled.  When ``snapshots`` is a list, the state
     at every ``Acquire`` is appended to it in time order.  Elements are
     recognised by type name, so the package's own interpreter is never
@@ -132,7 +138,7 @@ def propagate_oracle(
     for el in elements:
         kind = type(el).__name__
         if kind == "Pulse":
-            dphi = next((d for p, d in offsets if abs(p - el.phi) <= 1e-9), 0.0)
+            dphi = next((d for p, d in offsets if _circle_gap(p, el.phi) <= 1e-9), 0.0)
             psi = _rot(el.theta, el.phi + dphi, epsilon) @ psi
         elif kind == "Delay":
             psi = _zrot(delta * el.tau) @ psi

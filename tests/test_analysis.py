@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spinpulse import (
     DELTA_ZERO,
@@ -15,6 +15,7 @@ from spinpulse import (
     Uniform,
     bb1_fidelity,
     bb1_phases,
+    bb1_sequence,
     echo_train,
     ensemble_mean_fidelity,
     eseem_ratio,
@@ -54,6 +55,19 @@ def bb1_fidelity_expm(theta, eps, d1=0.0, d2=0.0):
     return abs(np.trace(target @ net.conj().T)) / 2.0
 
 
+def bb1_fidelity_channels(theta, eps, d1=0.0, d2=0.0):
+    """Channel-offset oracle: the BB1 pulses through the brute-force
+    product, each pulse taking the offset of the channel its phase matches
+    on the circle, with the channels phi1 and 3 * phi1."""
+    from oracles import propagate_oracle, rotation_expm
+
+    phi1 = math.acos(-theta / (4 * math.pi))
+    offsets = [(p, d) for p, d in ((phi1, d1), (3 * phi1, d2)) if d]
+    net = propagate_oracle(bb1_sequence(theta), eps, offsets, 0.0, np.eye(2))
+    target = rotation_expm(theta, 0.0, 0.0)
+    return abs(np.trace(target @ net.conj().T)) / 2.0
+
+
 class TestBb1Fidelity:
     def test_exact_at_zero_error(self):
         for theta in (0.2, math.pi / 2, math.pi, 2.5):
@@ -76,15 +90,30 @@ class TestBb1Fidelity:
         f_oracle = abs(np.trace(target @ net.conj().T)) / 2.0
         assert bb1_fidelity(math.pi, 0.1) == pytest.approx(f_oracle, abs=1e-12)
 
-    @pytest.mark.parametrize("theta", [2 * math.pi, 4 * math.pi])
-    def test_offsets_by_position_at_coinciding_phases(self, theta):
-        # At 2pi the 2pi pulse's phase coincides with the target pulse's,
-        # and at 4pi phi1 and phi2 coincide: offsets still follow position.
+    @pytest.mark.parametrize("d1,d2", [(0.01, -0.02), (0.03, 0.01), (-0.02, 0.0), (0.0, 0.02)])
+    def test_offsets_by_channel_at_two_pi(self, d1, d2):
+        # phi2 = 3 * phi1 is the target pulse's phase 0 on the circle, so the
+        # phi2 channel shifts the target pulse as well as the 2pi pulse
+        theta = 2 * math.pi
         for eps in (0.0, 0.05, 0.1):
-            for d1, d2 in ((0.01, -0.02), (0.03, 0.01), (-0.02, 0.0)):
+            assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
+                bb1_fidelity_channels(theta, eps, d1, d2), abs=1e-12
+            )
+        if d2:
+            moved = bb1_fidelity(theta, 0.05, (d1, d2)) - bb1_fidelity_expm(theta, 0.05, d1, d2)
+            assert abs(moved) > 1e-6
+
+    def test_coinciding_channels_at_four_pi(self):
+        # phi1 = phi2 = pi: one nonzero offset is the one channel of all three
+        # correction pulses; two nonzero offsets are two channels at one phase
+        theta = 4 * math.pi
+        for eps in (0.0, 0.05, 0.1):
+            for d1, d2 in ((0.03, 0.0), (0.0, -0.02), (0.0, 0.0)):
                 assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
-                    bb1_fidelity_expm(theta, eps, d1, d2), abs=1e-12
+                    bb1_fidelity_channels(theta, eps, d1, d2), abs=1e-12
                 )
+        with pytest.raises(ValueError, match=r"channels 3\.141592653589793 and 3\.141592653589793"):
+            bb1_fidelity(theta, 0.05, (0.01, 0.02))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -94,6 +123,9 @@ class TestBb1Fidelity:
         d2=st.floats(-0.05, 0.05),
     )
     def test_matches_expm_route(self, theta, eps, d1, d2):
+        # away from 2pi and 4pi the BB1 phases 0, phi1, phi2 are distinct
+        # channels, so offsets by channel are offsets by position
+        assume(abs(theta - 2 * math.pi) > 4e-9 and theta != 4 * math.pi)
         assert bb1_fidelity(theta, eps, (d1, d2)) == pytest.approx(
             bb1_fidelity_expm(theta, eps, d1, d2), abs=1e-12
         )
@@ -232,6 +264,18 @@ class TestPhaseSensitivity:
                         worst_small = max(worst_small, dev)
         assert worst_small < 5e-6
         assert worst_full == pytest.approx(1.164e-5, rel=1e-2)
+
+    def test_unanswerable_inputs_rejected(self):
+        # non-finite inputs, a result that overflows to -inf, and a power past
+        # the largest double: each is a ValueError, never nan, inf or OverflowError
+        for offsets, eps in (
+            ((math.nan, 0.0), 0.1),
+            ((0.0, 0.0), math.inf),
+            ((1e200, 0.0), 1e-3),
+            ((0.01, 0.0), 1e100),
+        ):
+            with pytest.raises(ValueError, match="no finite model value"):
+                phase_sensitivity_prediction(offsets, eps)
 
     def test_large_offsets_warn(self):
         with pytest.warns(UserWarning):

@@ -91,6 +91,24 @@ class TestFidelityCommand:
         f = float(out.split()[0].split("=")[1])
         assert f == pytest.approx(0.9999, abs=1e-4)
 
+    def test_bb1_coinciding_channels_exit_2(self, capsys):
+        # at theta = 4pi both correction phases are pi: one channel, two offsets
+        code, out, err = run(
+            capsys, "fidelity", "--theta", "4pi", "--bb1", "--dphi1", "0.01rad", "--dphi2", "0.02rad"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: phase channels 3.141592653589793 and 3.141592653589793 rad "
+            "must lie more than 2 * PHASE_MATCH_TOL apart\n"
+        )
+        code, out, _ = run(capsys, "fidelity", "--theta", "4pi", "--bb1")
+        assert (code, out) == (0, "F=1.00000000000e+00 1-F=0.00000000000e+00\n")
+
+    def test_bb1_offset_of_a_quarter_turn_exit_2(self, capsys):
+        code, _, err = run(capsys, "fidelity", "--theta", "1pi", "--bb1", "--dphi1", "0.5pi")
+        assert code == 2
+        assert err == "error: phase offsets must satisfy |dphi| < pi/2\n"
+
     def test_offsets_without_bb1_rejected(self, capsys):
         code, _, err = run(
             capsys, "fidelity", "--theta", "1pi", "--dphi1", "0.01pi"
