@@ -276,9 +276,9 @@ def _model_ratio(
 ) -> np.ndarray:
     """Even-echo CP/CPMG ratios of the simple-pulse model on the detuning
     nodes ``delta`` with ``weights``, one row per amplitude error in
-    ``eps``: one echo block per mode."""
+    ``eps``: one echo block per mode, which reduces only the even echoes."""
     cp, cpmg = (
-        _echo_amplitudes(_REFOCUS_PHASE[mode], n, eps, delta, weights, False, tau)[:, 1::2]
+        _echo_amplitudes(_REFOCUS_PHASE[mode], n, eps, delta, weights, False, tau, 2)
         for mode in ("cp", "cpmg")
     )
     return cp / cpmg
@@ -329,9 +329,10 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     """Best-fit refocusing-pulse amplitude error from a CP/CPMG pair.
 
     Fits the per-even-echo amplitude ratio CP/CPMG against the simulated
-    simple-pulse decay model in ``|eps|``.  A ``FIT_COARSE_POINTS``-point
-    grid on ``[0, eps_max]``, run as one echo block per mode, brackets the
-    best grid point by its neighbours, ``[lo, hi]``.  Gauss-Newton refines
+    simple-pulse decay model in ``|eps|``, whose echo blocks reduce only
+    the even echoes.  A ``FIT_COARSE_POINTS``-point grid on
+    ``[0, eps_max]``, run as one echo block per mode, brackets the best
+    grid point by its neighbours, ``[lo, hi]``.  Gauss-Newton refines
     from it in ``s = eps**2``, where the Jacobian of the even ratio does not
     vanish at 0: each step runs ``sqrt`` of ``b, s, b + 2h`` as one block
     (``h = FIT_STEP``, ``b = max(s - h, lo**2)``) and is clamped into
@@ -354,11 +355,12 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     RMS misfit of the even-echo ratios at the optimum, from one
     ``echo_train`` pair.  A residual above ``FIT_MAX_RESIDUAL`` raises
     ``ValueError``: the model does not describe the data, so ``eps_hat``
-    would be a wrong answer.  An ``eps_max`` outside ``(0, 1)``, or a pair
-    that breaks a bound of ``echo_train`` (more than ``MAX_SAMPLES`` echoes
-    or ``MAX_MEMBER_ECHOES`` member-echoes of the default line, or a ``tau``
-    that is not finite and positive), raises ``ValueError`` before any
-    train is simulated.
+    would be a wrong answer, and so does a residual that is NaN.  An
+    ``eps_max`` outside ``(0, 1)``, an amplitude that is not finite, or a
+    pair that breaks a bound of ``echo_train`` (more than ``MAX_SAMPLES``
+    echoes or ``MAX_MEMBER_ECHOES`` member-echoes of the default line, or a
+    ``tau`` that is not finite and positive), raises ``ValueError`` before
+    any train is simulated.
     """
     if not 0.0 < eps_max < 1.0:
         raise ValueError(f"eps_max must lie in (0, 1), got {eps_max!r}")
@@ -373,6 +375,9 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     for name, signal in (("CP", cp), ("CPMG", cpmg)):
         if not np.all(np.abs(signal.x - t_k) <= 1e-9 * np.abs(t_k)):
             raise ValueError(f"{name} echo times must be t_k = 2*tau*k with tau = {tau!r}")
+        # `samples` is a mutable list, checked only when the Signal was built
+        if not np.all(np.isfinite(signal.values)):
+            raise ValueError(f"{name} amplitudes must be finite")
     data_cpmg = _even_echoes(cpmg)
     if np.any(data_cpmg <= 0):
         raise ValueError("CPMG amplitudes must be positive to form the ratio")
@@ -403,7 +408,7 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
             residual, eps_hat = min((residual, eps_hat), fit_from(other))
         except ValueError:
             pass
-    if residual > FIT_MAX_RESIDUAL:
+    if not residual <= FIT_MAX_RESIDUAL:  # a NaN residual is refused too
         raise ValueError(
             f"fit residual {residual:.3g} exceeds {FIT_MAX_RESIDUAL}: likely an ensemble "
             f"mismatch, or an error beyond eps_max = {eps_max!r}"

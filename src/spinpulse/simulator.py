@@ -107,13 +107,14 @@ MAX_SAMPLES = 100_000
 # bound an exact default train (2n + 1 members) meets first: n <= 2047.
 MAX_MEMBER_ECHOES = 2**23
 
-# Member-echoes (member-samples for a Rabi trace) per slice of a block:
-# the echo slice buffer holds two complex amplitudes per member-echo
-# (128 kB), plus the slice's reduction.  A fit's 31-error grid (31 x 65
-# members) peaks at 2.8 MB traced with slices of 2^15 and at 0.55 MB with
-# 2^12, at the same speed.  A Rabi trace slice keeps the spin-up column of
-# its rotations, 32 B per member-sample (the full rotations, 64 B, only
-# while they are built): a 41-node BB1 trace peaks at 0.51 MB traced.
+# Kept member-echoes (member-samples for a Rabi trace) per slice of a
+# block: the echo slice buffer holds two complex amplitudes per kept
+# member-echo (128 kB), plus the slice's reduction.  A fit's 31-error
+# grid (31 x 65 members) peaks at 2.8 MB traced with slices of 2^15 and
+# at 0.55 MB with 2^12, at the same speed.  A Rabi trace slice keeps the
+# spin-up column of its rotations, 32 B per member-sample (the full
+# rotations, 64 B, only while they are built): a 41-node BB1 trace peaks
+# at 0.51 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -419,21 +420,25 @@ def _echo_amplitudes(
     weights: np.ndarray,
     use_bb1: bool,
     tau: float,
+    stride: int = 1,
 ) -> np.ndarray:
-    """Echo amplitudes, before any T2 envelope, of an ``n``-cycle train at
-    every amplitude error in ``eps_values``: row ``e`` of the ``(E, n)``
-    result is the train at ``eps_values[e]`` on the detuning nodes
-    ``delta`` with ``weights``.
+    """Echo amplitudes, before any T2 envelope, of echoes ``stride``,
+    ``2 * stride``, ... of an ``n``-cycle train at every amplitude error in
+    ``eps_values``: row ``e`` of the ``(E, n // stride)`` result is the
+    train at ``eps_values[e]`` on the detuning nodes ``delta`` with
+    ``weights``, keeping only the echoes its caller reads (the fit reads
+    the even echoes, ``stride = 2``; ``echo_train`` reads all).
 
     The E * M members (``np.repeat(eps, M)`` by ``np.tile(delta, E)``) run
     as one block: the cycle propagator ``C`` is built once on the engine,
     and echo k is ``C`` applied to echo k-1, in the column form, one 2x2
-    product per member and echo.  The echoes are taken in slices of at
-    most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each slice is reduced
-    (one ``math.fsum`` per echo and amplitude error) before the next is
-    advanced, so only the returned array grows with ``n``.  Each member's
-    arithmetic does not depend on the others, so a row equals, bit for bit,
-    the train run at that amplitude error alone.
+    product per member and echo, kept or not.  The kept echoes are taken
+    in slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each
+    slice is reduced (one ``math.fsum`` per kept echo and amplitude error)
+    before the next is advanced, so only the returned array grows with
+    ``n``.  Each member's arithmetic does not depend on the others or on
+    ``stride``, so a row equals, bit for bit, the kept echoes of the train
+    run at that amplitude error alone.
     """
     count_eps, members = eps_values.size, delta.size
     eps = np.repeat(eps_values, members)
@@ -444,17 +449,19 @@ def _echo_amplitudes(
     del cycle  # not held through the echo loop, where the block peaks
     psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
     u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
-    rows = min(n, max(1, _SLICE_MEMBER_ECHOES // eps.size))
+    kept = n // stride
+    rows = max(1, min(kept, _SLICE_MEMBER_ECHOES // eps.size))
     up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
 
-    sums = np.empty((n, count_eps))
-    for start in range(0, n, rows):
-        count = min(rows, n - start)
+    sums = np.empty((kept, count_eps))
+    for start in range(0, kept, rows):
+        count = min(rows, kept - start)
         for j in range(count):
-            # both columns are computed before either is stored; the engine's product
-            # `cycle @ psi` gives the same echoes bit for bit but is slower (5.38 against
-            # 4.36 us per echo at 65 members, 2-vCPU VM), so the column form stays
-            u, v = a * u + b * v, c * u + d * v
+            for _ in range(stride):
+                # both columns are computed before either is stored; the engine's product
+                # `cycle @ psi` gives the same echoes bit for bit but is slower (5.38 against
+                # 4.36 us per echo at 65 members, 2-vCPU VM), so the column form stays
+                u, v = a * u + b * v, c * u + d * v
             up[j], down[j] = u, v
         # the ideal train keeps every echo on +-y: the signed <sy> of each member
         sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag

@@ -416,6 +416,20 @@ class TestEstimator:
         assert abs(eps_hat - eps_true) <= 1e-12
         assert residual <= 1e-12
 
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("n", [4, 5, 16, 17])
+    def test_model_rows_equal_the_residual_trains(self, n, tau):
+        # the fit's residual is taken from an echo_train pair: each row of the
+        # even-echo model block must be that pair's ratio, bit for bit
+        eps = np.array([0.0, 1e-4, 0.0371, 0.123, 0.29])
+        _, delta, weights = analysis._echo_nodes(n, tau)
+        model = analysis._model_ratio(eps, n, tau, delta, weights)
+        assert model.shape == (eps.size, n // 2)
+        for e, row in zip(eps.tolist(), model):
+            cp, cpmg = (echo_train(mode, n, e, tau=tau) for mode in ("cp", "cpmg"))
+            want = analysis._even_echoes(cp) / analysis._even_echoes(cpmg)
+            assert row.tolist() == want.tolist()
+
     def test_steps_that_do_not_converge_raise(self, monkeypatch):
         monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 1)
         cp = echo_train("cp", 16, 0.123, tau=0.7)
@@ -557,6 +571,22 @@ class TestEstimator:
         bad.samples[1] = (bad.samples[1][0], 0.0)
         with pytest.raises(ValueError):
             estimate_rotation_error(cp, bad)
+
+    @pytest.mark.parametrize("name,index", [("CP", 3), ("CPMG", 3), ("CP", 0), ("CPMG", 2)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, monkeypatch, name, index, value):
+        # a Signal checks its samples only when built, and the list stays
+        # mutable: a NaN echo must not become a (0.0, nan) fit with exit 0
+        def no_model(*args):
+            raise AssertionError("simulated a train for a non-finite amplitude")
+
+        pair = {"CP": echo_train("cp", 16, 0.1), "CPMG": echo_train("cpmg", 16, 0.1)}
+        bad = pair[name]
+        bad.samples[index] = (bad.samples[index][0], value)
+        for fn in ("_model_ratio", "_echo_amplitudes", "echo_train"):
+            monkeypatch.setattr(analysis, fn, no_model)
+        with pytest.raises(ValueError, match=f"^{name} amplitudes must be finite$"):
+            estimate_rotation_error(pair["CP"], pair["CPMG"])
 
 
 class TestEseem:

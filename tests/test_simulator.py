@@ -726,7 +726,8 @@ class TestEchoTrain:
         mode=st.sampled_from(["cp", "cpmg"]),
         use_bb1=st.booleans(),
         line=st.sampled_from(["default", "legendre", "discrete"]),
-        n=st.integers(1, 24),
+        n=st.integers(1, 41),
+        stride=st.sampled_from([1, 2]),
         size=st.integers(16, 600),
         rows=st.integers(4, 8),
         side=st.integers(0, 1),
@@ -734,10 +735,11 @@ class TestEchoTrain:
         seed=st.integers(0, 2**16),
     )
     def test_block_rows_equal_trains_bitwise(
-        self, mode, use_bb1, line, n, size, rows, side, tau, seed
+        self, mode, use_bb1, line, n, stride, size, rows, side, tau, seed
     ):
         # E amplitude errors in one block, E on either side of the count at
-        # which a slice holds `rows` echoes
+        # which a slice holds `rows` kept echoes; a strided block keeps
+        # echoes stride, 2 * stride, ... of the train, odd n included
         spec = {
             "default": None,
             "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
@@ -748,11 +750,11 @@ class TestEchoTrain:
         eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
         eps[0] = 0.0
         phase = simulator._REFOCUS_PHASE[mode]
-        block = simulator._echo_amplitudes(phase, n, eps, delta, weights, use_bb1, tau)
-        assert block.shape == (count, n)
+        block = simulator._echo_amplitudes(phase, n, eps, delta, weights, use_bb1, tau, stride)
+        assert block.shape == (count, n // stride)
         for e, row in zip(eps, block):
             train = echo_train(mode, n, float(e), spec, use_bb1, tau=tau)
-            assert row.tolist() == train.values.tolist()
+            assert row.tolist() == train.values[stride - 1 :: stride].tolist()
 
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])
