@@ -175,11 +175,9 @@ def phase_sensitivity_prediction(offsets: tuple[float, float], epsilon: float) -
     d1, d2 = offsets
     a, b, c = SENSITIVITY_QUAD_COEFFS
     p, q = SENSITIVITY_LIN_COEFFS
-    try:
-        quad = (a * d1 * d1 + b * d1 * d2 + c * d2 * d2) * epsilon**2 * math.pi**2
-        fidelity = 1.0 - quad - (p * d1 + q * d2) * epsilon**4 * math.pi**4
-    except OverflowError:  # a float power past the largest double
-        fidelity = math.inf
+    e2 = epsilon * epsilon  # not **: a power raises OverflowError
+    quad = (a * d1 * d1 + b * d1 * d2 + c * d2 * d2) * e2 * math.pi**2
+    fidelity = 1.0 - quad - (p * d1 + q * d2) * (e2 * e2) * math.pi**4
     if not math.isfinite(fidelity):  # a non-finite input, or an overflow
         raise ValueError(f"no finite model value at offsets {offsets!r}, epsilon {epsilon!r}")
     if max(abs(d1), abs(d2)) > OFFSET_WARN_THRESHOLD:
@@ -267,10 +265,6 @@ def ensemble_mean_fidelity(sigma_theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _even_echoes(signal: Signal) -> np.ndarray:
-    return signal.values[1::2]
-
-
 def _model_ratio(
     eps: np.ndarray, n: int, tau: float, delta: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -356,11 +350,10 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     ``echo_train`` pair.  A residual above ``FIT_MAX_RESIDUAL`` raises
     ``ValueError``: the model does not describe the data, so ``eps_hat``
     would be a wrong answer, and so does a residual that is NaN.  An
-    ``eps_max`` outside ``(0, 1)``, an amplitude that is not finite, or a
-    pair that breaks a bound of ``echo_train`` (more than ``MAX_SAMPLES``
-    echoes or ``MAX_MEMBER_ECHOES`` member-echoes of the default line, or a
-    ``tau`` that is not finite and positive), raises ``ValueError`` before
-    any train is simulated.
+    ``eps_max`` outside ``(0, 1)``, or a pair beyond a bound of
+    ``echo_train`` (``MAX_SAMPLES`` echoes, ``MAX_MEMBER_ECHOES``
+    member-echoes of the default line, a ``tau`` that is not finite and
+    positive), raises ``ValueError`` before any train is simulated.
     """
     if not 0.0 < eps_max < 1.0:
         raise ValueError(f"eps_max must lie in (0, 1), got {eps_max!r}")
@@ -375,13 +368,10 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     for name, signal in (("CP", cp), ("CPMG", cpmg)):
         if not np.all(np.abs(signal.x - t_k) <= 1e-9 * np.abs(t_k)):
             raise ValueError(f"{name} echo times must be t_k = 2*tau*k with tau = {tau!r}")
-        # `samples` is a mutable list, checked only when the Signal was built
-        if not np.all(np.isfinite(signal.values)):
-            raise ValueError(f"{name} amplitudes must be finite")
-    data_cpmg = _even_echoes(cpmg)
+    data_cpmg = cpmg.values[1::2]
     if np.any(data_cpmg <= 0):
         raise ValueError("CPMG amplitudes must be positive to form the ratio")
-    data_ratio = _even_echoes(cp) / data_cpmg
+    data_ratio = cp.values[1::2] / data_cpmg
 
     def misfit(eps: np.ndarray) -> np.ndarray:
         return _model_ratio(eps, n, tau, delta, weights) - data_ratio
@@ -396,7 +386,7 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
         """(residual, eps_hat) of the refinement from grid point ``j``."""
         eps = math.sqrt(_gauss_newton(misfit, float(grid[j]) ** 2, lo, hi))
         fit_cp, fit_cpmg = (echo_train(mode, n, eps, tau=tau) for mode in ("cp", "cpmg"))
-        model = _even_echoes(fit_cp) / _even_echoes(fit_cpmg)
+        model = fit_cp.values[1::2] / fit_cpmg.values[1::2]
         return math.sqrt(float(np.mean((model - data_ratio) ** 2))), eps
 
     residual, eps_hat = fit_from(i)
@@ -410,7 +400,7 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
             pass
     if not residual <= FIT_MAX_RESIDUAL:  # a NaN residual is refused too
         raise ValueError(
-            f"fit residual {residual:.3g} exceeds {FIT_MAX_RESIDUAL}: likely an ensemble "
+            f"fit residual {residual!r} exceeds {FIT_MAX_RESIDUAL}: likely an ensemble "
             f"mismatch, or an error beyond eps_max = {eps_max!r}"
         )
     return eps_hat, residual

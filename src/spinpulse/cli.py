@@ -33,6 +33,7 @@ from typing import Optional
 
 from . import __version__
 from .analysis import (
+    DEGENERATE_INFIDELITY,
     EseemRatioSpec,
     bb1_fidelity,
     eseem_ratio,
@@ -43,7 +44,7 @@ from .analysis import (
 )
 from .dsl import ParseError, format_program, parse_angle_literal, parse_program, program_to_ast
 from .errors import DELTA_ZERO, EnsembleSpec, Gaussian, Uniform
-from .simulator import Signal, echo_train, rabi_trace
+from .simulator import DEFAULT_TAU, Signal, echo_train, rabi_trace
 from .su2 import RotationSpec, fidelity, rotation
 
 __all__ = ["main", "build_parser"]
@@ -151,7 +152,8 @@ def cmd_scan(args) -> int:
     rows = [{"epsilon": e, "infidelity": i} for e, i in scan.points]
     _emit_rows(args, rows, slope=slope)
     if slope is None:
-        _status(args, "degenerate scan: all infidelities below 1e-15; no slope fitted")
+        floor = f"{DEGENERATE_INFIDELITY:g}"
+        _status(args, f"degenerate scan: all infidelities below {floor}; no slope fitted")
     else:
         _status(args, f"fitted log-log slope = {slope:.4f}")
     return 0
@@ -332,7 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int, default=_REQUIRED, help="number of refocusing cycles")
     p.add_argument("--epsilon", type=float, default=0.0, help="refocusing amplitude error")
     p.add_argument("--bb1", action="store_true", help="corrected refocusing pulses")
-    p.add_argument("--tau", dest="tau_s", type=float, default=1.0, help="half echo spacing (s)")
+    p.add_argument("--tau", dest="tau_s", type=float, default=DEFAULT_TAU, help="half echo spacing (s)")
     p.add_argument("--t2", dest="t2_s", type=float, default=None,
                    help="optional T2 envelope constant (s)")
     p.add_argument("--span", dest="span_rad_per_s", type=float, default=None,

@@ -169,22 +169,31 @@ def bloch(state: SpinState) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Signal:
-    """Sampled experiment output with axis metadata and provenance."""
+    """Sampled experiment output with axis metadata and provenance.
+
+    Frozen: ``samples``, finite with ``x`` strictly increasing, is checked
+    once and kept as a tuple of ``(x, y)`` tuples.  An edited copy is
+    ``dataclasses.replace(signal, samples=...)``, which checks it again."""
 
     axis_label: str
     axis_unit: str
     value_label: str
-    samples: list[tuple[float, float]]
+    samples: tuple[tuple[float, float], ...]
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.samples):
-            raise ValueError("sample x and y values must be finite")
-        xs = [x for x, _ in self.samples]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("sample x values must be strictly increasing")
+        samples, last = [], -math.inf
+        for sample in self.samples:
+            x, y = sample = tuple(sample)  # a tuple is kept, not copied
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("sample x and y values must be finite")
+            if x <= last:
+                raise ValueError("sample x values must be strictly increasing")
+            samples.append(sample)
+            last = x
+        object.__setattr__(self, "samples", tuple(samples))
 
     @property
     def x(self) -> np.ndarray:
@@ -513,8 +522,7 @@ def echo_train(
     mode_l = str(mode).lower()
     if mode_l not in _REFOCUS_PHASE:
         raise ValueError(f"mode must be 'cp' or 'cpmg', got {mode!r}")
-    if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
-        raise ValueError("epsilon must be finite with |epsilon| < 1")
+    ErrorModel(epsilon)  # the amplitude-error domain, |epsilon| < 1
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
     spec, delta, weights = _echo_nodes(n_refocus, tau, ensemble_detuning)

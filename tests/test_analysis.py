@@ -1,6 +1,8 @@
 import inspect
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +42,13 @@ from oracles import gaussian_mean_abs_cos_half
 # coefficient is about 4.69 * eps**6 for a pi rotation.
 BB1_PI_INFIDELITY_AT_10PCT = 4.622436554191367e-06
 BB1_MEASURED_PHASE_FIDELITY = 0.9999460011510224
+
+
+def with_sample(signal, index, sample):
+    """A copy of ``signal`` with sample ``index`` replaced; a Signal is frozen."""
+    samples = list(signal.samples)
+    samples[index] = sample
+    return replace(signal, samples=samples)
 
 
 def bb1_fidelity_expm(theta, eps, d1=0.0, d2=0.0):
@@ -273,6 +282,7 @@ class TestPhaseSensitivity:
             ((0.0, 0.0), math.inf),
             ((1e200, 0.0), 1e-3),
             ((0.01, 0.0), 1e100),
+            ((0.0, 0.0), 1e200),
         ):
             with pytest.raises(ValueError, match="no finite model value"):
                 phase_sensitivity_prediction(offsets, eps)
@@ -427,7 +437,7 @@ class TestEstimator:
         assert model.shape == (eps.size, n // 2)
         for e, row in zip(eps.tolist(), model):
             cp, cpmg = (echo_train(mode, n, e, tau=tau) for mode in ("cp", "cpmg"))
-            want = analysis._even_echoes(cp) / analysis._even_echoes(cpmg)
+            want = cp.values[1::2] / cpmg.values[1::2]
             assert row.tolist() == want.tolist()
 
     def test_steps_that_do_not_converge_raise(self, monkeypatch):
@@ -475,10 +485,10 @@ class TestEstimator:
         rng = np.random.default_rng(round(1e6 * eps_true) + n)
         tau, eps_max = 0.7, 0.3
         cp, cpmg = (echo_train(mode, n, eps_true, tau=tau) for mode in ("cp", "cpmg"))
-        for signal in (cp, cpmg):
-            signal.samples[:] = [
-                (t, v * (1.0 + noise * rng.standard_normal())) for t, v in signal.samples
-            ]
+        cp, cpmg = (
+            replace(s, samples=[(t, v * (1.0 + noise * rng.standard_normal())) for t, v in s.samples])
+            for s in (cp, cpmg)
+        )
         eps_hat, residual = estimate_rotation_error(cp, cpmg, eps_max=eps_max)
         data = cp.values[1::2] / cpmg.values[1::2]
 
@@ -522,7 +532,7 @@ class TestEstimator:
     def test_uneven_time_axis_rejected(self):
         cp = echo_train("cp", 4, 0.1)
         cpmg = echo_train("cpmg", 4, 0.1)
-        cp.samples[2] = (6.5, cp.samples[2][1])
+        cp = with_sample(cp, 2, (6.5, cp.samples[2][1]))
         with pytest.raises(ValueError, match="CP echo times"):
             estimate_rotation_error(cp, cpmg)
 
@@ -553,6 +563,21 @@ class TestEstimator:
         with pytest.raises(ValueError, match=f"exceeds {FIT_MAX_RESIDUAL}"):
             estimate_rotation_error(cp, cpmg)
 
+    def test_refused_residual_reads_above_its_bound(self, monkeypatch):
+        # a residual a hair above the bound must not print as the bound or below it
+        rng = np.random.default_rng(2)
+        cp, cpmg = (
+            replace(s, samples=[(t, v * (1.0 + 3e-3 * rng.standard_normal())) for t, v in s.samples])
+            for s in (echo_train(mode, 16, 0.1) for mode in ("cp", "cpmg"))
+        )
+        _, residual = estimate_rotation_error(cp, cpmg)
+        monkeypatch.setattr(analysis, "FIT_MAX_RESIDUAL", residual * (1.0 - 1e-6))
+        with pytest.raises(ValueError, match="exceeds") as info:
+            estimate_rotation_error(cp, cpmg)
+        printed, bound = re.match(r"fit residual (\S+) exceeds (\S+):", str(info.value)).groups()
+        assert float(printed) == residual
+        assert float(printed) > float(bound)
+
     @pytest.mark.parametrize("eps_max", [-0.3, 0.0, 1.0, math.inf, math.nan])
     def test_eps_max_outside_unit_interval_rejected(self, monkeypatch, eps_max):
         def no_model(*args):
@@ -568,24 +593,23 @@ class TestEstimator:
     def test_nonpositive_cpmg_rejected(self):
         cp = echo_train("cp", 4, 0.1)
         bad = echo_train("cpmg", 4, 0.1)
-        bad.samples[1] = (bad.samples[1][0], 0.0)
+        bad = with_sample(bad, 1, (bad.samples[1][0], 0.0))
         with pytest.raises(ValueError):
             estimate_rotation_error(cp, bad)
 
     @pytest.mark.parametrize("name,index", [("CP", 3), ("CPMG", 3), ("CP", 0), ("CPMG", 2)])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_amplitude_rejected(self, monkeypatch, name, index, value):
-        # a Signal checks its samples only when built, and the list stays
-        # mutable: a NaN echo must not become a (0.0, nan) fit with exit 0
+        # a Signal is frozen and checked when built, so a NaN echo is refused
+        # before any fit: it must not become a (0.0, nan) fit with exit 0
         def no_model(*args):
             raise AssertionError("simulated a train for a non-finite amplitude")
 
         pair = {"CP": echo_train("cp", 16, 0.1), "CPMG": echo_train("cpmg", 16, 0.1)}
-        bad = pair[name]
-        bad.samples[index] = (bad.samples[index][0], value)
         for fn in ("_model_ratio", "_echo_amplitudes", "echo_train"):
             monkeypatch.setattr(analysis, fn, no_model)
-        with pytest.raises(ValueError, match=f"^{name} amplitudes must be finite$"):
+        with pytest.raises(ValueError, match="^sample x and y values must be finite$"):
+            pair[name] = with_sample(pair[name], index, (pair[name].samples[index][0], value))
             estimate_rotation_error(pair["CP"], pair["CPMG"])
 
 

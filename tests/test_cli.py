@@ -305,7 +305,7 @@ class TestEchoCommand:
         code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "200", "--epsilon", "0.1")
         assert code == 0
         rows = [tuple(map(float, row.split(","))) for row in out.strip().split("\n")[1:]]
-        assert rows == echo_train("cp", 200, 0.1).samples
+        assert rows == list(echo_train("cp", 200, 0.1).samples)
         code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "200", "--epsilon", "0.1", "--json")
         assert code == 0
         assert json.loads(out)["meta"]["config"]["provenance"]["ensemble"]["nodes"] == 401

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from spinpulse import (
     propagate,
     rabi_trace,
 )
-from spinpulse import simulator
+from spinpulse import cli, simulator
 from spinpulse.dsl import parse_program
 from spinpulse.errors import NO_ERROR, ensemble_nodes
 from spinpulse.simulator import MAX_MEMBER_ECHOES, MAX_SAMPLES, _propagate_nodes
@@ -411,7 +412,7 @@ class TestRabi:
     def test_trace_equals_engine_samples_bitwise(self, max_angle, step, spec, use_bb1):
         # the last case holds more members than a slice: one sample per slice
         got = rabi_trace(max_angle, step, spec, use_bb1).samples
-        assert got == engine_rabi_samples(max_angle, step, spec, use_bb1)
+        assert list(got) == engine_rabi_samples(max_angle, step, spec, use_bb1)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -434,7 +435,7 @@ class TestRabi:
         max_angle = (samples - 1) * step
         got = rabi_trace(max_angle, step, spec, use_bb1).samples
         assert len(got) == samples
-        assert got == engine_rabi_samples(max_angle, step, spec, use_bb1)
+        assert list(got) == engine_rabi_samples(max_angle, step, spec, use_bb1)
 
     def test_memory_stays_within_the_per_sample_loop(self):
         # 2^14 members, beyond a slice: each sample is its own slice; one
@@ -683,7 +684,7 @@ class TestEchoTrain:
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])
     def test_equals_engine_program_bitwise(self, mode, use_bb1, n):
         got = echo_train(mode, n, 0.1, use_bb1=use_bb1).samples
-        assert got == engine_echo_samples(mode, n, 0.1, use_bb1)
+        assert list(got) == engine_echo_samples(mode, n, 0.1, use_bb1)
 
     @pytest.mark.parametrize(
         "mode,n,members",
@@ -697,7 +698,7 @@ class TestEchoTrain:
         assert simulator._SLICE_MEMBER_ECHOES // members < n
         line = sampled_line(members, 7)
         got = echo_train(mode, n, 0.1, line).samples
-        assert got == engine_echo_samples(mode, n, 0.1, spec=line)
+        assert list(got) == engine_echo_samples(mode, n, 0.1, spec=line)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -719,7 +720,7 @@ class TestEchoTrain:
         line = sampled_line(members, seed)
         got = echo_train(mode, n, epsilon, line, use_bb1)
         want = engine_echo_samples(mode, n, epsilon, use_bb1, line)
-        assert got.samples == want
+        assert list(got.samples) == want
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -856,6 +857,43 @@ class TestSignal:
             Signal("x", "s", "y", [(0.0, 1.0), (1.0, bad)])
         with pytest.raises(ValueError, match="finite"):
             Signal("x", "s", "y", [(0.0, 1.0), (bad, 2.0)])
+
+    @staticmethod
+    def built_by(source, tmp_path):
+        if source == "rabi_trace":
+            return rabi_trace(2 * math.pi, 0.5 * math.pi, GAUSS5, use_bb1=True)
+        if source == "echo_train":
+            return echo_train("cpmg", 8, 0.1)
+        path = tmp_path / "cp.csv"
+        path.write_text("echo_time_s,echo_amplitude\n2.0,0.9\n4.0,0.8\n6.0,0.7\n")
+        return cli._read_signal_csv(str(path))
+
+    @pytest.mark.parametrize("source", ["rabi_trace", "echo_train", "csv"])
+    def test_samples_cannot_be_edited_in_place(self, source, tmp_path):
+        # a Signal is checked once, when built, so nothing may change it after
+        sig = self.built_by(source, tmp_path)
+        kept = list(sig.samples)
+        with pytest.raises(AttributeError):
+            sig.samples = [(0.0, math.nan)]
+        with pytest.raises(TypeError):
+            sig.samples[1] = (sig.samples[1][0], math.nan)
+        with pytest.raises(TypeError):
+            sig.samples[:] = [(0.0, math.nan)]
+        assert list(sig.samples) == kept
+        assert all(type(sample) is tuple for sample in sig.samples)
+
+    @pytest.mark.parametrize("source", ["rabi_trace", "echo_train", "csv"])
+    def test_replace_checks_the_new_samples(self, source, tmp_path):
+        sig = self.built_by(source, tmp_path)
+        (x0, y0), (x1, y1) = sig.samples[:2]
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^sample x and y values must be finite$"):
+                replace(sig, samples=[(x0, y0), (x1, bad), *sig.samples[2:]])
+        with pytest.raises(ValueError, match="^sample x values must be strictly increasing$"):
+            replace(sig, samples=[(x1, y0), (x0, y1), *sig.samples[2:]])
+        edited = replace(sig, samples=[(x0, 0.5 * y0), *sig.samples[1:]])
+        assert edited.samples[1:] == sig.samples[1:] and edited.samples[0] == (x0, 0.5 * y0)
+        assert edited.provenance == sig.provenance
 
     def test_provenance_present(self):
         sig = echo_train("cp", 2, 0.05)
