@@ -40,7 +40,7 @@ from .simulator import (
     _propagate_nodes,
     echo_train,
 )
-from .su2 import IDENTITY, RotationSpec, _fidelities, rotation
+from .su2 import RotationSpec, _fidelities, rotation
 
 __all__ = [
     "FidelityScan",
@@ -91,7 +91,7 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray, error=NO_ERROR) -> n
     ideal ``theta`` rotation about x, for every amplitude error in ``eps``:
     the engine propagates the identity over the whole array at once."""
     with np.errstate(over="ignore", invalid="ignore"):
-        net = _propagate_nodes(pulses, error, eps, np.zeros(eps.size), IDENTITY)
+        net = _propagate_nodes(pulses, error, eps, np.zeros(eps.size))
         # the target goes through the public `rotation`, one wrapper per call and
         # none per node: perfbench's program_check needs su2.rotation.calls > 0
         fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)

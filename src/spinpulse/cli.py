@@ -104,6 +104,15 @@ def _emit_rows(args, rows: list[dict], text: Optional[str] = None, **extra) -> N
         _emit(args, _csv_text(rows) if text is None else text)
 
 
+def _read_text(path: str) -> str:
+    """An input file's text as UTF-8, a leading byte-order mark dropped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # Default of an option that must arrive on the command line or via --config.
 _REQUIRED = object()
 
@@ -123,9 +132,7 @@ def _require(subparser: argparse.ArgumentParser, args) -> None:
 
 
 def cmd_parse(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    program = parse_program(text, name=args.file)
+    program = parse_program(_read_text(args.file), name=args.file)
     if args.ast or args.json:
         _emit(args, json.dumps(program_to_ast(program), indent=2) + "\n")
     else:
@@ -221,8 +228,7 @@ def cmd_echo(args) -> int:
 
 
 def _read_signal_csv(path: str) -> Signal:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: expected a CSV header plus data rows")
     header = lines[0].split(",")
@@ -325,7 +331,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--step", dest="step_rad", type=_angle, default=_REQUIRED,
                    help="angle step (e.g. 0.25pi)")
     p.add_argument("--bb1", action="store_true", help="decompose into corrected pi blocks")
-    p.add_argument("--nodes", type=int, default=41, help="quadrature nodes")
+    p.add_argument("--nodes", type=int, default=EnsembleSpec.nodes, help="quadrature nodes")
     _add_common(p)
     p.set_defaults(func=cmd_rabi)
 
@@ -374,20 +380,19 @@ def _config_key(key: str) -> str:
 def _load_config(path: str) -> dict:
     values = {}
     seen = set()
-    # utf-8-sig drops a byte-order mark; a "#" starts a comment only at the
-    # start of a line or after whitespace, so a value may hold one
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if _config_key(key) in seen:
-                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            seen.add(_config_key(key))
-            values[key] = value
+    # a "#" starts a comment only at the start of a line or after
+    # whitespace, so a value may hold one
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if _config_key(key) in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        seen.add(_config_key(key))
+        values[key] = value
     return values
 
 
@@ -412,7 +417,7 @@ def _apply_config(subparser: argparse.ArgumentParser, values: dict) -> dict:
         elif action.type is not None:
             try:
                 value = action.type(text)
-            except argparse.ArgumentTypeError as exc:
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         else:
             value = text

@@ -3,14 +3,13 @@
 Pulses act as instantaneous rotations; a ``Delay(tau)`` advances the
 detuning phase (z-rotation by ``delta * tau``); an ``Acquire`` leaves the
 state as it is and nothing reads it; a ``Repeat`` propagates its body
-once from the identity and raises it to its count by squaring.  The
-engine returns only the final block: the experiments take their
-samples from their own products of engine propagators.  One
-engine interprets every program: it propagates a batch of ensemble
-members at once, each carrying a block of columns - one column is a
-state, the two columns of the identity are the whole propagator - and
-``propagate``, ``rabi_trace``, ``echo_train`` and the analysis
-fidelities all run through it (``propagate`` is the one-member batch).
+once and raises it to its count by squaring.  One engine interprets
+every program: it runs a batch of ensemble members at once from the
+identity and returns only their final propagators, and ``propagate``,
+``rabi_trace``, ``echo_train`` and the analysis fidelities all run
+through it.  States appear only at the public boundary: ``propagate``
+applies its one-member propagator to its initial state, and the
+experiments take their samples from their own products of propagators.
 Its pulse matrices come from the one batched rotation formula in
 ``su2``, and its members are the rows of ``errors.ensemble_nodes``, the
 one member representation.  Ensemble reductions are correctly rounded
@@ -71,7 +70,7 @@ from .errors import (
     ensemble_nodes,
 )
 from .sequence import MAX_REPETITIONS, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, _rotations
+from .su2 import IDENTITY, TWO_PI, _rotations
 
 __all__ = [
     "SpinState",
@@ -158,15 +157,12 @@ class SpinState:
 
 
 def bloch(state: SpinState) -> np.ndarray:
-    """Bloch vector (<sx>, <sy>, <sz>) of a state."""
-    v = state.vector
-    return np.array(
-        [
-            float(np.real(v.conj() @ (SIGMA_X @ v))),
-            float(np.real(v.conj() @ (SIGMA_Y @ v))),
-            float(np.real(v.conj() @ (SIGMA_Z @ v))),
-        ]
-    )
+    """Bloch vector (<sx>, <sy>, <sz>) of a state, read from its amplitudes
+    ``u, d`` as ``2 Re(conj(u) d)``, ``2 Im(conj(u) d)`` and
+    ``|u|^2 - |d|^2``, the closed forms the echo and Rabi kernels read."""
+    u, d = state.vector
+    ud = np.conj(u) * d
+    return np.array([2.0 * ud.real, 2.0 * ud.imag, abs(u) ** 2 - abs(d) ** 2])
 
 
 @dataclass(frozen=True)
@@ -209,14 +205,11 @@ class Signal:
 # ---------------------------------------------------------------------------
 
 
-def _propagate_nodes(
-    elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray, block0: np.ndarray
-) -> np.ndarray:
-    """Propagate a (2, K) column block through a program at every node;
-    returns the final (M, 2, K) blocks.  ``block0 = IDENTITY`` yields the
-    propagators.  A ``Repeat`` body is propagated once, from the identity,
-    and raised to ``count`` by squaring."""
-    psi = np.broadcast_to(block0, (eps.size, *block0.shape)).copy()
+def _propagate_nodes(elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The (M, 2, 2) propagators of a program, one per node, run from the
+    identity.  A ``Repeat`` body is propagated once and raised to
+    ``count`` by squaring."""
+    psi = np.broadcast_to(IDENTITY, (eps.size, 2, 2)).copy()
     for el in elements:
         if isinstance(el, Pulse):
             phi = el.phi + error.offset_for(el.phi)
@@ -225,7 +218,7 @@ def _propagate_nodes(
             phase = np.exp(0.5j * delta * el.tau)
             psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
         elif isinstance(el, Repeat):
-            body = _propagate_nodes(el.body, error, eps, delta, IDENTITY)
+            body = _propagate_nodes(el.body, error, eps, delta)
             psi = np.linalg.matrix_power(body, el.count) @ psi
     return psi
 
@@ -239,14 +232,12 @@ def propagate(
     """Apply a program to one spin: rotations per pulse (with the error
     model applied), z-rotation by ``delta * tau`` per delay.
 
-    ``Acquire`` markers leave the state as it is; the experiment functions
-    collect sampled signals.
+    ``Acquire`` markers leave the state as it is.  The engine's one-member
+    propagator is applied to ``initial`` (default spin-up) and renormalized.
     """
     state = initial if initial is not None else SpinState.spin_up()
-    final = _propagate_nodes(
-        program.elements, e, np.array([e.epsilon]), np.array([float(delta)]), state.vector[:, None]
-    )
-    v = final[0, :, 0]
+    unitary = _propagate_nodes(program.elements, e, np.array([e.epsilon]), np.array([float(delta)]))
+    v = unitary[0] @ state.vector
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
@@ -316,7 +307,7 @@ def rabi_trace(
     if ensemble.detuning_dist != DELTA_ZERO:
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
-    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY) if use_bb1 else None
+    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta) if use_bb1 else None
     power, blocks = np.broadcast_to(IDENTITY, (eps.size, 2, 2)), 0  # stacks with B**n
     rows = max(1, _SLICE_MEMBER_ECHOES // eps.size)
 
@@ -450,12 +441,10 @@ def _echo_amplitudes(
     run at that amplitude error alone.
     """
     count_eps, members = eps_values.size, delta.size
-    eps = np.repeat(eps_values, members)
-    cycle = _propagate_nodes(
-        _echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, np.tile(delta, count_eps), IDENTITY
-    )
+    eps, delta = np.repeat(eps_values, members), np.tile(delta, count_eps)
+    cycle = _propagate_nodes(_echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, delta)
     a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
-    del cycle  # not held through the echo loop, where the block peaks
+    del cycle, delta  # not held through the echo loop, where the block peaks
     psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
     u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
     kept = n // stride

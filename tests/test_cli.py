@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +22,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_with_config(capsys, tmp_path, text, *argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return run(capsys, *argv, "--config", str(cfg))
 
 
 PROGRAM = "bb1 theta=1pi\nrepeat 2 {\n delay 1e-6\n acquire\n}\n"
@@ -64,6 +72,13 @@ class TestParseCommand:
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "parse", "/no/such/file.sp")
         assert code == 3
+
+    def test_byte_order_mark_ignored(self, capsys, tmp_path, program_file):
+        marked = tmp_path / "marked.sp"
+        marked.write_text("\ufeff" + PROGRAM, encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(marked))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "parse", program_file)[1]
 
 
 class TestFidelityCommand:
@@ -358,6 +373,39 @@ class TestEchoCommand:
         eps_hat = float(out.split()[0].split("=")[1])
         assert eps_hat == pytest.approx(0.1, rel=0.1)
 
+    def test_estimate_error_ignores_byte_order_mark(self, capsys, tmp_path):
+        for mode in ("cp", "cpmg"):
+            code, _, _ = run(
+                capsys,
+                "echo", "--mode", mode, "--n", "8", "--epsilon", "0.1",
+                "--out", str(tmp_path / f"{mode}.csv"), "--quiet",
+            )
+            assert code == 0
+        marked = tmp_path / "marked.csv"
+        text = (tmp_path / "cp.csv").read_text(encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert cli._read_signal_csv(str(marked)).axis_label == "echo_time"
+        fits = [
+            run(capsys, "estimate-error", "--cp", str(cp), "--cpmg", str(tmp_path / "cpmg.csv"))
+            for cp in (tmp_path / "cp.csv", marked)
+        ]
+        assert fits[0][0] == 0
+        assert fits[1] == fits[0]
+
+    def test_estimate_error_names_an_undecodable_file(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "echo", "--mode", "cp", "--n", "8", "--out", str(tmp_path / "cp.csv"), "--quiet"
+        )
+        assert code == 0
+        bad = tmp_path / "cpmg.csv"
+        bad.write_bytes(b"echo_time_s,echo_amplitude\n2.0,\xff\n")
+        code, out, err = run(
+            capsys, "estimate-error", "--cp", str(tmp_path / "cp.csv"), "--cpmg", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
     def test_estimate_error_rejects_nan_sample(self, capsys, tmp_path):
         for mode in ("cp", "cpmg"):
             code, _, _ = run(
@@ -562,9 +610,20 @@ class TestConfigFile:
          ("epsilon=0.1\ntheta=1\n", "config key 'theta': angle unit required")],
     )
     def test_malformed_line_rejected(self, capsys, tmp_path, text, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text, encoding="utf-8")
-        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        code, out, err = run_with_config(capsys, tmp_path, text, "fidelity")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [("fidelity", "theta=1pi\nepsilon=abc\n",
+          "config key 'epsilon': could not convert string to float: 'abc'"),
+         ("scan", "theta=1pi\npoints=4.5\n",
+          "config key 'points': invalid literal for int() with base 10: '4.5'")],
+    )
+    def test_unconvertible_value_names_its_key(self, capsys, tmp_path, command, text, message):
+        code, out, err = run_with_config(capsys, tmp_path, text, command)
         assert code == 2
         assert out == ""
         assert message in err
@@ -799,6 +858,21 @@ def test_readme_example_prints_its_comment(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0
     assert out == comment + "\n"
+
+
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    _, registry = cli.build_parser()
+    missing = [
+        f"{name} {option}"
+        for name, subparser in registry.items()
+        for action in subparser._actions
+        if not isinstance(action, argparse._HelpAction)  # argparse's own --help
+        for option in action.option_strings
+        if option.startswith("--") and not re.search(re.escape(option) + r"(?![\w-])", section)
+    ]
+    assert missing == []
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -103,31 +103,30 @@ class TestPropagate:
         assert bloch(s)[2] == pytest.approx(-math.cos(0.1 * math.pi), abs=1e-12)
 
     def test_norm_preserved_through_long_program(self):
-        # the engine itself, not propagate, which normalises its result
+        # the engine itself, not propagate, which normalises its result:
+        # the propagator stays unitary
         rng = random.Random(99)
         elements = random_elements(rng, 1000)
-        final = _propagate_nodes(
-            elements, ErrorModel(epsilon=0.2), np.array([0.2]), np.array([0.7]),
-            SpinState.spin_up().vector[:, None],
-        )
-        assert abs(np.linalg.norm(final[0]) - 1.0) < 1e-10
+        u = _propagate_nodes(elements, ErrorModel(epsilon=0.2), np.array([0.2]), np.array([0.7]))[0]
+        assert np.max(np.abs(u.conj().T @ u - IDENTITY)) < 1e-10
 
-    def test_identity_block_equals_state_runs(self):
-        # the two-column run is the propagator: each column is the run
-        # started from that basis state
+    def test_propagate_reads_engine_propagator_columns(self):
+        # the public boundary: propagate from each basis state is that
+        # column of the engine's one-member propagator (to 1e-14, since
+        # propagate renormalizes its result)
         rng = random.Random(23)
         eps = np.array([-0.2, 0.0, 0.15])
         delta = np.array([1.3, -4.0, 2.5])
+        basis = (SpinState(1.0, 0.0), SpinState(0.0, 1.0))
         for _ in range(40):
             program = random_program(rng)
             phases = sorted({el.phi for el in program.elements if isinstance(el, Pulse)})
-            model = ErrorModel(0.0, [(p, rng.uniform(-0.2, 0.2)) for p in phases])
-            block = _propagate_nodes(program.elements, model, eps, delta, IDENTITY)
-            for col in range(2):
-                state = _propagate_nodes(
-                    program.elements, model, eps, delta, IDENTITY[:, col : col + 1]
-                )
-                assert np.max(np.abs(block[:, :, col : col + 1] - state)) < 1e-14
+            offsets = [(p, rng.uniform(-0.2, 0.2)) for p in phases]
+            block = _propagate_nodes(program.elements, ErrorModel(0.0, offsets), eps, delta)
+            for u, e, d in zip(block, eps, delta):
+                for col, initial in enumerate(basis):
+                    state = propagate(program, ErrorModel(e, offsets), d, initial)
+                    assert np.max(np.abs(state.vector - u[:, col])) < 1e-14
 
     def test_engine_matches_oracle_on_random_programs(self):
         # the oracle unrolls every Repeat; the engine walks each body once
@@ -172,10 +171,8 @@ class TestPropagate:
         # shifting every phase by a conjugates the propagator with the
         # z-rotation that carries phase 0 to phase a
         eps, delta = np.array([epsilon]), np.zeros(1)
-        shifted = _propagate_nodes(
-            bb1_sequence(theta, axis_phase=axis_phase), NO_ERROR, eps, delta, IDENTITY
-        )
-        base = _propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta, IDENTITY)
+        shifted = _propagate_nodes(bb1_sequence(theta, axis_phase=axis_phase), NO_ERROR, eps, delta)
+        base = _propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta)
         z = np.diag([np.exp(-0.5j * axis_phase), np.exp(0.5j * axis_phase)])
         assert np.max(np.abs(shifted[0] - z @ base[0] @ z.conj().T)) < 1e-12
 
@@ -475,7 +472,7 @@ def engine_rabi_samples(max_angle, step, spec, use_bb1):
     while len(thetas) * step <= max_angle * (1 + 1e-12):
         thetas.append(len(thetas) * step)
     eps, delta, weights = ensemble_nodes(spec).T
-    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta, IDENTITY)
+    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta)
     power, blocks = IDENTITY, 0
     samples = []
     for theta in thetas:
@@ -498,9 +495,8 @@ def max_reference_miss(sig, spec):
         n = int(math.floor(theta / math.pi + 1e-12))
         r = theta - n * math.pi
         program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
-        final = _propagate_nodes(
-            program.elements, NO_ERROR, eps, delta, SpinState.spin_up().vector[:, None]
-        )
+        # the propagator's first column is its image of spin-up
+        final = _propagate_nodes(program.elements, NO_ERROR, eps, delta)
         minus_sz = np.abs(final[:, 1, 0]) ** 2 - np.abs(final[:, 0, 0]) ** 2
         worst = max(worst, abs(value - math.fsum((weights * minus_sz).tolist())))
     return worst
@@ -520,7 +516,7 @@ def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_me
         eps, delta = np.append(eps, 0.0), np.append(delta, 0.0)
     phase = 0.0 if mode == "cp" else math.pi / 2
     psi0 = _rotations(math.pi / 2, 0.0, np.zeros(1))[0] @ SpinState.spin_up().vector[:, None]
-    cycle = _propagate_nodes(simulator._echo_cycle(phase, use_bb1, 1.0), NO_ERROR, eps, delta, IDENTITY)
+    cycle = _propagate_nodes(simulator._echo_cycle(phase, use_bb1, 1.0), NO_ERROR, eps, delta)
     psi = np.broadcast_to(psi0, (eps.size, 2, 1))
     samples = []
     for k in range(1, n + 1):
