@@ -13,9 +13,10 @@ direct computation.
 
 ``estimate_rotation_error`` recovers the refocusing-pulse amplitude
 error from a CP/CPMG echo-train pair by fitting the per-even-echo ratio
-against the simulator's own decay model: a coarse grid run as one echo
-block per mode, then Gauss-Newton steps in ``s = eps**2`` (the ratio is
-even in ``eps``) of one three-error block each.  The output is
+against the simulator's own decay model: a coarse grid, ranked on one
+bounded plain-sum echo block per mode and reduced exactly only where the
+bound cannot decide, then Gauss-Newton steps in ``s = eps**2`` (the
+ratio is even in ``eps``) of one three-error block each.  The output is
 deterministic, and noise-free trains are recovered to rounding, to 1e-9
 at ``eps = 0``.  Dividing by CPMG removes any decay shared by both
 trains, such as a T2 envelope.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -266,16 +268,31 @@ def ensemble_mean_fidelity(sigma_theta: float) -> float:
 
 
 def _model_ratio(
-    eps: np.ndarray, n: int, tau: float, delta: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+    eps: np.ndarray, n: int, tau: float, delta: np.ndarray, weights: np.ndarray,
+    bounded: bool = False,
+):
     """Even-echo CP/CPMG ratios of the simple-pulse model on the detuning
     nodes ``delta`` with ``weights``, one row per amplitude error in
-    ``eps``: one echo block per mode, which reduces only the even echoes."""
+    ``eps``: one echo block per mode, which reduces only the even echoes.
+
+    With ``bounded``, the blocks reduce by bounded plain sums, and the
+    result is the pair ``(lo, hi)`` of ends that enclose each ratio: the
+    lower CP end over the upper CPMG end, and the upper over the lower.
+    Both ends are NaN where the lower CPMG end is not positive."""
     cp, cpmg = (
-        _echo_amplitudes(_REFOCUS_PHASE[mode], n, eps, delta, weights, False, tau, 2)
+        _echo_amplitudes(_REFOCUS_PHASE[mode], n, eps, delta, weights, False, tau, 2, bounded)
         for mode in ("cp", "cpmg")
     )
-    return cp / cpmg
+    if not bounded:
+        return cp / cpmg
+    (cp, cp_err), (cpmg, cpmg_err) = cp, cpmg
+    # round-to-nearest is monotone: a quotient of ends encloses the exact quotient
+    below = cpmg - cpmg_err
+    known = below > 0.0
+    lo, hi = np.full(cp.shape, np.nan), np.full(cp.shape, np.nan)
+    np.divide(np.maximum(cp - cp_err, 0.0), cpmg + cpmg_err, out=lo, where=known)
+    np.divide(cp + cp_err, below, out=hi, where=known)
+    return lo, hi
 
 
 FIT_COARSE_POINTS = 31
@@ -319,13 +336,63 @@ def _gauss_newton(misfit, s: float, lo: float, hi: float) -> float:
                      "likely an ensemble mismatch, or an error beyond eps_max")
 
 
+def _grid_start(
+    grid: np.ndarray, data_ratio: np.ndarray, n: int, tau: float, delta: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[int, Callable[[], int]]:
+    """The grid index a fit starts from, ``np.argmin`` of the exact costs
+    ``np.mean((_model_ratio(grid, ...) - data_ratio) ** 2, axis=1)``, and a
+    call that returns the neighbour a second start takes: the one of lower
+    exact cost, the lower index on a tie.
+
+    Each cost is enclosed by the same expression taken on the bounded
+    ratio ends (round-to-nearest is monotone; a misfit interval that holds
+    0 squares to 0, and a NaN end gives ``[0, inf]``).  Only the points
+    whose lower end is at most the smallest upper end can be the minimum;
+    when there is more than one, they are reduced exactly in one block, the
+    others standing in as ``inf``.  A block row equals its error's row in
+    any block, and ``np.mean`` reduces each row on its own, so the start is
+    the exact grid's, its first-index and NaN rules included.  The
+    neighbours are reduced exactly only when the call is made.
+    """
+
+    def cost(points: np.ndarray) -> np.ndarray:
+        misfit = _model_ratio(grid[points], n, tau, delta, weights) - data_ratio
+        return np.mean(misfit**2, axis=1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio_lo, ratio_hi = _model_ratio(grid, n, tau, delta, weights, bounded=True)
+        m_lo, m_hi = ratio_lo - data_ratio, ratio_hi - data_ratio
+        sq_lo, sq_hi = m_lo**2, m_hi**2
+        lo = np.mean(np.where((m_lo <= 0.0) & (m_hi >= 0.0), 0.0, np.minimum(sq_lo, sq_hi)), axis=1)
+        hi = np.mean(np.maximum(sq_lo, sq_hi), axis=1)
+    unknown = np.isnan(lo) | np.isnan(hi)
+    lo[unknown], hi[unknown] = 0.0, math.inf
+    (candidates,) = np.nonzero(lo <= hi.min())
+    if candidates.size == 1:
+        i = int(candidates[0])
+    else:
+        exact = np.full(grid.size, math.inf)
+        exact[candidates] = cost(candidates)
+        i = int(np.argmin(exact))
+
+    def neighbour() -> int:
+        if i == 0 or i == grid.size - 1:
+            return 1 if i == 0 else i - 1
+        below, above = cost(np.array([i - 1, i + 1])).tolist()
+        return i + 1 if above < below else i - 1
+
+    return i, neighbour
+
+
 def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> tuple[float, float]:
     """Best-fit refocusing-pulse amplitude error from a CP/CPMG pair.
 
     Fits the per-even-echo amplitude ratio CP/CPMG against the simulated
     simple-pulse decay model in ``|eps|``, whose echo blocks reduce only
     the even echoes.  A ``FIT_COARSE_POINTS``-point grid on
-    ``[0, eps_max]``, run as one echo block per mode, brackets the best
+    ``[0, eps_max]``, ranked on bounded plain sums (``_grid_start``; the
+    start is the exact grid's best point, bit for bit), brackets the best
     grid point by its neighbours, ``[lo, hi]``.  Gauss-Newton refines
     from it in ``s = eps**2``, where the Jacobian of the even ratio does not
     vanish at 0: each step runs ``sqrt`` of ``b, s, b + 2h`` as one block
@@ -377,8 +444,7 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
         return _model_ratio(eps, n, tau, delta, weights) - data_ratio
 
     grid = np.linspace(0.0, eps_max, FIT_COARSE_POINTS)
-    cost = np.mean(misfit(grid) ** 2, axis=1)
-    i = int(np.argmin(cost))
+    i, neighbour = _grid_start(grid, data_ratio, n, tau, delta, weights)
     j_lo, j_hi = max(i - 1, 0), min(i + 1, FIT_COARSE_POINTS - 1)
     lo, hi = float(grid[j_lo]) ** 2, float(grid[j_hi]) ** 2
 
@@ -393,7 +459,7 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     if residual > 1e-12:
         # echo magnitudes fold the model where an echo crosses zero, and a minimum
         # beside the fold can hold the first start; a second that fails is dropped
-        other = min((j for j in (j_lo, j_hi) if j != i), key=lambda j: cost[j])
+        other = neighbour()
         try:
             residual, eps_hat = min((residual, eps_hat), fit_from(other))
         except ValueError:

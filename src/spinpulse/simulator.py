@@ -14,7 +14,9 @@ Its pulse matrices come from the one batched rotation formula in
 ``su2``, and its members are the rows of ``errors.ensemble_nodes``, the
 one member representation.  Ensemble reductions are correctly rounded
 (``math.fsum``), so they do not depend on node order and results are
-bit-identical run to run.
+bit-identical run to run; only the rotation-error fit's grid, which
+ranks and returns nothing, takes plain sums with a bound on their
+distance from the correctly rounded ones.
 
 Experiments:
 
@@ -41,10 +43,11 @@ every detuning node), so the rotation error fit runs its grid and each
 refinement step as one call, and ``echo_train`` is its one-error case.
 Both take their samples or echoes in slices of at most
 ``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice, one
-``math.fsum`` per row (``_weighted_sums``), before the next is
-advanced, so a block never holds more than one slice.  A trace costs
-one numpy round per slice, plus a BB1 trace's one product per block
-count: two slices for the 161 samples of a 41-node trace to 40 pi.
+``math.fsum`` per row (``_weighted_sums``; the fit's grid takes bounded
+plain sums), before the next is advanced, so a block never holds more
+than one slice.  A trace costs one numpy round per slice, plus a BB1
+trace's one product per block count: two slices for the 161 samples of
+a 41-node trace to 40 pi.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -421,7 +424,8 @@ def _echo_amplitudes(
     use_bb1: bool,
     tau: float,
     stride: int = 1,
-) -> np.ndarray:
+    bounded: bool = False,
+):
     """Echo amplitudes, before any T2 envelope, of echoes ``stride``,
     ``2 * stride``, ... of an ``n``-cycle train at every amplitude error in
     ``eps_values``: row ``e`` of the ``(E, n // stride)`` result is the
@@ -434,11 +438,22 @@ def _echo_amplitudes(
     and echo k is ``C`` applied to echo k-1, in the column form, one 2x2
     product per member and echo, kept or not.  The kept echoes are taken
     in slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each
-    slice is reduced (one ``math.fsum`` per kept echo and amplitude error)
-    before the next is advanced, so only the returned array grows with
-    ``n``.  Each member's arithmetic does not depend on the others or on
-    ``stride``, so a row equals, bit for bit, the kept echoes of the train
-    run at that amplitude error alone.
+    slice is reduced before the next is advanced, so only the returned
+    array grows with ``n``.  Each member's arithmetic does not depend on
+    the others or on ``stride``, so a row equals, bit for bit, the kept
+    echoes of the train run at that amplitude error alone.
+
+    A slice is reduced one ``math.fsum`` per kept echo and amplitude error,
+    or, when ``bounded`` (the fit's grid, which only ranks), by the plain
+    weighted sum ``flat @ weights`` of its signed ``<sy>`` rows.  Then the
+    result is the pair ``(amps, beta)`` of plain amplitudes and bounds, and
+    each ``math.fsum`` amplitude lies in ``amps +- beta``, for any order
+    BLAS sums in: ``beta = 2 (M + 3) 2**-53 (|flat| @ |weights|)`` covers
+    the dot product's ``gamma_M`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, section 3.1), the rounding of
+    each product, which ``math.fsum`` adds exactly, and its final
+    rounding; the factor 2 covers the rounding of ``beta`` and of the
+    ends ``amps +- beta``.
     """
     count_eps, members = eps_values.size, delta.size
     eps, delta = np.repeat(eps_values, members), np.tile(delta, count_eps)
@@ -451,7 +466,7 @@ def _echo_amplitudes(
     rows = max(1, min(kept, _SLICE_MEMBER_ECHOES // eps.size))
     up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
 
-    sums = np.empty((kept, count_eps))
+    sums, scales = np.empty((kept, count_eps)), np.empty((kept, count_eps))
     for start in range(0, kept, rows):
         count = min(rows, kept - start)
         for j in range(count):
@@ -462,10 +477,18 @@ def _echo_amplitudes(
                 u, v = a * u + b * v, c * u + d * v
             up[j], down[j] = u, v
         # the ideal train keeps every echo on +-y: the signed <sy> of each member
-        sy = 2.0 * (np.conj(up[:count]) * down[:count]).imag
-        sums[start : start + count] = np.reshape(
-            _weighted_sums(weights, sy.reshape(-1, members)), (count, count_eps)
-        )
+        flat = (2.0 * (np.conj(up[:count]) * down[:count]).imag).reshape(-1, members)
+        if bounded:
+            sums[start : start + count] = (flat @ weights).reshape(count, count_eps)
+            scales[start : start + count] = (np.abs(flat) @ np.abs(weights)).reshape(
+                count, count_eps
+            )
+        else:
+            sums[start : start + count] = np.reshape(
+                _weighted_sums(weights, flat), (count, count_eps)
+            )
+    if bounded:
+        return np.abs(sums.T), (2.0 * (members + 3) * 2.0**-53) * scales.T
     return np.abs(sums.T)
 
 

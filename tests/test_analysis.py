@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinpulse import (
     DELTA_ZERO,
@@ -440,6 +440,86 @@ class TestEstimator:
             want = cp.values[1::2] / cpmg.values[1::2]
             assert row.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_grid_start_is_the_exact_grid_argmin(self, n):
+        # 75 seeded pairs per n, noise-free and noisy, eps_max 0.2-0.95, with
+        # the echo folds of n = 4 and 8 near 0.195 and 0.217 among them: the
+        # bounded ranking starts where np.argmin of the full exact grid does,
+        # and a second start takes the neighbour the exact costs order first
+        rng = np.random.default_rng(n)
+        for pair in range(75):
+            tau, eps_max = rng.uniform(0.5, 1.5), rng.uniform(0.2, 0.95)
+            eps_true = rng.uniform(0.0, eps_max)
+            if n <= 8 and pair % 3 == 0:
+                tau, eps_true = 0.7, rng.uniform(-0.003, 0.003) + (0.195 if n == 4 else 0.217)
+            noise = (0.0, 1e-4, 1e-3, 1e-2)[pair % 4]
+            cp, cpmg = (
+                replace(s, samples=[(t, v * (1.0 + noise * rng.standard_normal()))
+                                    for t, v in s.samples])
+                for s in (echo_train(mode, n, eps_true, tau=tau) for mode in ("cp", "cpmg"))
+            )
+            data = cp.values[1::2] / cpmg.values[1::2]
+            _, delta, weights = analysis._echo_nodes(n, tau)
+            grid = np.linspace(0.0, eps_max, analysis.FIT_COARSE_POINTS)
+            model = analysis._model_ratio(grid, n, tau, delta, weights)
+            cost = np.mean((model - data) ** 2, axis=1)
+            want = int(np.argmin(cost))
+            neighbours = [j for j in (max(want - 1, 0), min(want + 1, grid.size - 1)) if j != want]
+            i, neighbour = analysis._grid_start(grid, data, n, tau, delta, weights)
+            assert i == want
+            assert neighbour() == min(neighbours, key=lambda j: cost[j])
+
+    def test_ratio_ends_unknown_where_cpmg_may_vanish(self, monkeypatch):
+        # a CPMG amplitude within its bound of 0 may be 0, and then the exact
+        # ratio may be NaN: both ends are NaN; a CP lower end clips at 0
+        blocks = {
+            "cp": (np.array([[0.5, 0.05, 0.5, 0.5]]), np.full((1, 4), 0.1)),
+            "cpmg": (np.array([[0.5, 0.5, 0.1, 0.05]]), np.full((1, 4), 0.1)),
+        }
+        phases = {phase: mode for mode, phase in analysis._REFOCUS_PHASE.items()}
+        monkeypatch.setattr(
+            analysis, "_echo_amplitudes", lambda phase, *args: blocks[phases[phase]]
+        )
+        lo, hi = analysis._model_ratio(np.zeros(1), 8, 1.0, None, None, bounded=True)
+        assert lo[0, :2].tolist() == [(0.5 - 0.1) / (0.5 + 0.1), 0.0]
+        assert hi[0, :2].tolist() == [(0.5 + 0.1) / (0.5 - 0.1), (0.05 + 0.1) / (0.5 - 0.1)]
+        assert np.isnan(lo[0, 2:]).all() and np.isnan(hi[0, 2:]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @example(
+        # row 3 fits exactly on loose ends whose misfit holds 0; row 10 misses by
+        # 2**-52 on exact ends: the lower end of row 3 must be 0 for it to win
+        values=[2.0] * 6 + [1.0, 1.0] + [2.0] * 12 + [1.0 + 2**-52, 1.0] + [2.0] * 40,
+        slack=[0.0] * 6 + [0.3] * 2 + [0.0] * 54,
+        data=[1.0, 1.0],
+    )
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, math.inf, math.nan]),
+                        min_size=62, max_size=62),
+        slack=st.lists(st.sampled_from([0.0, 1e-16, 0.3, 2.0]), min_size=62, max_size=62),
+        data=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=2, max_size=2),
+    )
+    def test_grid_start_keeps_argmin_ties_and_nans(self, values, slack, data):
+        # a model whose rows tie, or are NaN or infinite, on ends that
+        # enclose them loosely or exactly: the start is still np.argmin of the
+        # exact costs, its first-index and NaN rules included, and a block of
+        # candidates costs each row as the full grid does
+        grid = np.linspace(0.0, 0.3, analysis.FIT_COARSE_POINTS)
+        table, width = np.reshape(values, (grid.size, 2)), np.reshape(slack, (grid.size, 2))
+
+        def model(eps, n, tau, delta, weights, bounded=False):
+            rows = np.searchsorted(grid, eps)
+            if bounded:
+                return table[rows] - width[rows], table[rows] + width[rows]
+            return table[rows]
+
+        data = np.array(data)
+        cost = np.mean((table - data) ** 2, axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_model_ratio", model)
+            i, _ = analysis._grid_start(grid, data, 4, 1.0, None, None)
+        assert i == int(np.argmin(cost))
+
     def test_steps_that_do_not_converge_raise(self, monkeypatch):
         monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 1)
         cp = echo_train("cp", 16, 0.123, tau=0.7)
@@ -449,10 +529,13 @@ class TestEstimator:
 
     def test_flat_model_raises_vanishing_jacobian(self, monkeypatch):
         # a model ratio that does not depend on epsilon gives the refinement
-        # no direction to step in
-        monkeypatch.setattr(
-            analysis, "_model_ratio", lambda eps, n, tau, delta, weights: np.ones((eps.size, n // 2))
-        )
+        # no direction to step in; its bounded ends, which rank the grid, are
+        # flat too
+        def flat(eps, n, tau, delta, weights, bounded=False):
+            ones = np.ones((eps.size, n // 2))
+            return (ones, ones) if bounded else ones
+
+        monkeypatch.setattr(analysis, "_model_ratio", flat)
         cp = echo_train("cp", 8, 0.1)
         cpmg = echo_train("cpmg", 8, 0.1)
         with pytest.raises(ValueError, match="Jacobian vanishes at epsilon = 0.0"):

@@ -487,9 +487,11 @@ class TestEchoCommand:
         assert "eps_max must lie in (0, 1)" in err
 
     def test_estimate_error_flat_model_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            analysis, "_model_ratio", lambda eps, n, tau, delta, weights: np.ones((eps.size, n // 2))
-        )
+        def flat(eps, n, tau, delta, weights, bounded=False):
+            ones = np.ones((eps.size, n // 2))
+            return (ones, ones) if bounded else ones
+
+        monkeypatch.setattr(analysis, "_model_ratio", flat)
         for mode in ("cp", "cpmg"):
             code, _, _ = run(
                 capsys,

@@ -753,6 +753,40 @@ class TestEchoTrain:
             train = echo_train(mode, n, float(e), spec, use_bb1, tau=tau)
             assert row.tolist() == train.values[stride - 1 :: stride].tolist()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        line=st.sampled_from(["default", "legendre", "discrete"]),
+        n=st.integers(1, 41),
+        stride=st.sampled_from([1, 2]),
+        count=st.integers(1, 40),
+        size=st.integers(16, 600),
+        tau=st.sampled_from([0.7, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bounded_sums_enclose_the_exact_amplitudes(
+        self, mode, line, n, stride, count, size, tau, seed
+    ):
+        # the fit's grid ranks on plain sums: each exact (math.fsum) amplitude
+        # lies between the clipped ends amps - beta and amps + beta
+        spec = {
+            "default": None,
+            "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
+            "discrete": sampled_line(size, seed),
+        }[line]
+        _, delta, weights = ensemble_nodes(spec or simulator._default_line(n, tau)).T
+        eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
+        phase = simulator._REFOCUS_PHASE[mode]
+        exact = simulator._echo_amplitudes(phase, n, eps, delta, weights, False, tau, stride)
+        amps, beta = simulator._echo_amplitudes(
+            phase, n, eps, delta, weights, False, tau, stride, bounded=True
+        )
+        assert amps.shape == beta.shape == exact.shape
+        assert np.all(np.maximum(amps - beta, 0.0) <= exact)
+        assert np.all(exact <= amps + beta)
+        if line == "default":
+            assert np.all(beta < 1e-13)
+
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])
     def test_ideal_axis_equals_reference_member_axis(self, mode, use_bb1):
