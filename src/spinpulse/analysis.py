@@ -93,10 +93,11 @@ def _fidelities_over(theta: float, pulses, eps: np.ndarray, error=NO_ERROR) -> n
     ideal ``theta`` rotation about x, for every amplitude error in ``eps``:
     the engine propagates the identity over the whole array at once."""
     with np.errstate(over="ignore", invalid="ignore"):
-        net = _propagate_nodes(pulses, error, eps, np.zeros(eps.size))
+        a, b = _propagate_nodes(pulses, error, eps, np.zeros(eps.size))
         # the target goes through the public `rotation`, one wrapper per call and
-        # none per node: perfbench's program_check needs su2.rotation.calls > 0
-        fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix, net)
+        # none per node: perfbench's program_check needs su2.rotation.calls > 0;
+        # its first row is its pair
+        fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix[0], a, b)
     if not np.isfinite(fidelities).all():
         raise ValueError("epsilon and theta must give finite rotation angles")
     return fidelities

@@ -7,16 +7,18 @@ once and raises it to its count by squaring.  One engine interprets
 every program: it runs a batch of ensemble members at once from the
 identity and returns only their final propagators, and ``propagate``,
 ``rabi_trace``, ``echo_train`` and the analysis fidelities all run
-through it.  States appear only at the public boundary: ``propagate``
-applies its one-member propagator to its initial state, and the
-experiments take their samples from their own products of propagators.
-Its pulse matrices come from the one batched rotation formula in
-``su2``, and its members are the rows of ``errors.ensemble_nodes``, the
-one member representation.  Ensemble reductions are correctly rounded
-(``math.fsum``), so they do not depend on node order and results are
-bit-identical run to run; only the rotation-error fit's grid, which
-ranks and returns nothing, takes plain sums with a bound on their
-distance from the correctly rounded ones.
+through it.  A propagator is its Cayley-Klein pair ``(a, b)``, the first
+row of ``[[a, b], [-conj(b), conj(a)]]``: pairs compose in four complex
+products (``_compose``), and one power rule (``_power``) raises a
+``Repeat`` and a Rabi trace's BB1 block.  States and matrices appear
+only at the public boundary (``propagate``); the experiments read their
+samples from pairs.  Its pulse pairs come from the one batched rotation
+formula in ``su2``, and its members are the rows of
+``errors.ensemble_nodes``, the one member representation.  Ensemble
+reductions are correctly rounded (``math.fsum``), so they do not depend
+on node order and results are bit-identical run to run; only the
+rotation-error fit's grid, which ranks and returns nothing, takes plain
+sums with a bound on their distance from the correctly rounded ones.
 
 Experiments:
 
@@ -32,15 +34,15 @@ Experiments:
 
 Both experiments are block kernels: they build their repeated block once
 on the engine and then advance by products.  ``rabi_trace`` raises the
-BB1 pi-block propagator to each new block count by the engine's
-``Repeat`` rule, takes the remainder rotations of many samples in one
-batched ``_rotations`` call, keeps their images of spin-up, and
-multiplies each run of samples that share a block count by its power
-with the engine's ``@``.  The echo kernel (``_echo_amplitudes``) builds the
-echo-cycle propagator and advances every member by one 2x2 product per
-echo; it runs a block of amplitude errors at once (every error with
-every detuning node), so the rotation error fit runs its grid and each
-refinement step as one call, and ``echo_train`` is its one-error case.
+BB1 pi-block pair to each new block count by the power rule, takes the
+remainder rotations of many samples in one batched ``_rotations`` call,
+keeps their images of spin-up, and advances each run of samples that
+share a block count by its power.  The echo kernel
+(``_echo_amplitudes``) builds the echo-cycle pair and advances every
+member by its column form once per echo; it runs a block of amplitude
+errors at once (every error with every detuning node), so the rotation
+error fit runs its grid and each refinement step as one call, and
+``echo_train`` is its one-error case.
 Both take their samples or echoes in slices of at most
 ``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice, one
 ``math.fsum`` per row (``_weighted_sums``; the fit's grid takes bounded
@@ -73,7 +75,7 @@ from .errors import (
     ensemble_nodes,
 )
 from .sequence import MAX_REPETITIONS, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import IDENTITY, TWO_PI, _rotations
+from .su2 import TWO_PI, _rotations
 
 __all__ = [
     "SpinState",
@@ -114,9 +116,8 @@ MAX_MEMBER_ECHOES = 2**23
 # member-echo (128 kB), plus the slice's reduction.  A fit's 31-error
 # grid (31 x 65 members) peaks at 2.8 MB traced with slices of 2^15 and
 # at 0.55 MB with 2^12, at the same speed.  A Rabi trace slice keeps the
-# spin-up column of its rotations, 32 B per member-sample (the full
-# rotations, 64 B, only while they are built): a 41-node BB1 trace peaks
-# at 0.51 MB traced.
+# pairs of its rotations, 24 B per member-sample (32 B once composed with
+# a BB1 power): a 41-node BB1 trace peaks at 0.25 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -208,22 +209,38 @@ class Signal:
 # ---------------------------------------------------------------------------
 
 
-def _propagate_nodes(elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """The (M, 2, 2) propagators of a program, one per node, run from the
-    identity.  A ``Repeat`` body is propagated once and raised to
-    ``count`` by squaring."""
-    psi = np.broadcast_to(IDENTITY, (eps.size, 2, 2)).copy()
+def _propagate_nodes(elements, error: ErrorModel, eps: np.ndarray, delta: np.ndarray):
+    """The Cayley-Klein pairs ``(a, b)`` of a program's propagators, one per
+    node, run from the identity.  A ``Repeat`` body is propagated once and
+    raised to ``count`` by squaring (``_power``)."""
+    a, b = np.ones(eps.size, complex), np.zeros(eps.size, complex)
     for el in elements:
         if isinstance(el, Pulse):
-            phi = el.phi + error.offset_for(el.phi)
-            psi = _rotations(el.theta, phi, eps) @ psi
+            a, b = _compose(*_rotations(el.theta, el.phi + error.offset_for(el.phi), eps), a, b)
         elif isinstance(el, Delay):
             phase = np.exp(0.5j * delta * el.tau)
-            psi = psi * np.stack([phase, phase.conj()], axis=1)[:, :, None]
+            a, b = a * phase, b * phase
         elif isinstance(el, Repeat):
-            body = _propagate_nodes(el.body, error, eps, delta)
-            psi = np.linalg.matrix_power(body, el.count) @ psi
-    return psi
+            a, b = _power(*_propagate_nodes(el.body, error, eps, delta), el.count, a, b)
+    return a, b
+
+
+def _compose(a2, b2, a1, b1):
+    # the pair of U2 @ U1: four complex products, where the 2x2 product takes eight
+    return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
+
+
+def _power(a, b, k: int, a0, b0):
+    """The pair of ``U**k @ U0`` for the pairs ``(a, b)`` of ``U`` and
+    ``(a0, b0)`` of ``U0``, ``k >= 1``: ``U**k`` is raised by squaring, so
+    it costs O(log k) products."""
+    while True:
+        if k & 1:
+            a0, b0 = _compose(a, b, a0, b0)
+        k >>= 1
+        if not k:
+            return a0, b0
+        a, b = _compose(a, b, a, b)
 
 
 def propagate(
@@ -238,9 +255,9 @@ def propagate(
     ``Acquire`` markers leave the state as it is.  The engine's one-member
     propagator is applied to ``initial`` (default spin-up) and renormalized.
     """
-    state = initial if initial is not None else SpinState.spin_up()
-    unitary = _propagate_nodes(program.elements, e, np.array([e.epsilon]), np.array([float(delta)]))
-    v = unitary[0] @ state.vector
+    up, down = (initial if initial is not None else SpinState.spin_up()).vector
+    a, b = _propagate_nodes(program.elements, e, np.array([e.epsilon]), np.array([float(delta)]))
+    v = np.concatenate([a * up + b * down, np.conj(a) * down - np.conj(b) * up])
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
@@ -278,22 +295,22 @@ def rabi_trace(
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
-    propagator built once per call.  ``n`` never decreases along the
-    trace, so ``B**n`` is a running product: a gap of ``g`` new blocks
-    multiplies it by ``B**g``, raised by squaring as a ``Repeat`` is
-    (``np.linalg.matrix_power``, which returns ``B`` itself for ``g = 1``),
-    so K samples reaching n blocks cost O(K log n) 2x2 products per member.
+    pair built once per call.  ``n`` never decreases along the trace, so
+    ``B**n`` is a running product: a gap of ``g`` new blocks multiplies it
+    by ``B**g``, raised by squaring as a ``Repeat`` is (``_power``), so K
+    samples reaching n blocks cost O(K log n) pair products per member.
 
     The samples run as a block, in slices of at most
     ``_SLICE_MEMBER_ECHOES`` member-samples (at least one sample each).
-    A slice's remainder rotations are one batched ``_rotations`` call, of
-    which only the first columns, the images of spin-up, are kept; each
-    run of samples that share a block count is multiplied in place by the
-    running power with ``@``; and ``-<sz>`` is reduced one ``math.fsum``
-    per sample.  Each sample equals, bit for bit, the product
-    ``B**n @ R(r)[:, :1]`` taken and reduced for that sample alone, and a
-    trace costs one numpy round per slice, plus one product per block
-    count when ``use_bb1`` is set.
+    A slice's remainder rotations are one batched ``_rotations`` call of
+    pairs ``(cos h, i sin h)``, ``h = r(1+eps)/2``, each also its
+    rotation's image of spin-up; each run of samples that share a
+    block count is composed in place with the running power; and
+    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced one ``math.fsum``
+    per sample.  Each sample equals, bit for bit, the power composed with
+    ``R(r)``'s pair and reduced for that sample alone, and a trace costs
+    one numpy round per slice, plus one product per block count when
+    ``use_bb1`` is set.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -311,7 +328,7 @@ def rabi_trace(
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta) if use_bb1 else None
-    power, blocks = np.broadcast_to(IDENTITY, (eps.size, 2, 2)), 0  # stacks with B**n
+    power, blocks = (1.0, 0.0), 0  # the pair of B**n
     rows = max(1, _SLICE_MEMBER_ECHOES // eps.size)
 
     samples = []
@@ -319,18 +336,18 @@ def rabi_trace(
         stop = start + rows
         remainders = (theta - n * math.pi for theta, n in zip(thetas[start:stop], ns[start:stop]))
         r = [x if x > 1e-15 else 0.0 for x in remainders]
-        # the first column of each rotation is its image of spin-up
-        states = _rotations(np.array(r)[:, None], 0.0, eps)[..., :1].copy()
+        # the image of spin-up of a pair (u, v) is its matrix's first column (u, -conj(v))
+        u, v = _rotations(np.array(r)[:, None], 0.0, eps)
         if block is not None:
-            i = 0
+            u, i = u.astype(complex), 0
             for n, run in groupby(ns[start:stop]):
                 if n > blocks:
-                    power, blocks = np.linalg.matrix_power(block, n - blocks) @ power, n
+                    power, blocks = _power(*block, n - blocks, *power), n
                 j = i + len(list(run))
-                states[i:j] = power @ states[i:j]
+                u[i:j], v[i:j] = _compose(*power, u[i:j], v[i:j])
                 i = j
-        sz = np.abs(states[..., 0, 0]) ** 2 - np.abs(states[..., 1, 0]) ** 2
-        del states  # the slice's states are not held through its reduction
+        sz = np.abs(u) ** 2 - np.abs(v) ** 2
+        del u, v  # the slice's pairs are not held through its reduction
         samples.extend(zip(thetas[start:stop], _weighted_sums(weights, -sz)))
 
     return Signal(
@@ -434,14 +451,15 @@ def _echo_amplitudes(
     the even echoes, ``stride = 2``; ``echo_train`` reads all).
 
     The E * M members (``np.repeat(eps, M)`` by ``np.tile(delta, E)``) run
-    as one block: the cycle propagator ``C`` is built once on the engine,
-    and echo k is ``C`` applied to echo k-1, in the column form, one 2x2
-    product per member and echo, kept or not.  The kept echoes are taken
-    in slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each
-    slice is reduced before the next is advanced, so only the returned
-    array grows with ``n``.  Each member's arithmetic does not depend on
-    the others or on ``stride``, so a row equals, bit for bit, the kept
-    echoes of the train run at that amplitude error alone.
+    as one block: the cycle pair ``(a, b)`` is built once on the engine,
+    and echo k is its matrix ``C`` applied to echo k-1 in the column form,
+    four complex products per member and echo, kept or not.  The kept
+    echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
+    member-echoes, and each slice is reduced before the next is advanced,
+    so only the returned array grows with ``n``.  Each member's arithmetic
+    does not depend on the others or on ``stride``, so a row equals, bit
+    for bit, the kept echoes of the train run at that amplitude error
+    alone.
 
     A slice is reduced one ``math.fsum`` per kept echo and amplitude error,
     or, when ``bounded`` (the fit's grid, which only ranks), by the plain
@@ -457,11 +475,11 @@ def _echo_amplitudes(
     """
     count_eps, members = eps_values.size, delta.size
     eps, delta = np.repeat(eps_values, members), np.tile(delta, count_eps)
-    cycle = _propagate_nodes(_echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, delta)
-    a, b, c, d = cycle.reshape(-1, 4).T.copy()  # the entries of each member's C
-    del cycle, delta  # not held through the echo loop, where the block peaks
-    psi0 = _rotations(math.pi / 2.0, 0.0, np.zeros(1))[0, :, 0]  # spin-up after the excitation
-    u, v = np.full(eps.shape, psi0[0]), np.full(eps.shape, psi0[1])
+    a, b = _propagate_nodes(_echo_cycle(refocus_phase, use_bb1, tau), NO_ERROR, eps, delta)
+    c, d = -np.conj(b), np.conj(a)  # each member's C is [[a, b], [c, d]]
+    del delta  # not held through the echo loop, where the block peaks
+    (c0,), (p0,) = _rotations(math.pi / 2.0, 0.0, np.zeros(1))  # spin-up after the excitation
+    u, v = np.full(eps.shape, complex(c0)), np.full(eps.shape, -p0.conjugate())
     kept = n // stride
     rows = max(1, min(kept, _SLICE_MEMBER_ECHOES // eps.size))
     up, down = np.empty((rows, eps.size), complex), np.empty((rows, eps.size), complex)
@@ -471,9 +489,8 @@ def _echo_amplitudes(
         count = min(rows, kept - start)
         for j in range(count):
             for _ in range(stride):
-                # both columns are computed before either is stored; the engine's product
-                # `cycle @ psi` gives the same echoes bit for bit but is slower (5.38 against
-                # 4.36 us per echo at 65 members, 2-vCPU VM), so the column form stays
+                # both columns are computed before either is stored: the column form
+                # of C = [[a, b], [-conj(b), conj(a)]]
                 u, v = a * u + b * v, c * u + d * v
             up[j], down[j] = u, v
         # the ideal train keeps every echo on +-y: the signed <sy> of each member
@@ -526,10 +543,10 @@ def echo_train(
 
     The train is the one-row case of the echo kernel (``_echo_amplitudes``):
     the cycle ``tau - refocusing pulse - tau`` runs once on the engine, from
-    the identity, for its propagator ``C`` at every member, and echo k is
+    the identity, for its pair at every member, and echo k is its matrix
     ``C`` applied to echo k-1, taken in slices of bounded size.  The echoes
     equal, bit for bit, those reduced one by one from the running product
-    ``psi_k = C @ psi_(k-1)`` of the engine's cycle propagator.
+    ``psi_k = C @ psi_(k-1)`` of ``C`` assembled from the engine's pair.
     """
     mode_l = str(mode).lower()
     if mode_l not in _REFOCUS_PHASE:

@@ -4,11 +4,15 @@ Provides the rotation constructor for an in-plane axis with a fractional
 amplitude error, time-ordered composition, the half-trace fidelity metric,
 and an axis/angle decomposition for residual-error diagnostics.
 
-Rotation matrices and the fidelity are each defined once, batched over an
-array of amplitude errors (``_rotations`` and ``_fidelities``); the
-propagation engine and the analysis fidelities use them directly, and
-``rotation`` and ``fidelity`` are their one-member cases, validated once
-at the public boundary.
+Inside the kernels a rotation is its Cayley-Klein pair: an SU(2) matrix
+``[[a, b], [-conj(b), conj(a)]]`` is fixed by its first row ``(a, b)``
+(Pauly, Le Roux, Nishimura & Macovski, IEEE Trans. Med. Imaging 10, 53
+(1991)).  The rotation pairs and their fidelity are each defined once,
+batched over an array of amplitude errors (``_rotations`` and
+``_fidelities``); the propagation engine and the analysis fidelities use
+them directly.  ``rotation`` assembles the matrix of a one-member pair,
+validated once at the public boundary, and ``fidelity`` takes the trace
+of two ``Unitary2``, which need not lie in SU(2).
 
 Conventions used throughout the package:
 
@@ -30,9 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "IDENTITY",
     "TWO_PI",
     "UNITARITY_TOL",
@@ -44,9 +45,6 @@ __all__ = [
     "axis_angle",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 TWO_PI = 2.0 * math.pi
@@ -135,34 +133,29 @@ class RotationSpec:
         object.__setattr__(self, "phi", _wrap_phase(self.phi))
 
 
-def _rotations(theta, phi: float, eps: np.ndarray) -> np.ndarray:
-    """Rotation matrices of one pulse for every amplitude error in ``eps``,
-    shape (M, 2, 2): ``cos(a) I + i sin(a) (sx cos(phi) + sy sin(phi))``
-    with ``a = theta(1+eps)/2``.  An array ``theta`` broadcasts against
-    ``eps``: an (S, 1) column gives the (S, M, 2, 2) rotations of S angles,
-    each row equal to the call at that angle alone."""
+def _rotations(theta, phi: float, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pairs ``(c, p)`` of one pulse for every amplitude error
+    in ``eps``: ``c = cos(a)`` and ``p = i sin(a) e^(-i phi)`` with ``a =
+    theta(1+eps)/2``, the first row of the rotation ``[[c, p], [-conj(p),
+    c]] = cos(a) I + i sin(a) (sx cos(phi) + sy sin(phi))``.  An array
+    ``theta`` broadcasts against ``eps``: an (S, 1) column gives the (S, M)
+    pairs of S angles, each row equal to the call at that angle alone."""
     # Halving last keeps the error exactly foldable into the angle, even
     # for subnormal theta.
     a = 0.5 * (theta * (1.0 + eps))
-    c = np.cos(a)
-    s = np.sin(a)
-    e_minus = complex(math.cos(phi), -math.sin(phi))
-    out = np.empty((*a.shape, 2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = 1j * s * e_minus
-    out[..., 1, 0] = 1j * s * e_minus.conjugate()
-    out[..., 1, 1] = c
-    return out
+    return np.cos(a), np.sin(a) * complex(math.sin(phi), math.cos(phi))  # i e^(-i phi)
 
 
 def rotation(spec: RotationSpec) -> Unitary2:
     """Build the unitary for one in-plane rotation with amplitude error.
 
     Returns ``exp(+i (sx cos(phi) + sy sin(phi)) * theta*(1+epsilon)/2)``
-    in closed form.  A zero angle gives the identity; a 2*pi rotation
+    in closed form, ``[[c, p], [-conj(p), c]]`` from the one-member pair of
+    ``_rotations``.  A zero angle gives the identity; a 2*pi rotation
     gives minus the identity (spinor sign).
     """
-    return Unitary2.from_matrix(_rotations(spec.theta, spec.phi, np.array([spec.epsilon]))[0])
+    (c,), (p,) = _rotations(spec.theta, spec.phi, np.array([spec.epsilon]))
+    return Unitary2(c, p, -p.conjugate(), c)
 
 
 def compose(first: Unitary2, second: Unitary2) -> Unitary2:
@@ -173,11 +166,13 @@ def compose(first: Unitary2, second: Unitary2) -> Unitary2:
     return Unitary2.from_matrix(second.matrix @ first.matrix)
 
 
-def _fidelities(ideal: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Half-trace overlaps ``|Tr(ideal . actual^dagger)| / 2``, clamped to 1,
-    of a (2, 2) ``ideal`` with each matrix of an (M, 2, 2) ``actual``."""
-    tr = np.trace(ideal @ np.swapaxes(actual.conj(), -1, -2), axis1=-2, axis2=-1)
-    return np.minimum(0.5 * np.abs(tr), 1.0)
+def _fidelities(ideal, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half-trace overlaps ``|Re(a_i conj(a) + b_i conj(b))|``, clamped to 1,
+    of the ideal pair ``(a_i, b_i)`` with each actual pair ``(a, b)``: for
+    two SU(2) matrices the trace of ``ideal . actual^dagger`` is twice the
+    real part of their first rows' overlap."""
+    a_i, b_i = ideal
+    return np.minimum(np.abs((a_i * np.conj(a) + b_i * np.conj(b)).real), 1.0)
 
 
 def fidelity(ideal: Unitary2, actual: Unitary2) -> float:
@@ -185,9 +180,11 @@ def fidelity(ideal: Unitary2, actual: Unitary2) -> float:
 
     Insensitive to global phase and symmetric in its arguments.  Equal
     unitaries give 1; for two rotations about the same axis differing by
-    an angle ``d`` the value is ``|cos(d/2)|``.
+    an angle ``d`` the value is ``|cos(d/2)|``.  A ``Unitary2`` need not
+    have determinant 1, so the trace takes both rows; on two SU(2)
+    matrices it is ``_fidelities``' pair overlap.
     """
-    return float(_fidelities(ideal.matrix, actual.matrix[None])[0])
+    return float(min(0.5 * abs(np.trace(ideal.matrix @ actual.matrix.conj().T)), 1.0))
 
 
 def axis_angle(u: Unitary2) -> tuple[np.ndarray, float]:

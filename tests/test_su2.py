@@ -75,9 +75,10 @@ def test_column_of_angles_equals_stacked_scalar_calls(thetas, phi, eps):
     # theta = 0 and subnormal angles included: each row is the scalar call
     eps = np.array(eps)
     block = su2._rotations(np.array(thetas)[:, None], phi, eps)
-    assert block.shape == (len(thetas), eps.size, 2, 2)
-    want = np.stack([su2._rotations(theta, phi, eps) for theta in thetas])
-    assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+    want = [su2._rotations(theta, phi, eps) for theta in thetas]
+    for got, rows in zip(block, zip(*want)):
+        assert got.shape == (len(thetas), eps.size)
+        assert np.array_equal(got.view(np.uint64), np.stack(rows).view(np.uint64))
 
 
 class _CountingNumpy:
@@ -92,12 +93,13 @@ class _CountingNumpy:
 
 
 @pytest.mark.parametrize("theta", [1.3, np.array([[0.2], [1.3]])])
-def test_rotations_call_numpy_three_times(monkeypatch, theta):
-    # broadcasting costs the scalar path (the engine's pulses) no numpy call
+def test_rotations_call_numpy_twice(monkeypatch, theta):
+    # broadcasting costs the scalar path (the engine's pulses) no numpy call,
+    # and the pair needs no buffer
     counting = _CountingNumpy()
     monkeypatch.setattr(su2, "np", counting)
     su2._rotations(theta, 0.4, np.array([0.0, 0.1]))
-    assert counting.names == ["cos", "sin", "empty"]
+    assert counting.names == ["cos", "sin"]
 
 
 def test_compose_same_axis_adds_angles():
@@ -167,6 +169,21 @@ def test_fidelity_ignores_global_phase(theta, phi, gamma):
     u = rotation(RotationSpec(theta, phi, 0.0))
     v = Unitary2.from_matrix(np.exp(1j * gamma) * u.matrix)
     assert fidelity(u, v) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(angles, phases, errors, angles, phases, errors)
+def test_fidelity_of_rotations_is_the_pair_overlap(t1, p1, e1, t2, p2, e2):
+    # the kernels' pair fidelity is the public half-trace on SU(2) matrices
+    ideal = rotation(RotationSpec(t1, p1, e1))
+    actual = su2._rotations(t2, p2, np.array([e2]))
+    pair = su2._fidelities(ideal.matrix[0], *actual)[0]
+    assert pair == pytest.approx(fidelity(ideal, rotation(RotationSpec(t2, p2, e2))), abs=1e-15)
+
+
+def test_rotation_assembles_its_pair():
+    c, p = su2._rotations(1.3, 0.7, np.array([0.1]))
+    m = rotation(RotationSpec(1.3, 0.7, 0.1)).matrix
+    assert m.tolist() == [[c[0], p[0]], [-np.conj(p[0]), c[0]]]
 
 
 def test_axis_angle_identity():
