@@ -196,12 +196,19 @@ class PhaseSensitivityReport:
     max_rel_deviation: float
     epsilon: float
     step: float
+    rounding: float  # bound on any fitted coefficient's rounding error
 
 
 # Amplitude error and offset step of the second differences in
 # verify_eq5_coefficients; its report records both.
 EQ5_EPSILON = 0.02
 EQ5_STEP = 0.002 * math.pi
+
+# Bound on the rounding error of one bb1_fidelity value near these
+# offsets, 8 units of 2**-53: against a 40-digit evaluation of the same
+# float inputs, the report's nine points miss by at most 1.9 units and 400
+# sampled points (eps 0.005-0.05, |dphi| <= 3 EQ5_STEP) by at most 4.0.
+_EQ5_F_ROUNDING = 2.0**-50
 
 
 def verify_eq5_coefficients() -> PhaseSensitivityReport:
@@ -213,6 +220,14 @@ def verify_eq5_coefficients() -> PhaseSensitivityReport:
     differences).  The fitted coefficients are reported beside the
     closed-form model's, with the maximum relative deviation;
     disagreement is reported, not corrected.
+
+    The second differences divide by ``2 h**2 epsilon**2 pi**2``, about
+    3.1e-7, so the fidelities' rounding reaches the coefficients amplified.
+    ``rounding`` bounds it: a difference's weights sum to 4, so its
+    fidelities add at most ``4 * _EQ5_F_ROUNDING``, plus one rounding of
+    the difference itself, over the squared terms' divisor, the smaller
+    one (the divisions' own relative rounding, a few 2**-53, is far below
+    it).  Digits below ``rounding`` are not signal.
     """
     e2p2 = EQ5_EPSILON**2 * math.pi**2
     h = EQ5_STEP
@@ -231,8 +246,10 @@ def verify_eq5_coefficients() -> PhaseSensitivityReport:
         ("dphi2^2", SENSITIVITY_QUAD_COEFFS[2], c_fit),
     )
     max_rel = max(abs(fit - ref) / abs(ref) for _, ref, fit in rows)
+    rounding = (4.0 * _EQ5_F_ROUNDING + 2.0**-53) / (h * h) / (2.0 * e2p2)
     return PhaseSensitivityReport(
-        rows=rows, max_rel_deviation=max_rel, epsilon=EQ5_EPSILON, step=EQ5_STEP
+        rows=rows, max_rel_deviation=max_rel, epsilon=EQ5_EPSILON, step=EQ5_STEP,
+        rounding=rounding,
     )
 
 

@@ -179,9 +179,13 @@ def cmd_verify_eq5(args) -> int:
     ]
     _emit_rows(
         args, rows, epsilon=report.epsilon, step_rad=report.step,
-        max_rel_deviation=report.max_rel_deviation,
+        max_rel_deviation=report.max_rel_deviation, rounding=report.rounding,
     )
-    _status(args, f"max relative deviation = {report.max_rel_deviation:.3e}")
+    _status(
+        args,
+        f"max relative deviation = {report.max_rel_deviation:.3e}; "
+        f"fitted coefficients carry up to {report.rounding:.1e} of rounding",
+    )
     return 0
 
 

@@ -301,6 +301,51 @@ class TestVerifyEq5:
         assert fitted["dphi2^2"] == pytest.approx(0.5, rel=0.02)
         assert report.max_rel_deviation < 0.02
 
+    def test_rounding_bounds_the_worst_fidelity_perturbation(self, monkeypatch):
+        # every fidelity moved by _EQ5_F_ROUNDING, with the signs that add up
+        # in each second difference, moves no coefficient by more than the
+        # report's bound, and the squared terms by nearly all of it
+        report = verify_eq5_coefficients()
+        delta = analysis._EQ5_F_ROUNDING
+
+        def perturbed(theta, epsilon, offsets):
+            d1, d2 = offsets
+            sign = -1.0 if d1 * d2 < 0.0 or d1 == d2 == 0.0 else 1.0
+            return bb1_fidelity(theta, epsilon, offsets) + sign * delta
+
+        monkeypatch.setattr(analysis, "bb1_fidelity", perturbed)
+        moved = verify_eq5_coefficients()
+        assert moved.rounding == report.rounding
+        shifts = {term: abs(fit - was) for (term, _, fit), (_, _, was) in zip(moved.rows, report.rows)}
+        assert max(shifts.values()) <= report.rounding
+        assert shifts["dphi1^2"] >= 0.9 * report.rounding
+        assert shifts["dphi2^2"] >= 0.9 * report.rounding
+
+    def test_fidelities_within_the_rounding_unit(self):
+        # bb1_fidelity at the report's nine points against a 40-digit
+        # evaluation of the same float inputs
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+
+        def pair(theta, phi):
+            half = mp.mpf(theta) * (1 + mp.mpf(analysis.EQ5_EPSILON)) / 2
+            return mp.cos(half), mp.mpc(0, 1) * mp.sin(half) * mp.expj(-mp.mpf(phi))
+
+        phi1, phi2 = bb1_phases(math.pi)
+        h = analysis.EQ5_STEP
+        for d1 in (-h, 0.0, h):
+            for d2 in (-h, 0.0, h):
+                a, b = mp.mpf(1), mp.mpf(0)
+                phases = (0.0, phi1 + d1, phi2 + d2, phi1 + d1)  # the engine's float phases
+                for theta, phi in zip((math.pi, math.pi, 2 * math.pi, math.pi), phases):
+                    c, p = pair(theta, phi)
+                    a, b = c * a - p * mp.conj(b), c * b + p * mp.conj(a)
+                # the ideal pi pulse about x has the pair (cos(pi/2), i)
+                ideal_a = mp.cos(mp.mpf(math.pi) / 2)
+                exact = abs(mp.re(ideal_a * mp.conj(a) + mp.mpc(0, 1) * mp.conj(b)))
+                got = bb1_fidelity(math.pi, analysis.EQ5_EPSILON, (d1, d2))
+                assert abs(got - exact) <= analysis._EQ5_F_ROUNDING
+
 
 class TestEnsembleMeanFidelity:
     def test_zero_width(self):

@@ -179,6 +179,8 @@ class TestVerifyEq5Command:
         assert len(lines) == 4
         worst = max(float(ln.split(",")[3]) for ln in lines[1:])
         assert worst <= 0.02
+        rounding = analysis.verify_eq5_coefficients().rounding
+        assert f"carry up to {rounding:.1e} of rounding" in err
 
 
 class TestRabiCommand:
@@ -796,7 +798,7 @@ class TestConfigRecord:
 
     def test_verify_eq5_keys(self, capsys):
         config = self.config(capsys, "verify-eq5")
-        assert list(config) == ["epsilon", "step_rad", "max_rel_deviation"]
+        assert list(config) == ["epsilon", "step_rad", "max_rel_deviation", "rounding"]
 
     def test_rabi_keys(self, capsys):
         config = self.config(capsys, "rabi", "--sigma", "0.05", "--max", "1pi", "--step", "0.5pi")
