@@ -437,8 +437,9 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     would be a wrong answer, and so does a residual that is NaN.  An
     ``eps_max`` outside ``(0, 1)``, or a pair beyond a bound of
     ``echo_train`` (``MAX_SAMPLES`` echoes, ``MAX_MEMBER_ECHOES``
-    member-echoes of the default line, a ``tau`` that is not finite and
-    positive), raises ``ValueError`` before any train is simulated.
+    member-echoes of the simple-pulse default line, which refuses
+    ``n > 4095``, a ``tau`` that is not finite and positive), raises
+    ``ValueError`` before any train is simulated.
     """
     if not 0.0 < eps_max < 1.0:
         raise ValueError(f"eps_max must lie in (0, 1), got {eps_max!r}")

@@ -211,7 +211,7 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_echo(args) -> int:
-    ensemble = None  # echo_train's exact 2n + 1-member line
+    ensemble = None  # echo_train's exact line: n + 1 midpoints of pi/tau, folded for simple pulses
     if args.span_rad_per_s is not None:
         ensemble = EnsembleSpec(
             epsilon_dist=DELTA_ZERO,

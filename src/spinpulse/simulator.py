@@ -30,7 +30,9 @@ Experiments:
   composite refocusing pulses and an optional analytic T2 envelope; at
   most ``MAX_SAMPLES`` echoes and ``MAX_MEMBER_ECHOES`` member-echoes.
   Its default detuning line is its own (``_EchoLine``): the midpoint
-  rule on 2n + 1 members of one period, exact for n cycles.
+  rule on n + 1 members of the half period ``pi/tau``, exact for n
+  cycles, of which a simple refocusing pulse runs only the nonnegative
+  half.
 
 Both experiments are block kernels: they build their repeated block once
 on the engine and then advance by products.  ``rabi_trace`` raises the
@@ -76,7 +78,7 @@ from .errors import (
     ensemble_nodes,
 )
 from .sequence import MAX_REPETITIONS, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import TWO_PI, _rotations
+from .su2 import _rotations
 
 __all__ = [
     "SpinState",
@@ -95,7 +97,8 @@ __all__ = [
 # the ensemble between refocusing pulses (span * tau covers 4*pi of
 # accumulated phase, four whole periods of delta * tau), averaged by the
 # periodic midpoint rule of _EchoLine, which is exact for n-cycle trains
-# with at least 2n + 1 nodes; echo_train without an ensemble takes 2n + 1.
+# with at least n + 1 nodes of the half period; echo_train without an
+# ensemble takes n + 1, and runs ceil((n + 1) / 2) for simple pulses.
 DEFAULT_TAU = 1.0
 DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 
@@ -107,19 +110,22 @@ DEFAULT_DETUNING_SPAN = 4.0 * math.pi
 MAX_SAMPLES = 100_000
 
 # Largest n_refocus * members accepted by echo_train, and so by the
-# rotation-error fit on its default line.  A train's propagation holds at
-# most one slice of echoes, so this bounds time, not memory; it is the
-# bound an exact default train (2n + 1 members) meets first: n <= 2047.
+# rotation-error fit on its default line, counted on the members a train
+# runs.  A train's propagation holds at most one slice of echoes, so this
+# bounds time, not memory; it is the bound an exact default train meets
+# first: n <= 4095 with simple pulses (ceil((n + 1) / 2) members, the fit's
+# limit too) and n <= 2895 with BB1 blocks (n + 1 members).
 MAX_MEMBER_ECHOES = 2**23
 
 # Kept member-echoes (member-samples for a Rabi trace) per slice of a
 # block: the echo slice buffer holds one complex rotor power per kept
 # member-echo (16 B, 64 kB a slice), plus the slice's reduction.  A fit's
-# 31-error grid (31 x 65 members) peaks at 0.25 MB traced (0.51 MB when a
-# member-echo held two amplitudes; 2.8 MB with slices of 2^15, at the
-# same speed).  A Rabi trace slice keeps the pairs of its rotations, 24 B
-# per member-sample (32 B once composed with a BB1 power): a 41-node BB1
-# trace peaks at 0.25 MB traced.
+# 31-error grid (31 x 17 members at n = 32) peaks at 0.21 MB traced (0.26
+# MB on the 65 members of the full-period line; 0.51 MB when a member-echo
+# held two amplitudes; 2.8 MB with slices of 2^15, at the same speed).  A
+# Rabi trace slice keeps the pairs of its rotations, 24 B per member-sample
+# (32 B once composed with a BB1 power): a 41-node BB1 trace peaks at 0.25
+# MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -380,15 +386,29 @@ def rabi_trace(
 class _EchoLine:
     """The default detuning line of an echo train: uniform over
     ``DEFAULT_DETUNING_SPAN / tau``, four whole periods ``2*pi/tau`` of
-    every echo, so its mean is the mean over one period.  The n-point
-    midpoint rule on the central period, each node weighted 1/n, is exact
-    for a trigonometric polynomial of degree below n in ``delta * tau``."""
+    every echo, so its mean is the mean over one period.  A delay only
+    multiplies ``a`` of the cycle pair by ``exp(i delta tau / 2)``, so
+    ``delta tau -> delta tau + pi`` turns the cycle into ``-Rz(pi) C
+    Rz(pi)^dagger``, which maps +y to -y and back: every echo has period
+    ``pi/tau``, a trigonometric polynomial of degree at most n in ``2 delta
+    tau``.  The n-point midpoint rule on the central half period, each node
+    weighted 1/n, is exact below degree n.  When ``even`` (echoes even in
+    ``delta``, as with a simple refocusing pulse), the rule keeps its
+    ``ceil(n / 2)`` nonnegative midpoints, each weighted 2/n but a centre
+    node 1/n: the same mean on every even function."""
 
     tau: float
+    even: bool = False
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoints of the central period and their equal weights."""
-        return (TWO_PI / self.tau) * ((np.arange(n) + 0.5) / n - 0.5), np.full(n, 1.0 / n)
+        """Midpoints of the central half period and their weights."""
+        values = (math.pi / self.tau) * ((np.arange(n) + 0.5) / n - 0.5)
+        if not self.even:
+            return values, np.full(n, 1.0 / n)
+        weights = np.full(n - n // 2, 2.0 / n)
+        if n % 2:
+            weights[0] = 1.0 / n  # the centre node, its own mirror
+        return values[n // 2 :], weights
 
     def to_dict(self) -> dict:
         span = DEFAULT_DETUNING_SPAN / self.tau
@@ -407,25 +427,28 @@ def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
 _REFOCUS_PHASE = {"cp": 0.0, "cpmg": math.pi / 2.0}
 
 
-def _default_line(n_refocus: int, tau: float) -> EnsembleSpec:
-    # each echo is a trigonometric polynomial of degree <= 2n in delta * tau:
-    # 2n + 1 midpoints of one period give its mean exactly
-    return EnsembleSpec(DELTA_ZERO, _EchoLine(tau), nodes=2 * n_refocus + 1)
+def _default_line(n_refocus: int, tau: float, use_bb1: bool) -> EnsembleSpec:
+    # n + 1 midpoints of the half period give every echo's mean exactly.  CP's
+    # mirror x -> -x and CPMG's C2 about y fix the +y start and the y readout,
+    # so a simple refocusing pulse's echoes are even in delta; a BB1 block's
+    # are not
+    return EnsembleSpec(DELTA_ZERO, _EchoLine(tau, even=not use_bb1), nodes=n_refocus + 1)
 
 
 def _echo_nodes(
-    n_refocus: int, tau: float, spec: Optional[EnsembleSpec] = None
+    n_refocus: int, tau: float, spec: Optional[EnsembleSpec] = None, use_bb1: bool = False
 ) -> tuple[EnsembleSpec, np.ndarray, np.ndarray]:
     """The line, detuning nodes and weights of an ``n_refocus``-cycle train
-    on ``spec`` (default: the exact default line), after the bounds every
+    on ``spec`` (default: the exact default line of a train with simple or,
+    when ``use_bb1``, BB1 refocusing pulses), after the bounds every
     train meets before any work: at most ``MAX_SAMPLES`` echoes, a finite
     positive ``tau``, no amplitude-error distribution, and at most
-    ``MAX_MEMBER_ECHOES`` member-echoes."""
+    ``MAX_MEMBER_ECHOES`` member-echoes, counted on the members it runs."""
     if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not (tau > 0) or not math.isfinite(tau):
         raise ValueError("tau must be positive")
-    spec = spec or _default_line(n_refocus, tau)
+    spec = spec or _default_line(n_refocus, tau, use_bb1)
     if spec.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
@@ -456,8 +479,11 @@ def _echo_amplitudes(
     the even echoes, ``stride = 2``; ``echo_train`` reads all).
 
     The E * M members run as one block: the cycle pair ``(a, b)`` is built
-    once on the engine over the (E, 1) x (M,) grid of errors and
+    once on the engine over the (E, 1) x (1, M) grid of errors and
     detunings, and each member's echoes are read from it in closed form.
+    Both are 2-D, so no product pairs a (1, 1) array with a 1-D one, which
+    numpy rounds without a fused multiply-add: a one-member train would
+    then differ from its row in a block.
     The cycle rotates the Bloch vector by ``2 alpha``, ``cos alpha = Re a``
     and ``sin alpha = sqrt((Im a)**2 + |b|**2)``, about an axis whose y
     component ``n_y`` has ``r = 1 - n_y**2 = ((Im a)**2 + (Im b)**2) /
@@ -489,7 +515,7 @@ def _echo_amplitudes(
     """
     count_eps, members = eps_values.size, delta.size
     cycle = _echo_cycle(refocus_phase, use_bb1, tau)
-    a, b = (x.ravel() for x in _propagate_nodes(cycle, NO_ERROR, eps_values[:, None], delta))
+    a, b = (x.ravel() for x in _propagate_nodes(cycle, NO_ERROR, eps_values[:, None], delta[None]))
     tilt = a.imag * a.imag + b.imag * b.imag  # sin(alpha)**2 (1 - n_y**2)
     sin2 = tilt + b.real * b.real
     r = np.divide(tilt, sin2, out=np.zeros_like(sin2), where=sin2 > 0.0)
@@ -542,17 +568,22 @@ def echo_train(
     inhomogeneously broadened line; the refocusing error is the explicit
     scalar argument, so an ensemble whose epsilon distribution is not
     ``DELTA_ZERO`` is rejected before any node is built.  The default line
-    spans four whole periods ``2*pi/tau`` and is averaged by the midpoint
-    rule on ``2 * n_refocus + 1`` members of one period, the fewest whose
-    mean is exact, recorded as ``periodic_midpoint``.  A sampled line is a
-    ``Discrete`` detuning distribution of equal-weight draws.
+    spans four whole periods ``2*pi/tau``; every echo has period ``pi/tau``
+    in ``delta``, so the line is averaged by the midpoint rule on
+    ``n_refocus + 1`` members of the half period, the fewest whose mean is
+    exact, recorded as ``periodic_midpoint``.  With a simple refocusing
+    pulse every echo is also even in ``delta``, and the train runs only the
+    ``ceil((n_refocus + 1) / 2)`` nonnegative midpoints, their weights
+    doubled but a centre node's; a BB1 block's echoes are not even, and its
+    train runs all ``n_refocus + 1``.  A sampled line is a ``Discrete``
+    detuning distribution of equal-weight draws.
 
     Echo amplitude k is the magnitude of the ensemble average of each
     member's signed ``<sy>``, the axis on which the ideal train keeps its
     echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
     ``t_k = 2 * tau * k``.  A train of more than ``MAX_SAMPLES`` echoes, or
-    of more than ``MAX_MEMBER_ECHOES`` echoes times members, is rejected
-    before propagation.
+    of more than ``MAX_MEMBER_ECHOES`` echoes times the members it runs, is
+    rejected before propagation.
 
     The train is the one-row case of the echo kernel (``_echo_amplitudes``):
     the cycle ``tau - refocusing pulse - tau`` runs once on the engine, from
@@ -574,7 +605,7 @@ def echo_train(
     ErrorModel(epsilon)  # the amplitude-error domain, |epsilon| < 1
     if t2_envelope is not None and not (t2_envelope > 0):
         raise ValueError("t2_envelope must be positive when given")
-    spec, delta, weights = _echo_nodes(n_refocus, tau, ensemble_detuning)
+    spec, delta, weights = _echo_nodes(n_refocus, tau, ensemble_detuning, use_bb1)
 
     amps = _echo_amplitudes(
         _REFOCUS_PHASE[mode_l], n_refocus, np.array([float(epsilon)]), delta, weights, use_bb1, tau

@@ -307,8 +307,9 @@ class TestEchoCommand:
         assert "tau must be positive" in err
 
     def test_default_nodes_exact_up_to_128_cycles(self, capsys):
-        # at n = 128 the default 2n + 1 members are the former fixed 257-node
-        # line; a 515-node (4n + 3) line must give the same train
+        # at n = 128 the default line (129 midpoints of the half period, 65
+        # of them run) must give the train of the former fixed 257-node
+        # full-period line and of a 515-node (4n + 3) one
         code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "128", "--epsilon", "0.1")
         assert code == 0
         train = [float(row.split(",")[1]) for row in out.strip().split("\n")[1:]]
@@ -325,7 +326,7 @@ class TestEchoCommand:
         assert rows == list(echo_train("cp", 200, 0.1).samples)
         code, out, _ = run(capsys, "echo", "--mode", "cp", "--n", "200", "--epsilon", "0.1", "--json")
         assert code == 0
-        assert json.loads(out)["meta"]["config"]["provenance"]["ensemble"]["nodes"] == 401
+        assert json.loads(out)["meta"]["config"]["provenance"]["ensemble"]["nodes"] == 201
 
     def test_nodes_apply_only_to_span(self, capsys):
         argv = ("echo", "--mode", "cpmg", "--n", "16", "--epsilon", "0.1")
@@ -343,10 +344,11 @@ class TestEchoCommand:
         assert code == 2
         assert out == ""
         assert "n_refocus must be an integer in [1, 100000]" in err
-        code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "2048")
-        assert code == 2
-        assert out == ""
-        assert "member-echoes" in err
+        for argv in (("--n", "4096"), ("--n", "2896", "--bb1")):
+            code, out, err = run(capsys, "echo", "--mode", "cp", *argv)
+            assert code == 2
+            assert out == ""
+            assert "member-echoes" in err
 
     def test_sampling_options_are_unrecognised(self, capsys):
         for option in (("--mc-samples", "500"), ("--mc-samples", "100000000"), ("--seed", "1")):
@@ -533,7 +535,7 @@ class TestEchoCommand:
     @pytest.mark.parametrize(
         "rows,tau,message",
         [
-            (2048, 1.0, "exceeds 8388608 member-echoes"),
+            (4096, 1.0, "exceeds 8388608 member-echoes"),
             (100_001, 1.0, "n_refocus must be an integer in [1, 100000]"),
             (16, 0.0, "strictly increasing"),  # all times 0: the Signal refuses it
         ],

@@ -580,8 +580,8 @@ def max_reference_miss(sig, spec):
 
 def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_member=False):
     """An echo train as the running product psi_k = C @ psi_(k-1) of the
-    engine's cycle propagator C on ``spec`` (default: the train's 2n + 1
-    periodic midpoints), each echo reduced on its own: the weighted sum of
+    engine's cycle propagator C on ``spec`` (default: the train's own
+    members), each echo reduced on its own: the weighted sum of
     every member's signed <sy>, the axis the ideal train keeps its echoes
     on.  With ``reference_member`` the detection axis is instead that of an
     extra zero-error, zero-detuning member, left out of the sum.
@@ -589,8 +589,7 @@ def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_me
     The echo kernel reads echo k from the rotor z**k of the same cycle pair
     instead, so the two round differently and agree within the bound of
     ``assert_within_oracle_bound``."""
-    spec = spec or periodic_line(1.0, 2 * n + 1)
-    _, delta, weights = ensemble_nodes(spec).T
+    _, delta, weights = simulator._echo_nodes(n, 1.0, spec, use_bb1)
     eps = np.full(delta.shape, float(epsilon))
     if reference_member:
         eps, delta = np.append(eps, 0.0), np.append(delta, 0.0)
@@ -623,7 +622,7 @@ def assert_within_oracle_bound(signal, mode, n, epsilon, use_bb1=False, spec=Non
     sampled lines, one-member lines near the identity) the rest stayed
     within ``3.6 (k + 1) 2**-53``."""
     want = engine_echo_samples(mode, n, epsilon, use_bb1, spec)
-    _, delta, _ = ensemble_nodes(spec or periodic_line(1.0, 2 * n + 1)).T
+    _, delta, _ = simulator._echo_nodes(n, 1.0, spec, use_bb1)
     cycle = simulator._echo_cycle(simulator._REFOCUS_PHASE[mode], use_bb1, 1.0)
     a, b = _propagate_nodes(cycle, NO_ERROR, np.full(delta.shape, float(epsilon)), delta)
     drift = np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))
@@ -708,17 +707,20 @@ class TestEchoTrain:
     )
     @example(mode="cpmg", use_bb1=False, n=32, epsilon=0.25, tau=1.0)
     def test_default_train_is_exact(self, mode, use_bb1, n, epsilon, tau):
-        # 2n + 1 periodic midpoints give the same mean as 4n + 3 of them
-        # and as the oracle's own midpoint loop
+        # n + 1 midpoints of the half period (the nonnegative half of them for
+        # simple pulses) give the same mean as 4n + 3 midpoints of the full
+        # period and as the oracle's own midpoint loop
         got = echo_train(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
         finer = echo_train(mode, n, epsilon, periodic_line(tau, 4 * n + 3), use_bb1, tau=tau)
-        assert got.provenance["ensemble"]["nodes"] == 2 * n + 1
+        assert got.provenance["ensemble"]["nodes"] == n + 1
         assert np.max(np.abs(got.values - finer.values)) < 1e-12
         oracle = echo_train_oracle(mode, n, epsilon, use_bb1=use_bb1, tau=tau)
         assert np.max(np.abs(got.values - oracle)) < 1e-12
 
     def test_default_line_is_one_member_build(self, monkeypatch):
-        # the default line goes through ensemble_nodes, once, on 2n + 1 rows
+        # the default line goes through ensemble_nodes, once, on n + 1 rows
+        # with BB1 refocusing pulses and on the nonnegative half of them with
+        # simple ones
         rows = []
 
         def spy(spec):
@@ -728,12 +730,17 @@ class TestEchoTrain:
 
         monkeypatch.setattr(simulator, "ensemble_nodes", spy)
         echo_train("cpmg", 16, 0.1, use_bb1=True, tau=0.7)
-        assert rows == [(33, 3)]
+        assert rows == [(17, 3)]
+        echo_train("cpmg", 16, 0.1, tau=0.7)
+        echo_train("cp", 32, 0.1, tau=0.7)
+        assert rows == [(17, 3), (9, 3), (17, 3)]
 
     def test_exact_default_train_up_to_the_member_echo_bound(self):
-        assert len(echo_train("cp", 2047, 0.1).samples) == 2047
+        # the bound counts the members a train runs: ceil((n + 1) / 2) for
+        # simple refocusing pulses (n + 1 for BB1 blocks: see below)
+        assert len(echo_train("cp", 4095, 0.1).samples) == 4095
         with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
-            echo_train("cp", 2048, 0.1)
+            echo_train("cp", 4096, 0.1)
         with pytest.raises(ValueError, match=f"in \\[1, {MAX_SAMPLES}\\]"):
             echo_train("cp", 600_000, 0.1)
 
@@ -884,7 +891,7 @@ class TestEchoTrain:
             "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
             "discrete": sampled_line(size, seed),
         }[line]
-        _, delta, weights = ensemble_nodes(spec or simulator._default_line(n, tau)).T
+        _, delta, weights = simulator._echo_nodes(n, tau, spec, use_bb1)
         count = max(1, simulator._SLICE_MEMBER_ECHOES // rows // delta.size + side)
         eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
         eps[0] = 0.0
@@ -916,7 +923,7 @@ class TestEchoTrain:
             "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
             "discrete": sampled_line(size, seed),
         }[line]
-        _, delta, weights = ensemble_nodes(spec or simulator._default_line(n, tau)).T
+        _, delta, weights = simulator._echo_nodes(n, tau, spec)
         eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
         phase = simulator._REFOCUS_PHASE[mode]
         exact = simulator._echo_amplitudes(phase, n, eps, delta, weights, False, tau, stride)
@@ -944,7 +951,7 @@ class TestEchoTrain:
 
     def test_memory_does_not_grow_with_the_train(self):
         # 257 Legendre members: an exact default train of 4000 echoes would
-        # need 8001, beyond the member-echo bound
+        # run 2001, near the member-echo bound
         spec = EnsembleSpec(DELTA_ZERO, Uniform(-4 * math.pi, 4 * math.pi), nodes=257)
         echo_train("cp", 8, 0.1, ensemble_detuning=spec)  # the rule is cached outside the peak
         tracemalloc.start()
@@ -969,6 +976,11 @@ class TestEchoTrain:
         # at the bound the train runs (no propagation here)
         with pytest.raises(AssertionError, match="propagated"):
             echo_train("cp", 2**16, 0.1, sampled_line(128, 0))
+        # an exact default BB1 train runs n + 1 members: up to n = 2895
+        with pytest.raises(ValueError, match=f"{MAX_MEMBER_ECHOES} member-echoes"):
+            echo_train("cp", 2896, 0.1, use_bb1=True)
+        with pytest.raises(AssertionError, match="propagated"):
+            echo_train("cp", 2895, 0.1, use_bb1=True)
         # one member, but more echoes than MAX_SAMPLES
         one = EnsembleSpec(Discrete(((0.0, 1.0),)), nodes=1)
         with pytest.raises(ValueError, match=f"in \\[1, {MAX_SAMPLES}\\]"):
@@ -986,20 +998,140 @@ class TestEchoTrain:
 
 
 class TestEchoLine:
-    """The default echo line's rule: the midpoint rule on one period
-    2*pi/tau, exact for trigonometric polynomials of degree below n."""
+    """The default echo line's rule: the midpoint rule on the half period
+    pi/tau, exact for trigonometric polynomials of degree below n in
+    2 delta tau, and its fold onto the nonnegative midpoints."""
 
     def test_midpoints_of_the_central_period(self):
-        values, weights = simulator._EchoLine(math.pi).quadrature(4)  # period 2
-        assert values.tolist() == [-0.75, -0.25, 0.25, 0.75]
+        values, weights = simulator._EchoLine(math.pi).quadrature(4)  # half period 1
+        assert values.tolist() == [-0.375, -0.125, 0.125, 0.375]
         assert weights.tolist() == [0.25] * 4
+        values, weights = simulator._EchoLine(math.pi, even=True).quadrature(4)
+        assert values.tolist() == [0.125, 0.375]
+        assert weights.tolist() == [0.5] * 2
+        values, weights = simulator._EchoLine(math.pi, even=True).quadrature(5)
+        assert values[0] == 0.0 and values.tolist() == pytest.approx([0.0, 0.2, 0.4], abs=1e-16)
+        assert weights.tolist() == [0.2, 0.4, 0.4]  # the centre node is its own mirror
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_exact_below_degree_n(self, n):
-        values, weights = simulator._EchoLine(1.0).quadrature(n)  # period 2pi
+        values, weights = simulator._EchoLine(1.0).quadrature(n)  # half period pi
+        folded = simulator._EchoLine(1.0, even=True).quadrature(n)
         for k in range(-(n - 1), n):
-            got = math.fsum((weights * np.cos(k * values + 0.3)).tolist())
-            assert got == pytest.approx(math.cos(0.3) if k == 0 else 0.0, abs=1e-13)
+            want = math.cos(0.3) if k == 0 else 0.0
+            got = math.fsum((weights * np.cos(2 * k * values + 0.3)).tolist())
+            assert got == pytest.approx(want, abs=1e-13)
+            # the fold keeps the mean of every even function
+            got = math.fsum((folded[1] * np.cos(2 * k * folded[0]) * math.cos(0.3)).tolist())
+            assert got == pytest.approx(want, abs=1e-13)
+
+
+def one_member_line(delta):
+    return EnsembleSpec(DELTA_ZERO, Discrete(((delta, 1.0),)), nodes=1)
+
+
+def mp_echo_train(mp, mode, n, epsilon, use_bb1, tau):
+    """A 40-digit mean of the default line: ``2n + 1`` midpoints of the full
+    period ``2*pi/tau``, exact for echoes of degree <= 2n in ``delta tau``,
+    each member run as the running product of its cycle pair on a state.
+    Its inputs are the engine's float pulse pairs (``_rotations``): a BB1
+    CP echo amplifies their rounding to about 3 n 2**-53 against exact
+    pairs (n = 120, eps 0.1 or 1e-3), on the full period as on the half."""
+    phase = simulator._REFOCUS_PHASE[mode]
+    pulses = bb1_sequence(math.pi, axis_phase=phase) if use_bb1 else [Pulse(math.pi, phase)]
+    with mp.workdps(40):
+        i = mp.mpc(0, 1)
+        refocus_a, refocus_b = mp.mpf(1), mp.mpf(0)
+        for pulse in pulses:
+            (c,), (p,) = _rotations(pulse.theta, pulse.phi, np.array([float(epsilon)]))
+            c, p = mp.mpf(float(c)), mp.mpc(complex(p))
+            refocus_a, refocus_b = (c * refocus_a - p * mp.conj(refocus_b),
+                                    c * refocus_b + p * mp.conj(refocus_a))
+        count = 2 * n + 1
+        sums = [mp.mpf(0)] * n
+        for m in range(count):
+            # the delays either side of the pulses: a -> a e^(i delta tau), b kept
+            turn = mp.expj(mp.pi * ((m + mp.mpf(0.5)) / count - mp.mpf(0.5)))
+            a, b = refocus_a * turn * turn, refocus_b * turn * mp.conj(turn)
+            u, d = 1 / mp.sqrt(2), i / mp.sqrt(2)  # the ideal excitation's +y
+            for k in range(n):
+                u, d = a * u + b * d, -mp.conj(b) * u + mp.conj(a) * d
+                sums[k] += 2 * mp.im(mp.conj(u) * d)
+        return [abs(total / count) for total in sums]
+
+
+class TestEchoSymmetry:
+    """The facts the default line rests on: every echo has period pi/tau in
+    delta, and with a simple refocusing pulse it is also even in delta; a
+    BB1 block's echoes are not, so BB1 trains run the whole half period."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        use_bb1=st.booleans(),
+        n=st.integers(1, 64),
+        epsilon=st.floats(-0.9, 0.9),
+        delta=st.floats(-6.0, 6.0),
+        tau=st.floats(0.2, 3.0),
+    )
+    def test_echoes_have_period_pi_over_tau(self, mode, use_bb1, n, epsilon, delta, tau):
+        at = echo_train(mode, n, epsilon, one_member_line(delta), use_bb1, tau=tau)
+        turned = one_member_line(delta + math.pi / tau)
+        shifted = echo_train(mode, n, epsilon, turned, use_bb1, tau=tau)
+        assert np.max(np.abs(at.values - shifted.values)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["cp", "cpmg"]),
+        n=st.integers(1, 64),
+        epsilon=st.floats(-0.9, 0.9),
+        delta=st.floats(-6.0, 6.0),
+        tau=st.floats(0.2, 3.0),
+    )
+    def test_simple_pulse_echoes_are_even_in_delta(self, mode, n, epsilon, delta, tau):
+        at = echo_train(mode, n, epsilon, one_member_line(delta), tau=tau)
+        mirrored = echo_train(mode, n, epsilon, one_member_line(-delta), tau=tau)
+        assert np.max(np.abs(at.values - mirrored.values)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16])
+    @pytest.mark.parametrize("mode", ["cp", "cpmg"])
+    def test_folded_rule_equals_the_whole_rule(self, mode, n):
+        # n + 1 midpoints: n = 1 has no centre node, n = 2 has one
+        whole = EnsembleSpec(DELTA_ZERO, simulator._EchoLine(0.7), nodes=n + 1)
+        _, delta, _ = simulator._echo_nodes(n, 0.7)
+        assert delta.size == (n + 2) // 2 and np.all(delta >= 0.0)
+        assert (delta[0] == 0.0) == (n % 2 == 0)
+        for epsilon in (0.0, 0.1, -0.25, 0.9):
+            got = echo_train(mode, n, epsilon, tau=0.7)
+            want = echo_train(mode, n, epsilon, whole, tau=0.7)
+            assert got.provenance == want.provenance
+            assert np.max(np.abs(got.values - want.values)) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["cp", "cpmg"])
+    def test_bb1_trains_are_never_folded(self, mode):
+        whole = EnsembleSpec(DELTA_ZERO, simulator._EchoLine(0.7), nodes=17)
+        folded = EnsembleSpec(DELTA_ZERO, simulator._EchoLine(0.7, even=True), nodes=17)
+        _, delta, _ = simulator._echo_nodes(16, 0.7, use_bb1=True)
+        assert delta.size == 17 and np.sum(delta < 0.0) == 8
+        got = echo_train(mode, 16, 0.2, use_bb1=True, tau=0.7)
+        assert got.samples == echo_train(mode, 16, 0.2, whole, True, tau=0.7).samples
+        # a BB1 echo is not even in delta: the fold would miss its mean
+        wrong = echo_train(mode, 16, 0.2, folded, True, tau=0.7)
+        assert np.max(np.abs(got.values - wrong.values)) > 1e-4
+
+    @pytest.mark.parametrize(
+        "mode,use_bb1,epsilon,n",
+        [("cp", False, 0.1, 120), ("cpmg", False, -0.999, 121), ("cp", True, 1e-3, 120),
+         ("cpmg", True, 0.3, 119)],
+    )
+    def test_default_train_within_the_rounding_unit(self, mode, use_bb1, epsilon, n):
+        # every echo of the default train within 2 n 2**-53 of a 40-digit mean
+        # of the line it stands for, on the same float pulse pairs
+        mp = pytest.importorskip("mpmath")
+        want = mp_echo_train(mp, mode, n, epsilon, use_bb1, 0.7)
+        got = echo_train(mode, n, epsilon, use_bb1=use_bb1, tau=0.7)
+        miss = max(abs(mp.mpf(y) - w) for y, w in zip(got.values.tolist(), want))
+        assert miss <= 2 * n * 2.0**-53, float(miss)
 
 
 def test_experiments_build_no_validated_wrappers(monkeypatch):
@@ -1076,4 +1208,4 @@ class TestSignal:
             "kind": "uniform", "lo": -4 * math.pi, "hi": 4 * math.pi,
             "rule": "periodic_midpoint", "periods": 4,
         }
-        assert sig.provenance["ensemble"]["nodes"] == 5
+        assert sig.provenance["ensemble"]["nodes"] == 3
