@@ -133,7 +133,7 @@ def _require(subparser: argparse.ArgumentParser, args) -> None:
 
 def cmd_parse(args) -> int:
     program = parse_program(_read_text(args.file), name=args.file)
-    if args.ast or args.json:
+    if args.json:
         _emit(args, json.dumps(program_to_ast(program), indent=2) + "\n")
     else:
         _emit(args, format_program(program))
@@ -297,7 +297,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("parse", help="parse a pulse-program file; print canonical text")
     p.add_argument("file", help="program file in the pulse DSL")
-    p.add_argument("--ast", action="store_true", help="emit the JSON AST")
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 

@@ -120,12 +120,10 @@ MAX_MEMBER_ECHOES = 2**23
 # Kept member-echoes (member-samples for a Rabi trace) per slice of a
 # block: the echo slice buffer holds one complex rotor power per kept
 # member-echo (16 B, 64 kB a slice), plus the slice's reduction.  A fit's
-# 31-error grid (31 x 17 members at n = 32) peaks at 0.21 MB traced (0.26
-# MB on the 65 members of the full-period line; 0.51 MB when a member-echo
-# held two amplitudes; 2.8 MB with slices of 2^15, at the same speed).  A
-# Rabi trace slice keeps the pairs of its rotations, 24 B per member-sample
-# (32 B once composed with a BB1 power): a 41-node BB1 trace peaks at 0.25
-# MB traced.
+# 31-error grid (31 x 17 members at n = 32) peaks at 0.21 MB traced (2.8 MB
+# with slices of 2^15, at the same speed).  A Rabi trace slice keeps the
+# pairs of its rotations, 24 B per member-sample (32 B once composed with a
+# BB1 power): a 41-node BB1 trace peaks at 0.25 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 
@@ -427,14 +425,6 @@ def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
 _REFOCUS_PHASE = {"cp": 0.0, "cpmg": math.pi / 2.0}
 
 
-def _default_line(n_refocus: int, tau: float, use_bb1: bool) -> EnsembleSpec:
-    # n + 1 midpoints of the half period give every echo's mean exactly.  CP's
-    # mirror x -> -x and CPMG's C2 about y fix the +y start and the y readout,
-    # so a simple refocusing pulse's echoes are even in delta; a BB1 block's
-    # are not
-    return EnsembleSpec(DELTA_ZERO, _EchoLine(tau, even=not use_bb1), nodes=n_refocus + 1)
-
-
 def _echo_nodes(
     n_refocus: int, tau: float, spec: Optional[EnsembleSpec] = None, use_bb1: bool = False
 ) -> tuple[EnsembleSpec, np.ndarray, np.ndarray]:
@@ -448,7 +438,11 @@ def _echo_nodes(
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not (tau > 0) or not math.isfinite(tau):
         raise ValueError("tau must be positive")
-    spec = spec or _default_line(n_refocus, tau, use_bb1)
+    # n + 1 midpoints of the half period give every echo's mean exactly.  CP's
+    # mirror x -> -x and CPMG's C2 about y fix the +y start and the y readout,
+    # so a simple refocusing pulse's echoes are even in delta; a BB1 block's
+    # are not
+    spec = spec or EnsembleSpec(DELTA_ZERO, _EchoLine(tau, even=not use_bb1), nodes=n_refocus + 1)
     if spec.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "

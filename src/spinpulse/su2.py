@@ -11,8 +11,9 @@ Inside the kernels a rotation is its Cayley-Klein pair: an SU(2) matrix
 batched over an array of amplitude errors (``_rotations`` and
 ``_fidelities``); the propagation engine and the analysis fidelities use
 them directly.  ``rotation`` assembles the matrix of a one-member pair,
-validated once at the public boundary, and ``fidelity`` takes the trace
-of two ``Unitary2``, which need not lie in SU(2).
+validated once at the public boundary; ``fidelity`` takes the trace of
+two ``Unitary2``, which need not lie in SU(2), and ``axis_angle`` reads
+the pair of one over a square root of its determinant.
 
 Conventions used throughout the package:
 
@@ -195,35 +196,24 @@ def axis_angle(u: Unitary2) -> tuple[np.ndarray, float]:
     (0, 0, 1).  For an exact pi rotation both signs of the axis describe
     the same operation; the first component of non-negligible magnitude is
     made positive.
+
+    The matrix over a square root of its determinant lies in SU(2): its
+    first row is the pair ``(a, b)`` of ``cos(c) I + i sin(c) (n . sigma)``,
+    signed so that ``Re a >= 0``.  The angle ``2 atan2(hypot(Im a, |b|),
+    Re a)`` keeps its relative precision near the identity.
     """
     m = u.matrix
-    tr = m[0, 0] + m[1, 1]
-    half_cos = min(abs(tr) / 2.0, 1.0)
-    angle = 2.0 * math.acos(half_cos)
+    a, b = m[0] / np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    if a.real < 0:
+        a, b = -a, -b
+    sin_c = math.hypot(a.imag, abs(b))
+    angle = 2.0 * math.atan2(sin_c, a.real)
 
     if angle < 1e-15:
         return np.array([0.0, 0.0, 1.0]), 0.0
 
-    if abs(tr) > 1e-15:
-        phase = tr / abs(tr)
-    else:
-        # Traceless case: strip the phase via the determinant.
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        phase = np.sqrt(det / abs(det))
-    v = m / phase
-
-    # v = cos(c) I + i sin(c) (n . sigma) with sin(c) >= 0
-    sin_c = math.sin(angle / 2.0)
-    n = np.array(
-        [
-            v[0, 1].imag + v[1, 0].imag,
-            v[0, 1].real - v[1, 0].real,
-            v[0, 0].imag - v[1, 1].imag,
-        ]
-    ) / (2.0 * sin_c)
-    norm = float(np.linalg.norm(n))
-    if norm > 0:
-        n = n / norm
+    # b = sin(c) (n_y + i n_x) and Im a = sin(c) n_z
+    n = np.array([b.imag, b.real, a.imag]) / sin_c
 
     if abs(angle - math.pi) <= 1e-12:
         for comp in n:

@@ -48,7 +48,7 @@ class TestParseCommand:
         assert "repeat 2 {" in out and "  delay 1e-06" in out
 
     def test_ast_output(self, capsys, program_file):
-        code, out, _ = run(capsys, "parse", program_file, "--ast")
+        code, out, _ = run(capsys, "parse", program_file, "--json")
         assert code == 0
         ast = json.loads(out)
         assert ast["elements"][0]["type"] == "pulse"

@@ -86,3 +86,19 @@ def test_readme_names_resolve():
     for name, module in short.items():
         for listed_name in listed[name]:
             assert listed_name in module.__all__, f"{name}.{listed_name}"
+
+
+def test_cli_imports_only_public_names():
+    # every name cli.py takes from a package module is in that module's
+    # __all__; the package version comes from the package itself
+    from spinpulse import cli
+
+    imported = [
+        (node.module, alias.name)
+        for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    ]
+    assert imported, "cli.py imports nothing from the package's modules"
+    for module, name in imported:
+        assert name in getattr(spinpulse, module).__all__, f"{module}.{name}"

@@ -221,6 +221,50 @@ def test_bb1_residual_rotation_angle():
     assert angle <= 6.1e-3
 
 
+@pytest.mark.parametrize("epsilon, rel", [(1e-2, 1e-9), (1e-3, 1e-7), (1e-4, 1e-4)])
+def test_bb1_residual_angle_below_the_trace_floor(epsilon, rel):
+    # the BB1 pi residual against a 40-digit product of the exact rotations:
+    # about 6.13e-9 rad at epsilon = 1e-3 and 6.13e-12 at 1e-4, both below
+    # 3e-8, the smallest angle a float cos(angle/2) tells from 0.  At 1e-4
+    # the float composition's own rounding sets the limit.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    phi1, phi2 = bb1_phases(math.pi)
+    net = rotation(RotationSpec(math.pi, 0.0, epsilon))
+    for th, ph in [(math.pi, phi1), (2 * math.pi, phi2), (math.pi, phi1)]:
+        net = compose(net, rotation(RotationSpec(th, ph, epsilon)))
+    residual = compose(net, rotation(RotationSpec(math.pi, 0.0, 0.0)).dagger())
+    _, angle = axis_angle(residual)
+
+    phi1 = mp.acos(mp.mpf(-1) / 4)
+    a, b = mp.mpf(1), mp.mpf(0)
+    for theta, phi in [(mp.pi, 0), (mp.pi, phi1), (2 * mp.pi, 3 * phi1), (mp.pi, phi1)]:
+        half = theta * (1 + mp.mpf(epsilon)) / 2
+        c, p = mp.cos(half), mp.mpc(0, 1) * mp.sin(half) * mp.expj(-phi)
+        a, b = c * a - p * mp.conj(b), c * b + p * mp.conj(a)
+    # undo the ideal pi pulse about x, whose pair is (0, i): its inverse's is (0, -i)
+    a, b = -1j * mp.conj(b), 1j * mp.conj(a)
+    exact = 2 * mp.atan2(mp.sqrt(mp.im(a) ** 2 + abs(b) ** 2), abs(mp.re(a)))
+    assert abs(angle - exact) <= rel * exact, float(exact)
+
+
+@given(st.floats(0.1, math.pi - 0.1), phases, phases)
+def test_axis_angle_ignores_global_phase(theta, phi, gamma):
+    u = Unitary2.from_matrix(complex(math.cos(gamma), math.sin(gamma))
+                             * rotation(RotationSpec(theta, phi, 0.0)).matrix)
+    axis, angle = axis_angle(u)
+    assert angle == pytest.approx(theta, abs=1e-12)
+    assert np.allclose(axis, [math.cos(phi), math.sin(phi), 0.0], atol=1e-12)
+
+
+def test_axis_angle_traceless():
+    # det -1 and det +1: pi about x and about y
+    for u, axis_want in [(Unitary2(0, 1, 1, 0), [1, 0, 0]), (Unitary2(0, 1, -1, 0), [0, 1, 0])]:
+        axis, angle = axis_angle(u)
+        assert angle == pytest.approx(math.pi, abs=1e-12)
+        assert np.allclose(axis, axis_want, atol=1e-12)
+
+
 def test_unitary2_rejects_non_unitary():
     with pytest.raises(ValueError):
         Unitary2(1, 0, 0, 2)
