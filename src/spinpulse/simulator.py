@@ -15,8 +15,10 @@ only at the public boundary (``propagate``); the experiments read their
 samples from pairs.  Its pulse pairs come from the one batched rotation
 formula in ``su2``, and its members are the rows of
 ``errors.ensemble_nodes``, the one member representation.  Ensemble
-reductions are correctly rounded (``math.fsum``), so they do not depend
-on node order and results are bit-identical run to run; only the
+reductions are correctly rounded, each the value ``math.fsum`` returns
+(``_weighted_sums``: ``math.fsum`` per row on small blocks, certified
+error-free extraction in numpy on large ones), so they do not depend on
+node order and results are bit-identical run to run; only the
 rotation-error fit's grid, which ranks and returns nothing, takes plain
 sums with a bound on their distance from the correctly rounded ones.
 
@@ -47,12 +49,16 @@ once (every error with every detuning node), so the rotation error fit
 runs its grid and each refinement step as one call, and ``echo_train``
 is its one-error case.
 Both take their samples or echoes in slices of at most
-``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice, one
-``math.fsum`` per row (``_weighted_sums``; the fit's grid takes bounded
-plain sums), before the next is advanced, so a block never holds more
-than one slice.  A trace costs one numpy round per slice, plus a BB1
-trace's one product per block count: two slices for the 161 samples of
-a 41-node trace to 40 pi.
+``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice to one
+correctly rounded sum per row (``_weighted_sums``; the fit's grid takes
+bounded plain sums), before the next is advanced, so a block never holds
+more than one slice.  A slice of at least ``_EXTRACTED_SUM_MIN_PRODUCTS``
+products (a 41-node Rabi slice of 99 samples) is reduced by three exact
+extraction passes and a certificate, which hands back to ``math.fsum``
+only the rows it cannot prove; smaller slices (a fit's blocks at n 16
+and 32) take one ``math.fsum`` per row.  A trace costs one numpy round
+per slice, plus a BB1 trace's one product per block count: two slices
+for the 161 samples of a 41-node trace to 40 pi.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -125,6 +131,16 @@ MAX_MEMBER_ECHOES = 2**23
 # pairs of its rotations, 24 B per member-sample (32 B once composed with a
 # BB1 power): a 41-node BB1 trace peaks at 0.25 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
+
+# Products per block from which _weighted_sums reduces by certified
+# error-free extraction instead of one math.fsum per row.  The extraction
+# costs ~35 us a call plus little per product; math.fsum costs per row and
+# per term.  They break even at 1000-1100 products on the echo line's
+# equal-weight rows (9-33 members) and at ~650 on 41 Gauss-Hermite-weighted
+# nodes; a 99 x 41 Rabi slice takes 54 us against 241 us, a fit's largest
+# block (48 x 17) 49 us against 36 us (BENCH_exact_sums.json, Python 3.11.7,
+# numpy 2.4.6, one BLAS thread).
+_EXTRACTED_SUM_MIN_PRODUCTS = 1000
 
 
 class SpinState:
@@ -271,11 +287,69 @@ def propagate(
 
 
 def _weighted_sums(weights: np.ndarray, rows: np.ndarray) -> list[float]:
-    # One correctly rounded sum of weights * row per row, so no result
-    # depends on node order.  Kept out of the kernels' long frames: under
-    # tracemalloc each float of the list is charged a scan of its frame's
-    # line table.
-    return list(map(math.fsum, (weights * rows).tolist()))
+    # One correctly rounded sum of weights * row per row, math.fsum's value,
+    # so no result depends on node order: from _EXTRACTED_SUM_MIN_PRODUCTS
+    # products by certified extraction (_extracted_sums); below it, or when
+    # the largest term is not finite or lies outside [2**-800, 2**800] (so
+    # every value and exception is math.fsum's own), one math.fsum per row.
+    # Kept out of the kernels' long frames: under tracemalloc each float of
+    # the list is charged a scan of its frame's line table.
+    products = weights * rows
+    if products.size >= _EXTRACTED_SUM_MIN_PRODUCTS:
+        top = float(np.abs(products).max())
+        if 2.0**-800 <= top <= 2.0**800:  # finite, and no pass under- or overflows
+            return _extracted_sums(products, top)
+    return list(map(math.fsum, products.tolist()))
+
+
+def _extracted_sums(products: np.ndarray, top: float) -> list[float]:
+    """``math.fsum`` of each row of the 2-D ``products``, whose largest
+    magnitude ``top`` lies in [2**-800, 2**800], by error-free extraction
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 189 and 31(2), 1269
+    (2008)).
+
+    For a power of two ``sigma >= 2 M max|p|`` over the M terms of a row,
+    ``high = (p + sigma) - sigma`` is exact, a multiple of ``2**-53 sigma``,
+    and leaves ``p - high`` exact with ``|p - high| <= 2**-53 sigma``; the
+    highs of a row sum to at most ``sigma`` in magnitude, so every partial
+    sum is exact, and so is the row's sum in any order.  Three passes, each
+    with ``sigma`` shrunk by ``grow = 2**(53 - shift) <= 1 / (2 M 2**-53)``,
+    split a row's sum exactly into ``t1 + t2 + t3 + tail``, ``|tail| <= M
+    2**-53 sigma_3``.  TwoSum turns ``t1 + t2`` into ``r + e`` and ``r +
+    l``, ``l = fl(e + t3)``, into ``s + d``, both exactly, so the row sum
+    lies within ``2**-53 |l| + M 2**-53 sigma_3`` of ``s + d``, which
+    ``err`` more than doubles.  Where ``s + d +- err`` lies strictly inside
+    the rounding cell of ``s``, measured to each neighbour with
+    ``np.nextafter``, the row sum rounds to ``s``, which is then
+    ``math.fsum``'s value.  Every other row, exact zeros (so their signs)
+    included, since the cell of 0 is narrower than ``err``, is reduced by
+    ``math.fsum``."""
+    members = products.shape[-1]
+    shift = (2 * members - 1).bit_length()  # 2**shift >= 2 M
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)  # > 2 M top
+    rest, highs = products.copy(), np.empty((3, *products.shape))
+    for high in highs:
+        np.add(rest, sigma, out=high)
+        high -= sigma
+        rest -= high
+        sigma = math.ldexp(sigma, shift - 53)  # sigma / grow
+    # multiplying by 1.0 is exact, so a product with ones sums too
+    t1, t2, t3 = (highs.reshape(-1, members) @ np.ones(members)).reshape(3, -1)
+    r = t1 + t2
+    z = r - t1
+    low = ((t1 - (r - z)) + (t2 - z)) + t3
+    s = r + low
+    z = s - r
+    d = (r - (s - z)) + (low - z)
+    err = 2.0 * (2.0**-52 * np.abs(low) + members * sigma)  # sigma_3 / grow >= 2 M 2**-53 sigma_3
+    sure = (d + err < 0.5 * (np.nextafter(s, np.inf) - s)) & (
+        d - err > 0.5 * (np.nextafter(s, -np.inf) - s)
+    )
+    sums = s.tolist()
+    if not sure.all():
+        for i in np.flatnonzero(~sure).tolist():
+            sums[i] = math.fsum(products[i].tolist())
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +389,15 @@ def rabi_trace(
     pairs ``(cos h, i sin h)``, ``h = r(1+eps)/2``, each also its
     rotation's image of spin-up; each run of samples that share a
     block count is composed in place with the running power; and
-    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced one ``math.fsum``
-    per sample.  Each sample equals, bit for bit, the power composed with
-    ``R(r)``'s pair and reduced for that sample alone, and a trace costs
-    one numpy round per slice, plus one product per block count when
-    ``use_bb1`` is set.
+    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced to each sample's
+    correctly rounded sum (``_weighted_sums``: a slice of at least
+    ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such as 99 samples on
+    41 nodes, by certified error-free extraction, whose every sample is
+    ``math.fsum``'s value; a smaller one by ``math.fsum`` per sample).
+    Each sample equals, bit for bit, the power composed with ``R(r)``'s
+    pair and reduced by ``math.fsum`` for that sample alone, and a trace
+    costs one numpy round per slice, plus one product per block count
+    when ``use_bb1`` is set.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -495,12 +573,15 @@ def _echo_amplitudes(
     for bit, the kept echoes of the train run at that amplitude error
     alone.
 
-    A slice is reduced one ``math.fsum`` per kept echo and amplitude error,
-    or, when ``bounded`` (the fit's grid, which only ranks), by the plain
-    weighted sum ``flat @ weights`` of its signed ``<sy>`` rows.  Then the
-    result is the pair ``(amps, beta)`` of plain amplitudes and bounds, and
-    each ``math.fsum`` amplitude lies in ``amps +- beta``, for any order
-    BLAS sums in: ``beta = 2 (M + 3) 2**-53 (|flat| @ |weights|)`` covers
+    A slice is reduced to one correctly rounded sum (``math.fsum``'s value,
+    ``_weighted_sums``) per kept echo and amplitude error, by ``math.fsum``
+    below ``_EXTRACTED_SUM_MIN_PRODUCTS`` products (a fit's blocks at n 16
+    and 32 hold at most 48 x 17) and by certified error-free extraction
+    from it; or, when ``bounded`` (the fit's grid, which only ranks), by
+    the plain weighted sum ``flat @ weights`` of its signed ``<sy>`` rows.
+    Then the result is the pair ``(amps, beta)`` of plain amplitudes and
+    bounds, and each ``math.fsum`` amplitude lies in ``amps +- beta``, for
+    any order BLAS sums in: ``beta = 2 (M + 3) 2**-53 (|flat| @ |weights|)`` covers
     the dot product's ``gamma_M`` (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., 2002, section 3.1), the rounding of
     each product, which ``math.fsum`` adds exactly, and its final

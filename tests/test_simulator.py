@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import time
 import tracemalloc
 import warnings
@@ -1209,3 +1210,195 @@ class TestSignal:
             "rule": "periodic_midpoint", "periods": 4,
         }
         assert sig.provenance["ensemble"]["nodes"] == 3
+
+
+def fsum_rows(weights, rows):
+    """One ``math.fsum`` per row of ``weights * rows``, or the exception
+    the first row that cannot be summed raises."""
+    try:
+        return [math.fsum(row) for row in (weights * rows).tolist()]
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+def assert_sums_as_fsum(weights, rows):
+    """``simulator._weighted_sums`` against ``fsum_rows``: bit for bit (a
+    plain ``==`` would take -0.0 for 0.0), NaN for NaN, and the same
+    exception type and message."""
+    want = fsum_rows(weights, rows)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as raised:
+            simulator._weighted_sums(weights, rows)
+        assert str(raised.value) == str(want)
+        return
+    got = simulator._weighted_sums(weights, rows)
+    assert list(map(float_bits, got)) == list(map(float_bits, want))
+
+
+def float_bits(x):
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def wide_rows(rng, count, members):
+    """Rows whose terms spread over 10**+-30, with big pairs that cancel
+    exactly, so a row's sum may rest on terms far below its block's
+    largest."""
+    rows = rng.standard_normal((count, members)) * 10.0 ** rng.integers(-30, 31, (count, members))
+    pairs = min(members // 2, 3)
+    big = rng.standard_normal((count, pairs)) * 1e30
+    rows[:, :pairs], rows[:, pairs : 2 * pairs] = big, -big
+    return rows
+
+
+def tie_rows(rng, count, members):
+    """1 plus a half unit in the last place (a tie), the tie broken or
+    restored by terms 2**-60 to 2**-200 below."""
+    rows = np.zeros((count, members))
+    rows[:, 0] = 1.0
+    if members > 1:
+        rows[:, 1] = rng.choice([-1.0, 1.0, 3.0], count) * 2.0**-53
+    if members > 2:
+        scales = 2.0 ** -rng.integers(60, 201, (count, members - 2)).astype(float)
+        rows[:, 2:] = rng.choice([-1.0, 1.0], (count, members - 2)) * scales
+    return rows
+
+
+def cancelling_rows(rng, count, members):
+    """Rows whose last term, the others' rounded sum negated plus 0, 1e-16
+    or -3e-17, cancels them to about 1e-16, every third row of terms in
+    +- pairs (an exact 0), and every other row negated term by term."""
+    rows = rng.standard_normal((count, members))
+    rows[:, -1] = 0.0
+    rows[:, -1] = -rows.sum(axis=1) + rng.choice([0.0, 1e-16, -3e-17], count)
+    half = members // 2
+    rows[::3, half : 2 * half] = -rows[::3, :half]
+    rows[::3, 2 * half :] = 0.0
+    rows[::2] *= -1.0
+    return rows
+
+
+def rabi_half_period_rows(count):
+    """The 41 Gauss-Hermite weights of sigma 0.02 and the -<sz> of a
+    simple pulse at (k + 1/2) pi on their nodes, k < count: each weighted
+    sum cancels to about 1e-16, since the mean is 0."""
+    eps, _, weights = ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.02), nodes=41)).T
+    return weights, -np.cos((np.arange(count)[:, None] + 0.5) * math.pi * (1.0 + eps))
+
+
+class TestWeightedSums:
+    """``_weighted_sums`` is one ``math.fsum`` per row, however it sums:
+    below ``_EXTRACTED_SUM_MIN_PRODUCTS`` products by ``math.fsum``, from
+    it by certified error-free extraction."""
+
+    THRESHOLD = simulator._EXTRACTED_SUM_MIN_PRODUCTS
+    GAUSS41_WEIGHTS = ensemble_nodes(EnsembleSpec(Gaussian(0.0, 0.04), nodes=41))[:, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["normal", "wide", "ties", "cancel", "gauss41"]),
+        members=st.integers(1, 60),
+        extra=st.sampled_from([-1, 0, 1, 17, 2000, 4000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_fsum_bitwise(self, kind, members, extra, seed):
+        rng = np.random.default_rng(seed)
+        # row counts just below, at and well above the threshold
+        count = max(1, -(-(self.THRESHOLD + extra) // members))
+        weights = rng.random(members)
+        if kind == "normal":
+            rows = rng.standard_normal((count, members))
+        elif kind == "wide":
+            rows, weights = wide_rows(rng, count, members), np.ones(members)
+        elif kind == "ties":
+            rows, weights = tie_rows(rng, count, members), np.ones(members)
+        elif kind == "cancel":
+            rows, weights = cancelling_rows(rng, count, members), np.ones(members)
+        else:
+            rows = np.cos(rng.random((count, 41)) * 7.0)
+            weights = self.GAUSS41_WEIGHTS
+        assert_sums_as_fsum(weights, rows)
+
+    def test_a_tie_broken_below_three_passes(self):
+        # five members and a largest term of 2**95: sigma is 2**100, 2**51
+        # and 4, so the second pass takes 1.0 and the third (multiples of
+        # 2**-51) takes nothing, leaving 2**-53 + 2**-80 to the tail.  The
+        # passes sum to 1.0 exactly, and only the tail bound keeps them from
+        # certifying it where math.fsum rounds the tie up to 1 + 2**-52
+        row = [2.0**95, -(2.0**95), 1.0, 2.0**-53, 2.0**-80]
+        rows = np.array([row, [-x for x in row]] * (self.THRESHOLD // 2 // len(row) + 1))
+        assert rows.size >= self.THRESHOLD
+        assert simulator._weighted_sums(np.ones(5), rows)[:2] == [1.0 + 2.0**-52, -1.0 - 2.0**-52]
+        assert_sums_as_fsum(np.ones(5), rows)
+
+    @pytest.mark.parametrize("count", [25, 99, 161])
+    def test_rabi_samples_at_half_periods(self, count):
+        weights, rows = rabi_half_period_rows(count)
+        assert max(map(abs, fsum_rows(weights, rows))) < 1e-14
+        assert_sums_as_fsum(weights, rows)
+
+    def test_exact_zeros_keep_their_sign(self):
+        rows = np.tile([0.5, -0.5, 0.25, -0.25], (self.THRESHOLD, 1))
+        rows[1::2] = -0.0
+        assert_sums_as_fsum(np.ones(4), rows)
+
+    @pytest.mark.parametrize(
+        "special",
+        [
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [math.inf, -math.inf],  # inf - inf
+            [1e308, 1e308],  # finite terms whose sum overflows
+            [2.0**800],
+            [2.0**800 * (1.0 + 2.0**-52)],
+            [2.0**-1074, -(2.0**-1070)],  # subnormal terms in a normal block
+        ],
+    )
+    def test_special_values(self, special):
+        rng = np.random.default_rng(len(special))
+        rows = rng.standard_normal((self.THRESHOLD // 8 + 1, 8))
+        rows[3, : len(special)] = special
+        assert_sums_as_fsum(np.ones(8), rows)
+
+    @pytest.mark.parametrize("scale", [2.0**-1074, 2.0**-1000, 2.0**-801, 2.0**-800, 2.0**-700])
+    def test_tiny_blocks(self, scale):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(-8, 9, (self.THRESHOLD // 6 + 1, 6)) * scale
+        assert_sums_as_fsum(np.ones(6), rows)
+
+    def test_one_member_rows(self):
+        rows = np.random.default_rng(3).standard_normal((self.THRESHOLD + 1, 1))
+        assert_sums_as_fsum(np.array([0.3]), rows)
+
+    @pytest.mark.parametrize("size", [THRESHOLD - 1, THRESHOLD])
+    @pytest.mark.parametrize("make", [tie_rows, wide_rows, cancelling_rows])
+    def test_blocks_beside_the_threshold(self, size, make):
+        members = next(m for m in range(41, 0, -1) if size % m == 0)
+        rows = make(np.random.default_rng(size), size // members, members)
+        assert rows.size == size
+        assert_sums_as_fsum(np.ones(members), rows)
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.06])
+    @pytest.mark.parametrize("max_pi", [20, 40])
+    @pytest.mark.parametrize("use_bb1", [False, True])
+    def test_nutation_traces_take_no_row_fallback(self, monkeypatch, sigma, max_pi, use_bb1):
+        # both slices of a 41-node trace to 20 or 40 pi hold at least the
+        # threshold's products, so every sample is certified: math.fsum is
+        # never called (a sub-threshold echo block shows the count works)
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def fsum(self, values):
+                calls.append(1)
+                return math.fsum(values)
+
+        monkeypatch.setattr(simulator, "math", CountingMath())
+        spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=41)
+        trace = rabi_trace(max_pi * math.pi, 0.25 * math.pi, spec, use_bb1)
+        assert calls == []
+        assert list(trace.samples) == engine_rabi_samples(max_pi * math.pi, 0.25 * math.pi, spec, use_bb1)
+        echo_train("cp", 4, 0.1)
+        assert len(calls) == 4
