@@ -14,12 +14,17 @@ direct computation.
 ``estimate_rotation_error`` recovers the refocusing-pulse amplitude
 error from a CP/CPMG echo-train pair by fitting the per-even-echo ratio
 against the simulator's own decay model: a coarse grid, ranked on one
-bounded plain-sum echo block per mode and reduced exactly only where the
-bound cannot decide, then Gauss-Newton steps in ``s = eps**2`` (the
-ratio is even in ``eps``) of one three-error block each.  The output is
-deterministic, and noise-free trains are recovered to rounding, to 1e-9
-at ``eps = 0``.  Dividing by CPMG removes any decay shared by both
-trains, such as a T2 envelope.
+bounded plain-sum echo block and reduced exactly only where the bound
+cannot decide, then Gauss-Newton steps in ``s = eps**2`` (the ratio is
+even in ``eps``) of one three-error block each.  Each block carries both
+modes from one echo-kernel run: CPMG shifts every refocusing phase by
+pi/2, so its cycle is the CP cycle conjugated by Rz(pi/2), with the same
+rotation angle and so the same rotor; only the readout differs.  The
+output is deterministic, and noise-free trains are recovered to
+rounding, to 1e-9 at ``eps = 0``, from n = 4 to 96 (from n = 128 the
+coarse grid can miss the minimum; see ``estimate_rotation_error``).
+Dividing by CPMG removes any decay shared by both trains, such as a T2
+envelope.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .errors import NO_ERROR, ErrorModel
 from .sequence import Pulse, bb1_phases, bb1_sequence
 from .simulator import (
     MAX_SAMPLES,
-    _REFOCUS_PHASE,
     Signal,
     _echo_amplitudes,
     _echo_nodes,
@@ -291,19 +295,19 @@ def _model_ratio(
 ):
     """Even-echo CP/CPMG ratios of the simple-pulse model on the detuning
     nodes ``delta`` with ``weights``, one row per amplitude error in
-    ``eps``: one echo block per mode, which reduces only the even echoes.
+    ``eps``: one echo-kernel run for both modes, which builds the CP cycle
+    once, advances one rotor and reads each mode's even echoes from it
+    (the CPMG cycle is the CP cycle conjugated by Rz(pi/2)).
 
     With ``bounded``, the blocks reduce by bounded plain sums, and the
     result is the pair ``(lo, hi)`` of ends that enclose each ratio: the
     lower CP end over the upper CPMG end, and the upper over the lower.
     Both ends are NaN where the lower CPMG end is not positive."""
-    cp, cpmg = (
-        _echo_amplitudes(_REFOCUS_PHASE[mode], n, eps, delta, weights, False, tau, 2, bounded)
-        for mode in ("cp", "cpmg")
-    )
+    blocks = _echo_amplitudes(("cp", "cpmg"), n, eps, delta, weights, False, tau, 2, bounded)
     if not bounded:
+        cp, cpmg = blocks
         return cp / cpmg
-    (cp, cp_err), (cpmg, cpmg_err) = cp, cpmg
+    (cp, cpmg), (cp_err, cpmg_err) = blocks
     # round-to-nearest is monotone: a quotient of ends encloses the exact quotient
     below = cpmg - cpmg_err
     known = below > 0.0
@@ -324,8 +328,11 @@ FIT_STEP_TOL = 1e-12
 
 # Largest RMS misfit of the even-echo ratios a fit may return.  Noise-free
 # trains fit to below 2e-14, eps = 0 included (n 4-64, tau 0.5-1.5, eps
-# 0-0.29, with and without T2); trains recorded on another detuning
-# ensemble, or with an error beyond eps_max, leave about 0.1.
+# 0-0.29, with and without T2; every default-line pair at n = 96, tau 0.7
+# and 1.0, eps 0.005-0.295); trains recorded on another detuning ensemble,
+# or with an error beyond eps_max, leave about 0.1.  From n = 128 the fit
+# fails on some noise-free pairs inside eps_max (see
+# estimate_rotation_error).
 FIT_MAX_RESIDUAL = 1e-2
 
 
@@ -422,10 +429,16 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     residual above 1e-12 is refined again from the better neighbour, the
     lower residual kept: with n = 4 or 8 a minimum beside an echo's zero
     crossing can hold the first start.  Noise-free trains are recovered
-    to 1e-12, and to 1e-9 at ``eps = 0``.  Any decay envelope common to
-    both trains divides out of the ratio.  For trains recorded with
-    composite refocusing pulses the estimate reads as the residual error
-    of the corrected rotation.
+    to 1e-12, and to 1e-9 at ``eps = 0``, up to n = 96.  From n = 128 the
+    minimum's basin, about +-0.004 in ``eps`` at n = 128, is narrower than
+    the grid step ``eps_max / 30``, and the grid can start the fit in
+    another valley: on noise-free default-line pairs (tau 0.7 and 1.0, eps
+    0.005-0.295 in steps of 0.01, ``eps_max = 0.3``) the fit raised
+    ``ValueError`` on 0/60 pairs at n = 96, 8/60 at 128, 36/60 at 160
+    and 60/60 at 200.  Any decay envelope common to both trains divides
+    out of the ratio.  For trains recorded with composite refocusing
+    pulses the estimate reads as the residual error of the corrected
+    rotation.
 
     Both trains must sample the echo times ``t_k = 2*tau*k`` (to a
     relative 1e-9), with ``tau`` read from the first CP echo.

@@ -42,23 +42,28 @@ BB1 pi-block pair to each new block count by the power rule, takes the
 remainder rotations of many samples in one batched ``_rotations`` call,
 keeps their images of spin-up, and advances each run of samples that
 share a block count by its power.  The echo kernel
-(``_echo_amplitudes``) builds the echo-cycle pair once and reads each
-member's echoes in closed form from one phase rotor, one complex
-product per member and echo; it runs a block of amplitude errors at
-once (every error with every detuning node), so the rotation error fit
-runs its grid and each refinement step as one call, and ``echo_train``
-is its one-error case.
+(``_echo_amplitudes``) runs one cycle, one rotor and a readout per
+mode: CPMG shifts every refocusing phase by pi/2 and every delay is a
+z-rotation, so the CPMG cycle is the CP cycle conjugated by Rz(pi/2),
+with the same rotation angle.  The kernel builds the CP cycle pair
+once, advances each member's phase rotor by one complex product per
+echo, and reads each mode's echoes from it in closed form, with that
+mode's readout weight.  It runs a block of amplitude errors at once
+(every error with every detuning node) and of modes, so the rotation
+error fit runs its grid and each refinement step, CP and CPMG, as one
+call, and ``echo_train`` is its one-error, one-mode case.
 Both take their samples or echoes in slices of at most
 ``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice to one
 correctly rounded sum per row (``_weighted_sums``; the fit's grid takes
 bounded plain sums), before the next is advanced, so a block never holds
 more than one slice.  A slice of at least ``_EXTRACTED_SUM_MIN_PRODUCTS``
-products (a 41-node Rabi slice of 99 samples) is reduced by three exact
-extraction passes and a certificate, which hands back to ``math.fsum``
-only the rows it cannot prove; smaller slices (a fit's blocks at n 16
-and 32) take one ``math.fsum`` per row.  A trace costs one numpy round
-per slice, plus a BB1 trace's one product per block count: two slices
-for the 161 samples of a 41-node trace to 40 pi.
+products (a 41-node Rabi slice of 99 samples, a fit's two-mode
+Gauss-Newton block at n = 32) is reduced by three exact extraction
+passes and a certificate, which hands back to ``math.fsum`` only the
+rows it cannot prove; smaller slices (a train at n = 32, a fit's
+blocks at n = 16) take one ``math.fsum`` per row.  A trace costs one
+numpy round per slice, plus a BB1 trace's one product per block count:
+two slices for the 161 samples of a 41-node trace to 40 pi.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -125,9 +130,9 @@ MAX_MEMBER_ECHOES = 2**23
 
 # Kept member-echoes (member-samples for a Rabi trace) per slice of a
 # block: the echo slice buffer holds one complex rotor power per kept
-# member-echo (16 B, 64 kB a slice), plus the slice's reduction.  A fit's
-# 31-error grid (31 x 17 members at n = 32) peaks at 0.21 MB traced (2.8 MB
-# with slices of 2^15, at the same speed).  A Rabi trace slice keeps the
+# member-echo (16 B, 64 kB a slice), plus each mode's signed <sy> of the
+# slice and its reduction.  A fit's 31-error grid (31 x 17 members at
+# n = 32, CP and CPMG) peaks at 0.36 MB traced.  A Rabi trace slice keeps the
 # pairs of its rotations, 24 B per member-sample (32 B once composed with a
 # BB1 power): a 41-node BB1 trace peaks at 0.25 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
@@ -137,9 +142,11 @@ _SLICE_MEMBER_ECHOES = 2**12
 # costs ~35 us a call plus little per product; math.fsum costs per row and
 # per term.  They break even at 1000-1100 products on the echo line's
 # equal-weight rows (9-33 members) and at ~650 on 41 Gauss-Hermite-weighted
-# nodes; a 99 x 41 Rabi slice takes 54 us against 241 us, a fit's largest
-# block (48 x 17) 49 us against 36 us (BENCH_exact_sums.json, Python 3.11.7,
-# numpy 2.4.6, one BLAS thread).
+# nodes; a 99 x 41 Rabi slice takes 54 us against 241 us
+# (BENCH_exact_sums.json).  A fit's Gauss-Newton block at n = 32, which
+# reduces both modes at once (96 x 17, 1632 products), takes 42 us against
+# 58 us, and one mode of it (48 x 17) 33 us against 29 us
+# (BENCH_shared_rotor.json; Python 3.11.7, numpy 2.4.6, one BLAS thread).
 _EXTRACTED_SUM_MIN_PRODUCTS = 1000
 
 
@@ -499,7 +506,8 @@ def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
     return (Delay(tau), *pulses, Delay(tau))
 
 
-# Phase of the refocusing pulses: CP refocuses about x, CPMG about y.
+# Phase of the refocusing pulses: CP refocuses about x, CPMG about y.  The
+# echo kernel builds only the CP cycle and reads CPMG from its rotor.
 _REFOCUS_PHASE = {"cp": 0.0, "cpmg": math.pi / 2.0}
 
 
@@ -533,7 +541,7 @@ def _echo_nodes(
 
 
 def _echo_amplitudes(
-    refocus_phase: float,
+    modes: tuple[str, ...],
     n: int,
     eps_values: np.ndarray,
     delta: np.ndarray,
@@ -544,41 +552,51 @@ def _echo_amplitudes(
     bounded: bool = False,
 ):
     """Echo amplitudes, before any T2 envelope, of echoes ``stride``,
-    ``2 * stride``, ... of an ``n``-cycle train at every amplitude error in
-    ``eps_values``: row ``e`` of the ``(E, n // stride)`` result is the
-    train at ``eps_values[e]`` on the detuning nodes ``delta`` with
-    ``weights``, keeping only the echoes its caller reads (the fit reads
-    the even echoes, ``stride = 2``; ``echo_train`` reads all).
+    ``2 * stride``, ... of an ``n``-cycle train of every mode in ``modes``
+    (``"cp"``, ``"cpmg"``) at every amplitude error in ``eps_values``: row
+    ``(m, e)`` of the ``(len(modes), E, n // stride)`` result is the
+    ``modes[m]`` train at ``eps_values[e]`` on the detuning nodes ``delta``
+    with ``weights``, keeping only the echoes its caller reads (the fit
+    reads the even echoes of both modes, ``stride = 2``; ``echo_train``
+    reads all echoes of one).
 
-    The E * M members run as one block: the cycle pair ``(a, b)`` is built
-    once on the engine over the (E, 1) x (1, M) grid of errors and
-    detunings, and each member's echoes are read from it in closed form.
-    Both are 2-D, so no product pairs a (1, 1) array with a 1-D one, which
-    numpy rounds without a fused multiply-add: a one-member train would
-    then differ from its row in a block.
+    One cycle, one rotor, a readout per mode.  Every delay is a z-rotation,
+    and CPMG shifts every refocusing phase by pi/2 (each pulse of a BB1
+    block too), so the CPMG cycle is the CP cycle conjugated by Rz(pi/2),
+    with pair ``(a, -i b)``: the same rotation angle, an axis turned by
+    pi/2 about z.  So only the CP cycle pair ``(a, b)`` is built, once, on
+    the engine over the (E, 1) x (1, M) grid of errors and detunings, and
+    each mode's echoes are read from it in closed form.  Both are 2-D, so
+    no product pairs a (1, 1) array with a 1-D one, which numpy rounds
+    without a fused multiply-add: a one-member train would then differ
+    from its row in a block.
     The cycle rotates the Bloch vector by ``2 alpha``, ``cos alpha = Re a``
-    and ``sin alpha = sqrt((Im a)**2 + |b|**2)``, about an axis whose y
-    component ``n_y`` has ``r = 1 - n_y**2 = ((Im a)**2 + (Im b)**2) /
-    sin(alpha)**2`` (0 where ``sin alpha = 0``).  The ideal excitation
-    leaves the Bloch vector on +y, so by Rodrigues' formula echo k has
-    ``<sy> = 1 - r (1 - Re z**k)`` with the rotor ``z = (Re a + i sin
-    alpha)**2 = exp(2i alpha)``, and ``z**k`` is one complex product per
-    member and echo, kept or not.  Against a 40-digit evaluation of the
-    same inputs, no echo of an n-echo train missed by more than about
-    ``n * 2**-53`` (n up to 20000, near-identity cycles included).  The
-    kept echoes are taken in slices of at most ``_SLICE_MEMBER_ECHOES``
-    member-echoes, and each slice is reduced before the next is advanced,
-    so only the returned array grows with ``n``.  Each member's arithmetic
-    does not depend on the others or on ``stride``, so a row equals, bit
-    for bit, the kept echoes of the train run at that amplitude error
-    alone.
+    and ``sin alpha = sqrt((Im a)**2 + |b|**2)``, about an axis ``n``.  The
+    ideal excitation leaves the Bloch vector on +y, so by Rodrigues'
+    formula echo k has ``<sy> = 1 - r (1 - Re z**k)`` with the rotor ``z =
+    (Re a + i sin alpha)**2 = exp(2i alpha)``, shared by every mode, and
+    the mode's readout weight ``r``, 0 where ``sin alpha = 0``: CP reads
+    ``1 - n_y**2 = ((Im a)**2 + (Im b)**2) / sin(alpha)**2`` and CPMG, on
+    the turned axis, ``1 - n_x**2 = ((Im a)**2 + (Re b)**2) /
+    sin(alpha)**2``.  ``z**k`` is one complex product per member and echo,
+    kept or not.  Against a 40-digit evaluation of the same inputs, no echo
+    of an n-echo train missed by more than about ``n * 2**-53`` (n up to
+    20000, near-identity cycles included).  The kept echoes are taken in
+    slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each
+    slice is reduced, every mode at once, before the next is advanced, so
+    only the returned array grows with ``n``.  Each member's arithmetic
+    does not depend on the others, on the other modes or on ``stride``, so
+    a row equals, bit for bit, the kept echoes of the train run in that
+    mode at that amplitude error alone.
 
     A slice is reduced to one correctly rounded sum (``math.fsum``'s value,
-    ``_weighted_sums``) per kept echo and amplitude error, by ``math.fsum``
-    below ``_EXTRACTED_SUM_MIN_PRODUCTS`` products (a fit's blocks at n 16
-    and 32 hold at most 48 x 17) and by certified error-free extraction
-    from it; or, when ``bounded`` (the fit's grid, which only ranks), by
-    the plain weighted sum ``flat @ weights`` of its signed ``<sy>`` rows.
+    ``_weighted_sums``) per mode, kept echo and amplitude error, by
+    ``math.fsum`` below ``_EXTRACTED_SUM_MIN_PRODUCTS`` products (a train
+    at n = 32, 32 x 17, or a fit's two-mode Gauss-Newton block at n = 16,
+    48 x 9) and by certified error-free extraction from it (that block at
+    n = 32, 96 x 17); or, when ``bounded`` (the fit's grid, which only
+    ranks), by the plain weighted sum ``flat @ weights`` of its signed
+    ``<sy>`` rows.
     Then the result is the pair ``(amps, beta)`` of plain amplitudes and
     bounds, and each ``math.fsum`` amplitude lies in ``amps +- beta``, for
     any order BLAS sums in: ``beta = 2 (M + 3) 2**-53 (|flat| @ |weights|)`` covers
@@ -589,38 +607,41 @@ def _echo_amplitudes(
     ends ``amps +- beta``.
     """
     count_eps, members = eps_values.size, delta.size
-    cycle = _echo_cycle(refocus_phase, use_bb1, tau)
+    cycle = _echo_cycle(_REFOCUS_PHASE["cp"], use_bb1, tau)
     a, b = (x.ravel() for x in _propagate_nodes(cycle, NO_ERROR, eps_values[:, None], delta[None]))
-    tilt = a.imag * a.imag + b.imag * b.imag  # sin(alpha)**2 (1 - n_y**2)
-    sin2 = tilt + b.real * b.real
-    r = np.divide(tilt, sin2, out=np.zeros_like(sin2), where=sin2 > 0.0)
+    tilt = a.imag * a.imag
+    sin2 = (tilt + b.imag * b.imag) + b.real * b.real
+    r = np.zeros((len(modes), a.size))
+    for weight, mode in zip(r, modes):
+        # sin(alpha)**2 (1 - n_y**2) of CP's pair; CPMG's pair (a, -i b) has Im -Re b
+        part = b.imag if mode == "cp" else b.real
+        np.divide(tilt + part * part, sin2, out=weight, where=sin2 > 0.0)
     z = np.empty_like(a)
     z.real, z.imag = a.real * a.real - sin2, 2.0 * a.real * np.sqrt(sin2)
-    del a, b, tilt, sin2  # not held through the echo loop, where the block peaks
+    del a, b, tilt, sin2, part  # not held through the echo loop, where the block peaks
     kept = n // stride
     rows = max(1, min(kept, _SLICE_MEMBER_ECHOES // z.size))
     powers, power = np.empty((rows, z.size), complex), np.ones(z.size, complex)
 
-    sums, scales = np.empty((kept, count_eps)), np.empty((kept, count_eps))
+    shape = (len(modes), kept, count_eps)
+    sums, scales = np.empty(shape), np.empty(shape)
     for start in range(0, kept, rows):
         count = min(rows, kept - start)
         for j in range(count):
             for _ in range(stride):
                 power = np.multiply(power, z, out=powers[j])
-        # the ideal train keeps every echo on +-y: the signed <sy> of each member
-        flat = (1.0 - r * (1.0 - powers[:count].real)).reshape(-1, members)
+        # the ideal train keeps every echo on +-y: each mode's signed <sy> of each member
+        flat = (1.0 - r[:, None] * (1.0 - powers[:count].real)).reshape(-1, members)
+        block = (len(modes), count, count_eps)
         if bounded:
-            sums[start : start + count] = (flat @ weights).reshape(count, count_eps)
-            scales[start : start + count] = (np.abs(flat) @ np.abs(weights)).reshape(
-                count, count_eps
-            )
+            sums[:, start : start + count] = (flat @ weights).reshape(block)
+            scales[:, start : start + count] = (np.abs(flat) @ np.abs(weights)).reshape(block)
         else:
-            sums[start : start + count] = np.reshape(
-                _weighted_sums(weights, flat), (count, count_eps)
-            )
+            sums[:, start : start + count] = np.reshape(_weighted_sums(weights, flat), block)
+    amps = np.abs(sums.transpose(0, 2, 1))
     if bounded:
-        return np.abs(sums.T), (2.0 * (members + 3) * 2.0**-53) * scales.T
-    return np.abs(sums.T)
+        return amps, (2.0 * (members + 3) * 2.0**-53) * scales.transpose(0, 2, 1)
+    return amps
 
 
 def echo_train(
@@ -660,19 +681,23 @@ def echo_train(
     of more than ``MAX_MEMBER_ECHOES`` echoes times the members it runs, is
     rejected before propagation.
 
-    The train is the one-row case of the echo kernel (``_echo_amplitudes``):
-    the cycle ``tau - refocusing pulse - tau`` runs once on the engine, from
-    the identity, for its pair at every member, and echo k is read from that
-    pair's rotation in closed form: ``<sy> = 1 - r (1 - Re z**k)``, with the
-    rotor ``z = exp(2i alpha)`` of the cycle's rotation angle ``2 alpha`` and
-    ``r = 1 - n_y**2`` of its axis (Rodrigues' formula), ``z**k`` advanced by
-    one complex product per echo and taken in slices of bounded size.  Each
-    echo lies within ``8 (k + 1) 2**-53 + k eta`` of the one reduced from
-    the running product ``psi_k = C @ psi_(k-1)`` of the cycle matrix ``C``,
-    where ``eta`` is the largest ``| |a|**2 + |b|**2 - 1 |``: the product
-    scales a state's squared norm by that factor per echo, which the rotor
-    leaves out on the echo axis (measured, on trains up to 2500 echoes and
-    on cycles near the identity).
+    The train is the one-row, one-mode case of the echo kernel
+    (``_echo_amplitudes``): the CP cycle ``tau - refocusing pulse - tau``,
+    refocusing about x, runs once on the engine, from the identity, for its
+    pair at every member,
+    and echo k is read from that pair's rotation in closed form: ``<sy> = 1
+    - r (1 - Re z**k)``, with the rotor ``z = exp(2i alpha)`` of the cycle's
+    rotation angle ``2 alpha``, ``z**k`` advanced by one complex product per
+    echo and taken in slices of bounded size, and the mode's readout weight
+    ``r`` (Rodrigues' formula).  The CPMG cycle is the CP cycle conjugated
+    by Rz(pi/2), the same angle about an axis turned by pi/2 about z, so CP
+    reads ``r = 1 - n_y**2`` of the CP axis and CPMG ``r = 1 - n_x**2``.
+    Each echo lies within ``8 (k + 1) 2**-53 + k eta`` of the one reduced
+    from the running product ``psi_k = C @ psi_(k-1)`` of the mode's cycle
+    matrix ``C``, where ``eta`` is the largest ``| |a|**2 + |b|**2 - 1 |``:
+    the product scales a state's squared norm by that factor per echo,
+    which the rotor leaves out on the echo axis (measured, on trains up to
+    2500 echoes and on cycles near the identity).
     """
     mode_l = str(mode).lower()
     if mode_l not in _REFOCUS_PHASE:
@@ -682,8 +707,8 @@ def echo_train(
         raise ValueError("t2_envelope must be positive when given")
     spec, delta, weights = _echo_nodes(n_refocus, tau, ensemble_detuning, use_bb1)
 
-    amps = _echo_amplitudes(
-        _REFOCUS_PHASE[mode_l], n_refocus, np.array([float(epsilon)]), delta, weights, use_bb1, tau
+    (amps,) = _echo_amplitudes(
+        (mode_l,), n_refocus, np.array([float(epsilon)]), delta, weights, use_bb1, tau
     )
     samples = []
     for k, amp in enumerate(amps[0].tolist(), start=1):

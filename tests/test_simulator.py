@@ -896,12 +896,49 @@ class TestEchoTrain:
         count = max(1, simulator._SLICE_MEMBER_ECHOES // rows // delta.size + side)
         eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
         eps[0] = 0.0
-        phase = simulator._REFOCUS_PHASE[mode]
-        block = simulator._echo_amplitudes(phase, n, eps, delta, weights, use_bb1, tau, stride)
+        (block,) = simulator._echo_amplitudes((mode,), n, eps, delta, weights, use_bb1, tau, stride)
         assert block.shape == (count, n // stride)
         for e, row in zip(eps, block):
             train = echo_train(mode, n, float(e), spec, use_bb1, tau=tau)
             assert row.tolist() == train.values[stride - 1 :: stride].tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        use_bb1=st.booleans(),
+        line=st.sampled_from(["default", "legendre", "discrete"]),
+        n=st.integers(1, 41),
+        stride=st.sampled_from([1, 2]),
+        size=st.integers(16, 600),
+        rows=st.integers(4, 8),
+        side=st.integers(0, 1),
+        tau=st.sampled_from([0.7, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mode_rows_equal_one_mode_blocks_bitwise(
+        self, use_bb1, line, n, stride, size, rows, side, tau, seed
+    ):
+        # CP and CPMG share one cycle and one rotor and differ in the readout:
+        # each mode's rows of a two-mode block are, bit for bit, the block run
+        # in that mode alone, with E on either side of the count at which a
+        # slice holds `rows` kept echoes (the two-mode slice may cross to
+        # extracted sums where the one-mode slice takes math.fsum)
+        spec = {
+            "default": None,
+            "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
+            "discrete": sampled_line(size, seed),
+        }[line]
+        _, delta, weights = simulator._echo_nodes(n, tau, spec, use_bb1)
+        count = max(1, simulator._SLICE_MEMBER_ECHOES // rows // delta.size + side)
+        eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
+        eps[0] = 0.0
+        modes = ("cp", "cpmg")
+        both = simulator._echo_amplitudes(modes, n, eps, delta, weights, use_bb1, tau, stride)
+        assert both.shape == (2, count, n // stride)
+        for mode, block in zip(modes, both):
+            (alone,) = simulator._echo_amplitudes(
+                (mode,), n, eps, delta, weights, use_bb1, tau, stride
+            )
+            assert block.tolist() == alone.tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -926,10 +963,9 @@ class TestEchoTrain:
         }[line]
         _, delta, weights = simulator._echo_nodes(n, tau, spec)
         eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
-        phase = simulator._REFOCUS_PHASE[mode]
-        exact = simulator._echo_amplitudes(phase, n, eps, delta, weights, False, tau, stride)
+        exact = simulator._echo_amplitudes((mode,), n, eps, delta, weights, False, tau, stride)
         amps, beta = simulator._echo_amplitudes(
-            phase, n, eps, delta, weights, False, tau, stride, bounded=True
+            (mode,), n, eps, delta, weights, False, tau, stride, bounded=True
         )
         assert amps.shape == beta.shape == exact.shape
         assert np.all(np.maximum(amps - beta, 0.0) <= exact)
