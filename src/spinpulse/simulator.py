@@ -52,18 +52,11 @@ mode's readout weight.  It runs a block of amplitude errors at once
 (every error with every detuning node) and of modes, so the rotation
 error fit runs its grid and each refinement step, CP and CPMG, as one
 call, and ``echo_train`` is its one-error, one-mode case.
-Both take their samples or echoes in slices of at most
-``_SLICE_MEMBER_ECHOES`` member-samples, and reduce each slice to one
-correctly rounded sum per row (``_weighted_sums``; the fit's grid takes
-bounded plain sums), before the next is advanced, so a block never holds
-more than one slice.  A slice of at least ``_EXTRACTED_SUM_MIN_PRODUCTS``
-products (a 41-node Rabi slice of 99 samples, a fit's two-mode
-Gauss-Newton block at n = 32) is reduced by three exact extraction
-passes and a certificate, which hands back to ``math.fsum`` only the
-rows it cannot prove; smaller slices (a train at n = 32, a fit's
-blocks at n = 16) take one ``math.fsum`` per row.  A trace costs one
-numpy round per slice, plus a BB1 trace's one product per block count:
-two slices for the 161 samples of a 41-node trace to 40 pi.
+Both cut their block by one slice rule (``_slices``) and reduce each
+slice to one correctly rounded sum per row (``_weighted_sums``; the
+fit's grid takes bounded plain sums) before the next is advanced, so a
+block never holds more than one slice; ``rabi_trace`` and
+``_echo_amplitudes`` state their slice shapes and reductions.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -128,13 +121,15 @@ MAX_SAMPLES = 100_000
 # limit too) and n <= 2895 with BB1 blocks (n + 1 members).
 MAX_MEMBER_ECHOES = 2**23
 
-# Kept member-echoes (member-samples for a Rabi trace) per slice of a
-# block: the echo slice buffer holds one complex rotor power per kept
-# member-echo (16 B, 64 kB a slice), plus each mode's signed <sy> of the
-# slice and its reduction.  A fit's 31-error grid (31 x 17 members at
-# n = 32, CP and CPMG) peaks at 0.36 MB traced.  A Rabi trace slice keeps the
-# pairs of its rotations, 24 B per member-sample (32 B once composed with a
-# BB1 power): a 41-node BB1 trace peaks at 0.25 MB traced.
+# Most kept member-echoes (member-samples for a Rabi trace) per slice of a
+# block, which _slices cuts into the fewest such slices of near-equal size:
+# the echo slice buffer holds one complex rotor power per kept member-echo
+# (16 B, at most 64 kB a slice), plus each mode's signed <sy> of the slice
+# and its reduction.  A fit's 31-error grid at n = 32 (16 kept echoes of
+# 31 x 17 members, CP and CPMG, sliced 5 + 5 + 6) peaks at 0.31 MB traced.
+# A Rabi trace slice keeps the pairs of its rotations, 24 B per
+# member-sample (32 B once composed with a BB1 power): a 41-node BB1 trace
+# to 40 pi (80 + 81 samples) peaks at 0.23 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 # Products per block from which _weighted_sums reduces by certified
@@ -142,11 +137,12 @@ _SLICE_MEMBER_ECHOES = 2**12
 # costs ~35 us a call plus little per product; math.fsum costs per row and
 # per term.  They break even at 1000-1100 products on the echo line's
 # equal-weight rows (9-33 members) and at ~650 on 41 Gauss-Hermite-weighted
-# nodes; a 99 x 41 Rabi slice takes 54 us against 241 us
-# (BENCH_exact_sums.json).  A fit's Gauss-Newton block at n = 32, which
-# reduces both modes at once (96 x 17, 1632 products), takes 42 us against
-# 58 us, and one mode of it (48 x 17) 33 us against 29 us
-# (BENCH_shared_rotor.json; Python 3.11.7, numpy 2.4.6, one BLAS thread).
+# nodes; nutation's largest Rabi slice, 81 x 41 (a trace to 40 pi runs
+# 80 + 81 samples), takes 50 us against 198 us (BENCH_exact_sums.json).  A
+# fit's Gauss-Newton block at n = 32, which reduces both modes at once
+# (96 x 17, 1632 products), takes 42 us against 58 us, and one mode of it
+# (48 x 17) 33 us against 29 us (BENCH_shared_rotor.json; Python 3.11.7,
+# numpy 2.4.6, one BLAS thread).
 _EXTRACTED_SUM_MIN_PRODUCTS = 1000
 
 
@@ -293,6 +289,15 @@ def propagate(
     return SpinState.from_vector(v / np.linalg.norm(v))
 
 
+def _slices(rows: int, width: int) -> list[slice]:
+    """The one slice rule of the block kernels: the fewest slices that cut
+    ``rows`` rows of ``width`` member-items each, in order, into at most
+    ``_SLICE_MEMBER_ECHOES`` member-items a slice (at least one row), their
+    sizes differing by at most one, the last the largest; no rows, no slice."""
+    count = -(-rows // max(1, _SLICE_MEMBER_ECHOES // width))
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
 def _weighted_sums(weights: np.ndarray, rows: np.ndarray) -> list[float]:
     # One correctly rounded sum of weights * row per row, math.fsum's value,
     # so no result depends on node order: from _EXTRACTED_SUM_MIN_PRODUCTS
@@ -376,12 +381,14 @@ def rabi_trace(
     drives spin-up with either a single pulse of angle ``theta_k`` or,
     when ``use_bb1`` is set, with full corrected pi blocks plus a simple
     remainder pulse, then averages ``-<sz>`` over the ensemble.  The
-    convention puts the signal at +1 for an ideal pi rotation.  More
-    than ``MAX_SAMPLES`` samples are rejected, and so is a BB1 trace
-    whose last sample needs more than ``MAX_REPETITIONS`` pi blocks (the
-    bound ``bb1_rabi_program`` enforces through its ``Repeat``).  A trace
-    runs no delay, so an ensemble whose detuning distribution is not
-    ``DELTA_ZERO`` is rejected before any node is built.
+    convention puts the signal at +1 for an ideal pi rotation.  A trace
+    of more than ``MAX_SAMPLES`` samples, counted by that sampling rule
+    (``k * step <= max_angle`` within a relative 1e-12), is rejected, and
+    so is a BB1 trace whose last sample needs more than
+    ``MAX_REPETITIONS`` pi blocks (the bound ``bb1_rabi_program`` enforces
+    through its ``Repeat``).  A trace runs no delay, so an ensemble whose
+    detuning distribution is not ``DELTA_ZERO`` is rejected.  Each is
+    rejected before any node is built.
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
     for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
@@ -390,17 +397,18 @@ def rabi_trace(
     by ``B**g``, raised by squaring as a ``Repeat`` is (``_power``), so K
     samples reaching n blocks cost O(K log n) pair products per member.
 
-    The samples run as a block, in slices of at most
-    ``_SLICE_MEMBER_ECHOES`` member-samples (at least one sample each).
-    A slice's remainder rotations are one batched ``_rotations`` call of
-    pairs ``(cos h, i sin h)``, ``h = r(1+eps)/2``, each also its
-    rotation's image of spin-up; each run of samples that share a
-    block count is composed in place with the running power; and
-    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced to each sample's
-    correctly rounded sum (``_weighted_sums``: a slice of at least
-    ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such as 99 samples on
-    41 nodes, by certified error-free extraction, whose every sample is
-    ``math.fsum``'s value; a smaller one by ``math.fsum`` per sample).
+    The samples run as a block, cut by the block kernels' slice rule
+    (``_slices``: 121 samples on 41 nodes run as 60 + 61).  A slice's
+    remainder rotations are one batched ``_rotations`` call of pairs
+    ``(cos h, i sin h)``, ``h = r(1+eps)/2``, each also its rotation's
+    image of spin-up; each run of samples that share a block count is
+    composed in place with the running power; and ``-<sz> = |b|^2 -
+    |a|^2`` of each pair is reduced to each sample's correctly rounded sum
+    (``_weighted_sums``: a slice of at least
+    ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such as every slice of
+    a 41-node trace of 25 samples or more, by certified error-free
+    extraction, whose every sample is ``math.fsum``'s value; a smaller one
+    by ``math.fsum`` per sample).
     Each sample equals, bit for bit, the power composed with ``R(r)``'s
     pair and reduced by ``math.fsum`` for that sample alone, and a trace
     costs one numpy round per slice, plus one product per block count
@@ -410,10 +418,10 @@ def rabi_trace(
         raise ValueError("step must be positive")
     if not math.isfinite(max_angle) or max_angle < 0:
         raise ValueError("max_angle must be finite and >= 0")
-    if max_angle / step >= MAX_SAMPLES:
-        raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
     thetas = []
     while len(thetas) * step <= max_angle * (1 + 1e-12):
+        if len(thetas) == MAX_SAMPLES:
+            raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
         thetas.append(len(thetas) * step)
     ns = [int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0 for theta in thetas]
     if ns[-1] > MAX_REPETITIONS:
@@ -423,18 +431,16 @@ def rabi_trace(
     eps, delta, weights = ensemble_nodes(ensemble).T
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta) if use_bb1 else None
     power, blocks = (1.0, 0.0), 0  # the pair of B**n
-    rows = max(1, _SLICE_MEMBER_ECHOES // eps.size)
 
     samples = []
-    for start in range(0, len(thetas), rows):
-        stop = start + rows
-        remainders = (theta - n * math.pi for theta, n in zip(thetas[start:stop], ns[start:stop]))
+    for cut in _slices(len(thetas), eps.size):
+        remainders = (theta - n * math.pi for theta, n in zip(thetas[cut], ns[cut]))
         r = [x if x > 1e-15 else 0.0 for x in remainders]
         # the image of spin-up of a pair (u, v) is its matrix's first column (u, -conj(v))
         u, v = _rotations(np.array(r)[:, None], 0.0, eps)
         if block is not None:
             u, i = u.astype(complex), 0
-            for n, run in groupby(ns[start:stop]):
+            for n, run in groupby(ns[cut]):
                 if n > blocks:
                     power, blocks = _power(*block, n - blocks, *power), n
                 j = i + len(list(run))
@@ -442,7 +448,7 @@ def rabi_trace(
                 i = j
         sz = np.abs(u) ** 2 - np.abs(v) ** 2
         del u, v  # the slice's pairs are not held through its reduction
-        samples.extend(zip(thetas[start:stop], _weighted_sums(weights, -sz)))
+        samples.extend(zip(thetas[cut], _weighted_sums(weights, -sz)))
 
     return Signal(
         axis_label="theta",
@@ -496,19 +502,6 @@ class _EchoLine:
     def to_dict(self) -> dict:
         span = DEFAULT_DETUNING_SPAN / self.tau
         return {"kind": "uniform", "lo": -span, "hi": span, "rule": "periodic_midpoint", "periods": 4}
-
-
-def _echo_cycle(refocus_phase: float, use_bb1: bool, tau: float):
-    if use_bb1:
-        pulses = tuple(bb1_sequence(math.pi, axis_phase=refocus_phase))
-    else:
-        pulses = (Pulse(math.pi, refocus_phase),)
-    return (Delay(tau), *pulses, Delay(tau))
-
-
-# Phase of the refocusing pulses: CP refocuses about x, CPMG about y.  The
-# echo kernel builds only the CP cycle and reads CPMG from its rotor.
-_REFOCUS_PHASE = {"cp": 0.0, "cpmg": math.pi / 2.0}
 
 
 def _echo_nodes(
@@ -581,13 +574,14 @@ def _echo_amplitudes(
     sin(alpha)**2``.  ``z**k`` is one complex product per member and echo,
     kept or not.  Against a 40-digit evaluation of the same inputs, no echo
     of an n-echo train missed by more than about ``n * 2**-53`` (n up to
-    20000, near-identity cycles included).  The kept echoes are taken in
-    slices of at most ``_SLICE_MEMBER_ECHOES`` member-echoes, and each
-    slice is reduced, every mode at once, before the next is advanced, so
-    only the returned array grows with ``n``.  Each member's arithmetic
-    does not depend on the others, on the other modes or on ``stride``, so
-    a row equals, bit for bit, the kept echoes of the train run in that
-    mode at that amplitude error alone.
+    20000, near-identity cycles included).  The kept echoes are cut by the
+    block kernels' slice rule (``_slices``: the fit's grid at n = 32 runs
+    5 + 5 + 6 echoes, and no echo kept means no slice), and each slice is
+    reduced, every mode at once, before the next is advanced, so only the
+    returned array grows with ``n``.  Each member's arithmetic does not
+    depend on the others, on the other modes or on ``stride``, so a row
+    equals, bit for bit, the kept echoes of the train run in that mode at
+    that amplitude error alone.
 
     A slice is reduced to one correctly rounded sum (``math.fsum``'s value,
     ``_weighted_sums``) per mode, kept echo and amplitude error, by
@@ -607,7 +601,8 @@ def _echo_amplitudes(
     ends ``amps +- beta``.
     """
     count_eps, members = eps_values.size, delta.size
-    cycle = _echo_cycle(_REFOCUS_PHASE["cp"], use_bb1, tau)
+    pulses = bb1_sequence(math.pi) if use_bb1 else [Pulse(math.pi, 0.0)]
+    cycle = (Delay(tau), *pulses, Delay(tau))  # CP's: refocusing about x
     a, b = (x.ravel() for x in _propagate_nodes(cycle, NO_ERROR, eps_values[:, None], delta[None]))
     tilt = a.imag * a.imag
     sin2 = (tilt + b.imag * b.imag) + b.real * b.real
@@ -620,13 +615,14 @@ def _echo_amplitudes(
     z.real, z.imag = a.real * a.real - sin2, 2.0 * a.real * np.sqrt(sin2)
     del a, b, tilt, sin2, part  # not held through the echo loop, where the block peaks
     kept = n // stride
-    rows = max(1, min(kept, _SLICE_MEMBER_ECHOES // z.size))
+    cuts = _slices(kept, z.size)
+    rows = max((cut.stop - cut.start for cut in cuts), default=0)
     powers, power = np.empty((rows, z.size), complex), np.ones(z.size, complex)
 
     shape = (len(modes), kept, count_eps)
     sums, scales = np.empty(shape), np.empty(shape)
-    for start in range(0, kept, rows):
-        count = min(rows, kept - start)
+    for cut in cuts:
+        count = cut.stop - cut.start
         for j in range(count):
             for _ in range(stride):
                 power = np.multiply(power, z, out=powers[j])
@@ -634,10 +630,10 @@ def _echo_amplitudes(
         flat = (1.0 - r[:, None] * (1.0 - powers[:count].real)).reshape(-1, members)
         block = (len(modes), count, count_eps)
         if bounded:
-            sums[:, start : start + count] = (flat @ weights).reshape(block)
-            scales[:, start : start + count] = (np.abs(flat) @ np.abs(weights)).reshape(block)
+            sums[:, cut] = (flat @ weights).reshape(block)
+            scales[:, cut] = (np.abs(flat) @ np.abs(weights)).reshape(block)
         else:
-            sums[:, start : start + count] = np.reshape(_weighted_sums(weights, flat), block)
+            sums[:, cut] = np.reshape(_weighted_sums(weights, flat), block)
     amps = np.abs(sums.transpose(0, 2, 1))
     if bounded:
         return amps, (2.0 * (members + 3) * 2.0**-53) * scales.transpose(0, 2, 1)
@@ -700,7 +696,7 @@ def echo_train(
     2500 echoes and on cycles near the identity).
     """
     mode_l = str(mode).lower()
-    if mode_l not in _REFOCUS_PHASE:
+    if mode_l not in ("cp", "cpmg"):
         raise ValueError(f"mode must be 'cp' or 'cpmg', got {mode!r}")
     ErrorModel(epsilon)  # the amplitude-error domain, |epsilon| < 1
     if t2_envelope is not None and not (t2_envelope > 0):

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -102,3 +103,16 @@ def test_cli_imports_only_public_names():
     assert imported, "cli.py imports nothing from the package's modules"
     for module, name in imported:
         assert name in getattr(spinpulse, module).__all__, f"{module}.{name}"
+
+
+def test_cited_bench_records_exist():
+    # every BENCH_*.json record the source or the docs cite is at the repo
+    # root, parses, and names the Python and numpy it was measured on
+    root = Path(__file__).resolve().parents[1]
+    texts = [module.read_text(encoding="utf-8") for module in (root / "src").rglob("*.py")]
+    texts += [(root / doc).read_text(encoding="utf-8") for doc in ("README.md", "ROADMAP.md")]
+    cited = sorted(set(re.findall(r"BENCH_\w+\.json", "\n".join(texts))))
+    assert cited, "nothing cites a BENCH_*.json record"
+    for name in cited:
+        host = json.loads((root / name).read_text(encoding="utf-8"))["host"]
+        assert host["python"] and host["numpy"], name

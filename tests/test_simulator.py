@@ -30,6 +30,7 @@ from spinpulse import (
     bb1_sequence,
     bloch,
     echo_train,
+    estimate_rotation_error,
     propagate,
     rabi_trace,
 )
@@ -406,6 +407,17 @@ class TestRabi:
         with pytest.raises(ValueError, match="400 nodes"):
             rabi_trace(0.5 * (MAX_SAMPLES - 1), 0.5, bad_nodes)
 
+    def test_sample_count_is_the_sampling_rule(self):
+        # the count is the sampling loop's own: 1e5 steps less 5e-8 admit a
+        # sample at 1e5 within its 1e-12 slack, the 100001st, refused before
+        # any node is built; 99999 steps give exactly MAX_SAMPLES samples
+        bad_nodes = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
+        with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
+            rabi_trace(1e5 - 5e-8, 1.0, bad_nodes)
+        with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
+            rabi_trace(1e5 - 5e-8, 1.0, ZERO_WIDTH)
+        assert len(rabi_trace(99999.0, 1.0, ZERO_WIDTH).samples) == MAX_SAMPLES
+
     def test_bb1_block_count_bounded(self):
         # checked before any node is built, as the sample count is
         bad_nodes = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
@@ -493,6 +505,8 @@ class TestRabi:
         step_pi=st.sampled_from([0.25, 0.3, 0.037, 1.0, 2.5]),
         seed=st.integers(0, 2**16),
     )
+    # 121 samples of 41 members: two slices, of 60 and 61 samples
+    @example(use_bb1=True, rows=121, offset=8, extra=0, step_pi=0.25, seed=0)
     def test_slices_equal_engine_samples_bitwise(
         self, use_bb1, rows, offset, extra, step_pi, seed
     ):
@@ -579,6 +593,20 @@ def max_reference_miss(sig, spec):
     return worst
 
 
+def refocusing_pulses(mode, use_bb1):
+    """A ``mode`` train's refocusing pulses from their own phase: CP
+    refocuses about x, CPMG about y, each pulse of a BB1 block turned by
+    pi/2.  The echo kernel builds only CP's and reads CPMG as its cycle
+    conjugated by Rz(pi/2), which the references built on these check."""
+    phase = 0.0 if mode == "cp" else math.pi / 2
+    return bb1_sequence(math.pi, axis_phase=phase) if use_bb1 else [Pulse(math.pi, phase)]
+
+
+def echo_cycle(mode, use_bb1):
+    """The cycle ``tau - refocusing pulses - tau`` of a ``mode`` train at tau = 1."""
+    return (Delay(1.0), *refocusing_pulses(mode, use_bb1), Delay(1.0))
+
+
 def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_member=False):
     """An echo train as the running product psi_k = C @ psi_(k-1) of the
     engine's cycle propagator C on ``spec`` (default: the train's own
@@ -594,11 +622,9 @@ def engine_echo_samples(mode, n, epsilon, use_bb1=False, spec=None, reference_me
     eps = np.full(delta.shape, float(epsilon))
     if reference_member:
         eps, delta = np.append(eps, 0.0), np.append(delta, 0.0)
-    phase = 0.0 if mode == "cp" else math.pi / 2
     excitation = matrices(*_rotations(math.pi / 2, 0.0, np.zeros(1)))[0]
     psi0 = excitation @ SpinState.spin_up().vector[:, None]
-    cycle_pulses = simulator._echo_cycle(phase, use_bb1, 1.0)
-    cycle = matrices(*_propagate_nodes(cycle_pulses, NO_ERROR, eps, delta))
+    cycle = matrices(*_propagate_nodes(echo_cycle(mode, use_bb1), NO_ERROR, eps, delta))
     psi = np.broadcast_to(psi0, (eps.size, 2, 1))
     samples = []
     for k in range(1, n + 1):
@@ -624,8 +650,8 @@ def assert_within_oracle_bound(signal, mode, n, epsilon, use_bb1=False, spec=Non
     within ``3.6 (k + 1) 2**-53``."""
     want = engine_echo_samples(mode, n, epsilon, use_bb1, spec)
     _, delta, _ = simulator._echo_nodes(n, 1.0, spec, use_bb1)
-    cycle = simulator._echo_cycle(simulator._REFOCUS_PHASE[mode], use_bb1, 1.0)
-    a, b = _propagate_nodes(cycle, NO_ERROR, np.full(delta.shape, float(epsilon)), delta)
+    eps = np.full(delta.shape, float(epsilon))
+    a, b = _propagate_nodes(echo_cycle(mode, use_bb1), NO_ERROR, eps, delta)
     drift = np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))
     k = np.arange(1, n + 1)
     assert signal.x.tolist() == [x for x, _ in want]
@@ -1074,8 +1100,7 @@ def mp_echo_train(mp, mode, n, epsilon, use_bb1, tau):
     Its inputs are the engine's float pulse pairs (``_rotations``): a BB1
     CP echo amplifies their rounding to about 3 n 2**-53 against exact
     pairs (n = 120, eps 0.1 or 1e-3), on the full period as on the half."""
-    phase = simulator._REFOCUS_PHASE[mode]
-    pulses = bb1_sequence(math.pi, axis_phase=phase) if use_bb1 else [Pulse(math.pi, phase)]
+    pulses = refocusing_pulses(mode, use_bb1)
     with mp.workdps(40):
         i = mp.mpc(0, 1)
         refocus_a, refocus_b = mp.mpf(1), mp.mpf(0)
@@ -1169,6 +1194,84 @@ class TestEchoSymmetry:
         got = echo_train(mode, n, epsilon, use_bb1=use_bb1, tau=0.7)
         miss = max(abs(mp.mpf(y) - w) for y, w in zip(got.values.tolist(), want))
         assert miss <= 2 * n * 2.0**-53, float(miss)
+
+
+def assert_slice_rule(rows, width, parts):
+    """``parts`` cut ``rows`` rows of ``width`` member-items, in order, into
+    the fewest slices of at most ``_SLICE_MEMBER_ECHOES`` member-items and
+    at least one row each, their sizes differing by at most one; returns
+    the sizes."""
+    bound = max(1, simulator._SLICE_MEMBER_ECHOES // width)
+    sizes = [part.stop - part.start for part in parts]
+    assert [i for part in parts for i in range(rows)[part]] == list(range(rows))
+    assert len(parts) == -(-rows // bound)
+    assert all(max(sizes) - 1 <= size <= bound for size in sizes)
+    return sizes
+
+
+class TestSliceRule:
+    """Both block kernels cut a block by one rule (``simulator._slices``)."""
+
+    @staticmethod
+    def cuts(monkeypatch, run):
+        """Each block the kernels cut while ``run`` runs, as ``(rows, width,
+        sizes)``, checked against the rule, and the rows of every
+        ``_weighted_sums`` call."""
+        blocks, reduced = [], []
+        slices, weighted_sums = simulator._slices, simulator._weighted_sums
+
+        def cut(rows, width):
+            parts = slices(rows, width)
+            blocks.append((rows, width, assert_slice_rule(rows, width, parts)))
+            return parts
+
+        def sums(weights, rows):
+            reduced.append(rows.shape[0])
+            return weighted_sums(weights, rows)
+
+        monkeypatch.setattr(simulator, "_slices", cut)
+        monkeypatch.setattr(simulator, "_weighted_sums", sums)
+        run()
+        return blocks, reduced
+
+    @pytest.mark.parametrize("use_bb1", [False, True])
+    @pytest.mark.parametrize("samples", [81, 101, 121, 141, 161])
+    def test_rabi_trace_slices(self, monkeypatch, samples, use_bb1):
+        # nutation's traces, 20-40 pi in quarter-pi steps on 41 nodes: one
+        # slice, then two of 50 + 51 up to 80 + 81 samples
+        step = 0.25 * math.pi
+        blocks, reduced = self.cuts(
+            monkeypatch, lambda: rabi_trace((samples - 1) * step, step, GAUSS5, use_bb1)
+        )
+        ((rows, width, sizes),) = blocks
+        assert (rows, width) == (samples, 41)
+        assert sizes == ([samples] if samples <= 99 else [samples // 2, samples - samples // 2])
+        assert reduced == sizes
+
+    def test_fit_grid_slices(self, monkeypatch):
+        # the fit's grid at n = 32: 16 kept echoes of 31 errors x 17 members
+        # as 5 + 5 + 6; its Gauss-Newton blocks of 3 errors take one slice
+        cp, cpmg = (echo_train(mode, 32, 0.1) for mode in ("cp", "cpmg"))
+        blocks, _ = self.cuts(monkeypatch, lambda: estimate_rotation_error(cp, cpmg))
+        assert blocks[0] == (16, 527, [5, 5, 6])
+        steps = [sizes for _, width, sizes in blocks if width == 3 * 17]
+        assert steps and all(sizes == [16] for sizes in steps)
+
+    @pytest.mark.parametrize("mode", ["cp", "cpmg"])
+    def test_a_block_of_no_kept_echo_takes_no_slice(self, monkeypatch, mode):
+        # n = 1 at stride 2 keeps no echo
+        _, delta, weights = simulator._echo_nodes(1, 1.0)
+        eps = np.array([0.0, 0.1])
+        run = lambda: simulator._echo_amplitudes((mode,), 1, eps, delta, weights, False, 1.0, 2)
+        blocks, reduced = self.cuts(monkeypatch, run)
+        assert blocks == [(0, 2 * delta.size, [])] and reduced == []
+        assert run().shape == (1, 2, 0)
+
+    @pytest.mark.parametrize("width", [1, 17, 41, 527, 4096, 4097, 40000])
+    def test_slices_cover_any_block(self, width):
+        bound = max(1, simulator._SLICE_MEMBER_ECHOES // width)
+        for rows in (0, 1, 2, bound - 1, bound, bound + 1, 2 * bound + 1, 3 * bound + 2):
+            assert_slice_rule(rows, width, simulator._slices(rows, width))
 
 
 def test_experiments_build_no_validated_wrappers(monkeypatch):
