@@ -163,20 +163,15 @@ def bb1_phases(theta: float) -> tuple[float, float]:
     return phi1, 3.0 * phi1
 
 
-def bb1_sequence(theta: float, axis_phase: float = 0.0) -> list[Pulse]:
-    """The four-pulse BB1 train for a target ``theta`` rotation, in time order.
-
-    ``axis_phase`` shifts every pulse phase, steering the target axis away
-    from x (e.g. pi/2 for a y rotation).  The returned pulses are
-    ``[theta @ a, pi @ a+phi1, 2pi @ a+phi2, pi @ a+phi1]`` with
-    ``a = axis_phase``.
-    """
+def bb1_sequence(theta: float) -> list[Pulse]:
+    """The four-pulse BB1 train for a target ``theta`` rotation about x,
+    in time order: ``[theta @ 0, pi @ phi1, 2pi @ phi2, pi @ phi1]``."""
     phi1, phi2 = bb1_phases(theta)
     return [
-        Pulse(theta, axis_phase),
-        Pulse(math.pi, axis_phase + phi1),
-        Pulse(2.0 * math.pi, axis_phase + phi2),
-        Pulse(math.pi, axis_phase + phi1),
+        Pulse(theta, 0.0),
+        Pulse(math.pi, phi1),
+        Pulse(2.0 * math.pi, phi2),
+        Pulse(math.pi, phi1),
     ]
 
 

@@ -282,11 +282,29 @@ def propagate(
 
     ``Acquire`` markers leave the state as it is.  The engine's one-member
     propagator is applied to ``initial`` (default spin-up) and renormalized.
+    A pulse whose angle ``theta * (1 + epsilon)`` or a delay whose phase
+    ``delta * tau`` is not finite is refused before it is propagated.
     """
+    _refuse_overflow(program.elements, e.epsilon, float(delta))
     up, down = (initial if initial is not None else SpinState.spin_up()).vector
     a, b = _propagate_nodes(program.elements, e, np.array([e.epsilon]), np.array([float(delta)]))
     v = np.concatenate([a * up + b * down, np.conj(a) * down - np.conj(b) * up])
     return SpinState.from_vector(v / np.linalg.norm(v))
+
+
+_ANGLE_OVERFLOW = "a pulse's rotation angle theta * (1 + epsilon) must be finite"
+_PHASE_OVERFLOW = "a delay's phase delta * tau must be finite"
+
+
+def _refuse_overflow(elements, epsilon: float, delta: float) -> None:
+    # the angles numpy would overflow on, refused before it warns
+    for el in elements:
+        if isinstance(el, Repeat):
+            _refuse_overflow(el.body, epsilon, delta)
+        elif isinstance(el, Pulse) and not math.isfinite(el.theta * (1.0 + epsilon)):
+            raise ValueError(_ANGLE_OVERFLOW)
+        elif isinstance(el, Delay) and not math.isfinite(delta * el.tau):
+            raise ValueError(_PHASE_OVERFLOW)
 
 
 def _slices(rows: int, width: int) -> list[slice]:
@@ -388,10 +406,14 @@ def rabi_trace(
     ``MAX_REPETITIONS`` pi blocks (the bound ``bb1_rabi_program`` enforces
     through its ``Repeat``).  A trace runs no delay, so an ensemble whose
     detuning distribution is not ``DELTA_ZERO`` is rejected.  Each is
-    rejected before any node is built.
+    rejected before any node is built; a trace whose largest pulse angle
+    ``theta * (1 + epsilon)`` on its nodes is not finite, before any
+    rotation is.
 
-    Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n = 0``
-    for simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
+    Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n =
+    floor(theta_k / pi)`` within a relative 1e-12, as the sampling rule, so
+    a multiple of pi runs whole blocks at any block count; ``n = 0`` for
+    simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
     pair built once per call.  ``n`` never decreases along the trace, so
     ``B**n`` is a running product: a gap of ``g`` new blocks multiplies it
     by ``B**g``, raised by squaring as a ``Repeat`` is (``_power``), so K
@@ -423,12 +445,16 @@ def rabi_trace(
         if len(thetas) == MAX_SAMPLES:
             raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
         thetas.append(len(thetas) * step)
-    ns = [int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0 for theta in thetas]
+    ns = [int(math.floor(theta / math.pi * (1 + 1e-12))) if use_bb1 else 0 for theta in thetas]
     if ns[-1] > MAX_REPETITIONS:
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     if ensemble.detuning_dist != DELTA_ZERO:
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
+    # the largest pulse angle a trace runs: a BB1 block's 2pi, or its last sample
+    top = 2.0 * math.pi if use_bb1 else thetas[-1]
+    if not math.isfinite(top * float(np.abs(1.0 + eps).max())):
+        raise ValueError(_ANGLE_OVERFLOW)
     block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta) if use_bb1 else None
     power, blocks = (1.0, 0.0), 0  # the pair of B**n
 
@@ -511,8 +537,9 @@ def _echo_nodes(
     on ``spec`` (default: the exact default line of a train with simple or,
     when ``use_bb1``, BB1 refocusing pulses), after the bounds every
     train meets before any work: at most ``MAX_SAMPLES`` echoes, a finite
-    positive ``tau``, no amplitude-error distribution, and at most
-    ``MAX_MEMBER_ECHOES`` member-echoes, counted on the members it runs."""
+    positive ``tau``, no amplitude-error distribution, at most
+    ``MAX_MEMBER_ECHOES`` member-echoes, counted on the members it runs,
+    and, on a line the caller passes, a finite delay phase ``delta * tau``."""
     if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not (tau > 0) or not math.isfinite(tau):
@@ -521,16 +548,19 @@ def _echo_nodes(
     # mirror x -> -x and CPMG's C2 about y fix the +y start and the y readout,
     # so a simple refocusing pulse's echoes are even in delta; a BB1 block's
     # are not
-    spec = spec or EnsembleSpec(DELTA_ZERO, _EchoLine(tau, even=not use_bb1), nodes=n_refocus + 1)
-    if spec.epsilon_dist != DELTA_ZERO:
+    line = spec or EnsembleSpec(DELTA_ZERO, _EchoLine(tau, even=not use_bb1), nodes=n_refocus + 1)
+    if line.epsilon_dist != DELTA_ZERO:
         raise ValueError(
             "echo_train takes its amplitude error from epsilon; the ensemble's "
             "epsilon_dist must be DELTA_ZERO"
         )
-    _, delta, weights = ensemble_nodes(spec).T
+    _, delta, weights = ensemble_nodes(line).T
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
-    return spec, delta, weights
+    # the default line keeps |delta tau| <= pi/2
+    if spec is not None and not math.isfinite(float(np.abs(delta).max()) * tau):
+        raise ValueError(_PHASE_OVERFLOW)
+    return line, delta, weights
 
 
 def _echo_amplitudes(
@@ -674,8 +704,9 @@ def echo_train(
     member's signed ``<sy>``, the axis on which the ideal train keeps its
     echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
     ``t_k = 2 * tau * k``.  A train of more than ``MAX_SAMPLES`` echoes, or
-    of more than ``MAX_MEMBER_ECHOES`` echoes times the members it runs, is
-    rejected before propagation.
+    of more than ``MAX_MEMBER_ECHOES`` echoes times the members it runs, or
+    on a line whose delay phase ``delta * tau`` is not finite, is rejected
+    before propagation.
 
     The train is the one-row, one-mode case of the echo kernel
     (``_echo_amplitudes``): the CP cycle ``tau - refocusing pulse - tau``,

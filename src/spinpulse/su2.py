@@ -101,10 +101,6 @@ class Unitary2:
         """The wrapped 2x2 ndarray (read-only view)."""
         return self._m
 
-    def dagger(self) -> "Unitary2":
-        """Conjugate transpose, which is also the inverse."""
-        return Unitary2.from_matrix(self._m.conj().T)
-
     def __repr__(self) -> str:
         # Python complex values, whose repr needs no numpy to evaluate
         return f"Unitary2({', '.join(map(repr, self._m.ravel().tolist()))})"

@@ -239,6 +239,16 @@ class TestRabiCommand:
         assert out == ""
         assert "BB1 pi blocks" in err
 
+    def test_overflowing_angle_exits_2_without_warnings(self, capsys):
+        code, out, err = run(
+            capsys, "rabi", "--sigma", "0.05", "--max", "1.5e308rad", "--step", "1e304rad"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: a pulse's rotation angle theta * (1 + epsilon) must be finite"
+        ]
+
     def test_bb1_trace_at_block_bound_is_fast(self, capsys):
         # 11 samples reaching 2^23 pi blocks: the block power is raised by
         # squaring, where one product per block took minutes
@@ -305,6 +315,15 @@ class TestEchoCommand:
         assert code == 2
         assert out == ""
         assert "tau must be positive" in err
+
+    def test_overflowing_delay_phase_exits_2_without_warnings(self, capsys):
+        code, out, err = run(
+            capsys, "echo", "--mode", "cp", "--n", "4", "--span", "1e307", "--nodes", "3",
+            "--tau", "100",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: a delay's phase delta * tau must be finite"]
 
     def test_default_nodes_exact_up_to_128_cycles(self, capsys):
         # at n = 128 the default line (129 midpoints of the half period, 65

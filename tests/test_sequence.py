@@ -90,7 +90,8 @@ class TestBb1Sequence:
             )
 
     def test_axis_phase_shift(self):
-        shifted = bb1_sequence(math.pi, axis_phase=math.pi / 2)
+        # every pulse of the x block turned by pi/2 gives the y rotation
+        shifted = [Pulse(p.theta, p.phi + math.pi / 2) for p in bb1_sequence(math.pi)]
         u = net_unitary(shifted)
         ref = rotation(RotationSpec(math.pi, math.pi / 2, 0.0))
         assert np.max(np.abs(u.matrix - ref.matrix)) < 1e-12

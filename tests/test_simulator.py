@@ -90,6 +90,16 @@ class TestPropagate:
         s = propagate(PulseProgram(()))
         assert np.allclose(s.vector, [1, 0])
 
+    def test_overflowing_angle_or_phase_refused(self):
+        # refused before numpy computes them, so with no RuntimeWarning
+        # (which the suite's warning filter would raise)
+        with pytest.raises(ValueError, match=r"theta \* \(1 \+ epsilon\) must be finite"):
+            propagate(PulseProgram((Pulse(1.7e308, 0.0),)), ErrorModel(0.5))
+        with pytest.raises(ValueError, match=r"delta \* tau must be finite"):
+            propagate(PulseProgram((Repeat(2, (Delay(1e300),)),)), delta=1e10)
+        # a finite angle runs
+        propagate(PulseProgram((Pulse(1.7e308, 0.0),)))
+
     def test_pi_pulse_inverts(self):
         s = propagate(PulseProgram((Pulse(math.pi, 0.0),)))
         assert bloch(s)[2] == pytest.approx(-1.0, abs=1e-12)
@@ -236,18 +246,18 @@ class TestPropagate:
     @settings(max_examples=60, deadline=None)
     @given(
         theta=st.floats(0.0, 4 * math.pi),
-        axis_phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        shift=st.floats(0.0, 2 * math.pi, exclude_max=True),
         epsilon=st.floats(-0.3, 0.3),
     )
-    def test_bb1_axis_phase_is_covariant(self, theta, axis_phase, epsilon):
-        # shifting every phase by a conjugates the propagator with the
-        # z-rotation that carries phase 0 to phase a
+    def test_bb1_axis_phase_is_covariant(self, theta, shift, epsilon):
+        # turning every phase by `shift` conjugates the propagator with the
+        # z-rotation that carries phase 0 to phase `shift`
         eps, delta = np.array([epsilon]), np.zeros(1)
-        shifted = matrices(
-            *_propagate_nodes(bb1_sequence(theta, axis_phase=axis_phase), NO_ERROR, eps, delta)
-        )
-        base = matrices(*_propagate_nodes(bb1_sequence(theta), NO_ERROR, eps, delta))
-        z = np.diag([np.exp(-0.5j * axis_phase), np.exp(0.5j * axis_phase)])
+        block = bb1_sequence(theta)
+        turned = [Pulse(p.theta, p.phi + shift) for p in block]
+        shifted = matrices(*_propagate_nodes(turned, NO_ERROR, eps, delta))
+        base = matrices(*_propagate_nodes(block, NO_ERROR, eps, delta))
+        z = np.diag([np.exp(-0.5j * shift), np.exp(0.5j * shift)])
         assert np.max(np.abs(shifted[0] - z @ base[0] @ z.conj().T)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -351,6 +361,15 @@ class TestBloch:
 
 
 class TestRabi:
+    def test_overflowing_angle_refused(self):
+        # the last sample's angle, or a BB1 block's 2pi, times 1 + epsilon
+        with pytest.raises(ValueError, match=r"theta \* \(1 \+ epsilon\) must be finite"):
+            rabi_trace(1.5e308, 1e304, EnsembleSpec(Gaussian(0.0, 0.05), nodes=41))
+        huge = EnsembleSpec(Discrete(((1e308, 1.0),)), nodes=1)
+        with pytest.raises(ValueError, match=r"theta \* \(1 \+ epsilon\) must be finite"):
+            rabi_trace(1.0, 0.5, huge, use_bb1=True)
+        assert len(rabi_trace(1.0, 0.5, huge).samples) == 3
+
     def test_ideal_trace_is_minus_cos(self):
         sig = rabi_trace(4 * math.pi, 0.25 * math.pi, ZERO_WIDTH)
         for x, y in sig.samples:
@@ -479,6 +498,18 @@ class TestRabi:
         assert len(sig.samples) == 11
         assert max_reference_miss(sig, GAUSS5) < 1e-11
 
+    def test_bb1_block_count_at_a_large_multiple_of_pi(self):
+        # 20870 pi / pi computes as 20870 - 3.6e-12, further below 20870
+        # than an absolute 1e-12 reaches: the sample is 20870 blocks, not
+        # 20869 and a simple pi pulse
+        spec = EnsembleSpec(Gaussian(0.0, 0.01), nodes=41)
+        sig = rabi_trace(20870 * math.pi, 20870 * math.pi, spec, use_bb1=True)
+        eps, delta, weights = ensemble_nodes(spec).T
+        a, b = _propagate_nodes(bb1_rabi_program(20870, 0.0).elements, NO_ERROR, eps, delta)
+        want = math.fsum((weights * (np.abs(b) ** 2 - np.abs(a) ** 2)).tolist())
+        assert len(sig.samples) == 2
+        assert abs(sig.samples[1][1] - want) < 1e-13
+
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize(
         "max_angle,step,spec",
@@ -551,6 +582,15 @@ class TestRabi:
         assert peak <= 0.6e6
 
 
+def split_sample(theta, use_bb1=True):
+    """Sample ``theta = n*pi + r`` as a Rabi trace runs it: ``n`` BB1 pi
+    blocks, ``floor(theta / pi)`` within a relative 1e-12 (0 for simple
+    pulses), and a remainder pulse ``r``, 0 below 1e-15."""
+    n = int(math.floor(theta / math.pi * (1 + 1e-12))) if use_bb1 else 0
+    r = theta - n * math.pi
+    return n, r if r > 1e-15 else 0.0
+
+
 def engine_rabi_samples(max_angle, step, spec, use_bb1):
     """A Rabi trace sample by sample: sample theta = n*pi + r is the
     running power B**n of the engine's BB1 pi-block propagator B (``n = 0``
@@ -565,11 +605,10 @@ def engine_rabi_samples(max_angle, step, spec, use_bb1):
     (a, b), blocks = (1.0, 0.0), 0
     samples = []
     for theta in thetas:
-        n = int(math.floor(theta / math.pi + 1e-12)) if use_bb1 else 0
-        remainder = theta - n * math.pi
+        n, remainder = split_sample(theta, use_bb1)
         if n > blocks:
             (a, b), blocks = simulator._power(*block, n - blocks, a, b), n
-        u, v = _rotations(remainder if remainder > 1e-15 else 0.0, 0.0, eps)
+        u, v = _rotations(remainder, 0.0, eps)
         if use_bb1:
             u, v = simulator._compose(a, b, u.astype(complex), v)
         sz = np.abs(u) ** 2 - np.abs(v) ** 2
@@ -583,9 +622,7 @@ def max_reference_miss(sig, spec):
     eps, delta, weights = ensemble_nodes(spec).T
     worst = 0.0
     for theta, value in sig.samples:
-        n = int(math.floor(theta / math.pi + 1e-12))
-        r = theta - n * math.pi
-        program = bb1_rabi_program(n, r if r > 1e-15 else 0.0)
+        program = bb1_rabi_program(*split_sample(theta))
         # the propagator's first column (a, -conj(b)) is its image of spin-up
         a, b = _propagate_nodes(program.elements, NO_ERROR, eps, delta)
         minus_sz = np.abs(b) ** 2 - np.abs(a) ** 2
@@ -599,7 +636,8 @@ def refocusing_pulses(mode, use_bb1):
     pi/2.  The echo kernel builds only CP's and reads CPMG as its cycle
     conjugated by Rz(pi/2), which the references built on these check."""
     phase = 0.0 if mode == "cp" else math.pi / 2
-    return bb1_sequence(math.pi, axis_phase=phase) if use_bb1 else [Pulse(math.pi, phase)]
+    pulses = bb1_sequence(math.pi) if use_bb1 else [Pulse(math.pi, 0.0)]
+    return [Pulse(p.theta, p.phi + phase) for p in pulses]
 
 
 def echo_cycle(mode, use_bb1):
@@ -673,6 +711,12 @@ CPMG_MIN_EVEN = 0.9860587675952664
 
 
 class TestEchoTrain:
+    def test_overflowing_delay_phase_refused(self):
+        # only a line the caller passes: the default one keeps |delta tau| <= pi/2
+        line = EnsembleSpec(DELTA_ZERO, Uniform(-1e307, 1e307), nodes=3)
+        with pytest.raises(ValueError, match=r"delta \* tau must be finite"):
+            echo_train("cp", 4, 0.0, line, tau=100.0)
+
     def test_perfect_pulses_give_unit_echoes(self):
         for mode in ("cp", "cpmg"):
             sig = echo_train(mode, 8, 0.0)
@@ -831,7 +875,7 @@ class TestEchoTrain:
     @pytest.mark.parametrize(
         "mode,n,members",
         [
-            ("cp", 305, 400),  # ten echoes per slice: 30 full slices and a partial one
+            ("cp", 305, 400),  # at most ten echoes per slice: 31 slices of 9 or 10
             ("cp", 305, 3000),  # one echo per slice: 305 slices
             ("cpmg", 4, 40000),  # more members than a slice holds: one echo each
         ],

@@ -215,7 +215,8 @@ def test_bb1_residual_rotation_angle():
     net = rotation(RotationSpec(math.pi, 0.0, 0.1))
     for th, ph in [(math.pi, phi1), (2 * math.pi, phi2), (math.pi, phi1)]:
         net = compose(net, rotation(RotationSpec(th, ph, 0.1)))
-    residual = compose(net, rotation(RotationSpec(math.pi, 0.0, 0.0)).dagger())
+    ideal = rotation(RotationSpec(math.pi, 0.0, 0.0)).matrix
+    residual = compose(net, Unitary2.from_matrix(ideal.conj().T))  # net times the ideal's adjoint
     _, angle = axis_angle(residual)
     assert angle == pytest.approx(6.081079e-3, rel=1e-4)
     assert angle <= 6.1e-3
@@ -233,7 +234,8 @@ def test_bb1_residual_angle_below_the_trace_floor(epsilon, rel):
     net = rotation(RotationSpec(math.pi, 0.0, epsilon))
     for th, ph in [(math.pi, phi1), (2 * math.pi, phi2), (math.pi, phi1)]:
         net = compose(net, rotation(RotationSpec(th, ph, epsilon)))
-    residual = compose(net, rotation(RotationSpec(math.pi, 0.0, 0.0)).dagger())
+    ideal = rotation(RotationSpec(math.pi, 0.0, 0.0)).matrix
+    residual = compose(net, Unitary2.from_matrix(ideal.conj().T))  # net times the ideal's adjoint
     _, angle = axis_angle(residual)
 
     phi1 = mp.acos(mp.mpf(-1) / 4)
