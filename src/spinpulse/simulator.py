@@ -40,8 +40,8 @@ Both experiments are block kernels: they build their repeated block once
 on the engine and then advance by products.  ``rabi_trace`` raises the
 BB1 pi-block pair to each new block count by the power rule, takes the
 remainder rotations of many samples in one batched ``_rotations`` call,
-keeps their images of spin-up, and advances each run of samples that
-share a block count by its power.  The echo kernel
+keeps their images of spin-up, and composes them, a slice at a time,
+with a table of the slice's block powers in one product.  The echo kernel
 (``_echo_amplitudes``) runs one cycle, one rotor and a readout per
 mode: CPMG shifts every refocusing phase by pi/2 and every delay is a
 z-rotation, so the CPMG cycle is the CP cycle conjugated by Rz(pi/2),
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Literal, Optional
 
 import numpy as np
@@ -128,8 +127,10 @@ MAX_MEMBER_ECHOES = 2**23
 # and its reduction.  A fit's 31-error grid at n = 32 (16 kept echoes of
 # 31 x 17 members, CP and CPMG, sliced 5 + 5 + 6) peaks at 0.31 MB traced.
 # A Rabi trace slice keeps the pairs of its rotations, 24 B per
-# member-sample (32 B once composed with a BB1 power): a 41-node BB1 trace
-# to 40 pi (80 + 81 samples) peaks at 0.23 MB traced.
+# member-sample; a BB1 slice peaks in its one _compose at 128 B per
+# member-sample (the rotation pair and the gathered power pair, 64 B, and
+# the product's pair and temporaries, 64 B): a 41-node BB1 trace to 40 pi
+# (80 + 81 samples) peaks at 0.44 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 # Products per block from which _weighted_sums reduces by certified
@@ -387,6 +388,23 @@ def _extracted_sums(products: np.ndarray, top: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _sample_count(max_angle: float, step: float) -> int:
+    """The sample count of ``rabi_trace``'s rule ``fl(k * step) <=
+    max_angle * (1 + 1e-12)``: the smallest k whose product exceeds that
+    bound (the products never decrease in k, so every smaller k is a
+    sample), refused beyond ``MAX_SAMPLES``.  The quotient ``bound / step``
+    only seeds the count; the rule's own products settle it."""
+    bound = max_angle * (1 + 1e-12)
+    if MAX_SAMPLES * step <= bound:
+        raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
+    count = min(int(bound / step) + 1, MAX_SAMPLES)
+    while (count - 1) * step > bound:
+        count -= 1
+    while count * step <= bound:
+        count += 1
+    return count
+
+
 def rabi_trace(
     max_angle: float,
     step: float,
@@ -419,13 +437,18 @@ def rabi_trace(
     by ``B**g``, raised by squaring as a ``Repeat`` is (``_power``), so K
     samples reaching n blocks cost O(K log n) pair products per member.
 
-    The samples run as a block, cut by the block kernels' slice rule
-    (``_slices``: 121 samples on 41 nodes run as 60 + 61).  A slice's
-    remainder rotations are one batched ``_rotations`` call of pairs
-    ``(cos h, i sin h)``, ``h = r(1+eps)/2``, each also its rotation's
-    image of spin-up; each run of samples that share a block count is
-    composed in place with the running power; and ``-<sz> = |b|^2 -
-    |a|^2`` of each pair is reduced to each sample's correctly rounded sum
+    The sample grid ``k * step``, the block counts and the remainders are
+    built in numpy, by the same IEEE operations as for one sample alone,
+    after the sampling rule's count (``_sample_count``).  The samples run
+    as a block, cut by the block kernels' slice rule (``_slices``: 121
+    samples on 41 nodes run as 60 + 61).  A slice's remainder rotations
+    are one batched ``_rotations`` call of pairs ``(cos h, i sin h)``, ``h
+    = r(1+eps)/2``, each also its rotation's image of spin-up; the running
+    power is advanced to each block count of the slice in turn and written
+    to a per-slice table, one row per count, and the rotations are
+    composed with one table row per sample in one ``_compose`` call; and
+    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced to each sample's
+    correctly rounded sum
     (``_weighted_sums``: a slice of at least
     ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such as every slice of
     a 41-node trace of 25 samples or more, by certified error-free
@@ -433,48 +456,59 @@ def rabi_trace(
     by ``math.fsum`` per sample).
     Each sample equals, bit for bit, the power composed with ``R(r)``'s
     pair and reduced by ``math.fsum`` for that sample alone, and a trace
-    costs one numpy round per slice, plus one product per block count
-    when ``use_bb1`` is set.
+    costs one numpy round per slice, plus the products that raise the
+    power to each new block count when ``use_bb1`` is set.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
     if not math.isfinite(max_angle) or max_angle < 0:
         raise ValueError("max_angle must be finite and >= 0")
-    thetas = []
-    while len(thetas) * step <= max_angle * (1 + 1e-12):
-        if len(thetas) == MAX_SAMPLES:
-            raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
-        thetas.append(len(thetas) * step)
-    ns = [int(math.floor(theta / math.pi * (1 + 1e-12))) if use_bb1 else 0 for theta in thetas]
-    if ns[-1] > MAX_REPETITIONS:
+    count = _sample_count(max_angle, step)
+    # the last sample's block count, in Python: an array cast would warn on huge angles
+    if use_bb1 and int(math.floor((count - 1) * step / math.pi * (1 + 1e-12))) > MAX_REPETITIONS:
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     if ensemble.detuning_dist != DELTA_ZERO:
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
+    thetas = np.arange(count) * step
     # the largest pulse angle a trace runs: a BB1 block's 2pi, or its last sample
-    top = 2.0 * math.pi if use_bb1 else thetas[-1]
+    top = 2.0 * math.pi if use_bb1 else float(thetas[-1])
     if not math.isfinite(top * float(np.abs(1.0 + eps).max())):
         raise ValueError(_ANGLE_OVERFLOW)
-    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta) if use_bb1 else None
-    power, blocks = (1.0, 0.0), 0  # the pair of B**n
+    ns = np.floor(thetas / math.pi * (1 + 1e-12)) if use_bb1 else np.zeros(count)
+    r = thetas - ns * math.pi
+    r[r <= 1e-15] = 0.0
+    if use_bb1:
+        block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta)
+        power, blocks = (1.0, 0.0), 0  # the pair of B**n
+        # each sample's run of equal block counts, and each run's count
+        first = np.empty(count, bool)
+        first[0] = True
+        np.not_equal(ns[1:], ns[:-1], out=first[1:])
+        run = np.cumsum(first) - 1
+        counts = ns[first].astype(int).tolist()
 
-    samples = []
-    for cut in _slices(len(thetas), eps.size):
-        remainders = (theta - n * math.pi for theta, n in zip(thetas[cut], ns[cut]))
-        r = [x if x > 1e-15 else 0.0 for x in remainders]
+    samples, xs = [], thetas.tolist()
+    for cut in _slices(count, eps.size):
         # the image of spin-up of a pair (u, v) is its matrix's first column (u, -conj(v))
-        u, v = _rotations(np.array(r)[:, None], 0.0, eps)
-        if block is not None:
-            u, i = u.astype(complex), 0
-            for n, run in groupby(ns[cut]):
+        u, v = _rotations(r[cut, None], 0.0, eps)
+        if use_bb1:
+            # B**n of each of the slice's runs, then one row per sample,
+            # gathered contiguous (a strided gather costs _compose a temporary)
+            lo, hi = run[cut.start], run[cut.stop - 1] + 1
+            table = np.empty((2, hi - lo, eps.size), complex)
+            for row, n in enumerate(counts[lo:hi]):
                 if n > blocks:
                     power, blocks = _power(*block, n - blocks, *power), n
-                j = i + len(list(run))
-                u[i:j], v[i:j] = _compose(*power, u[i:j], v[i:j])
-                i = j
+                table[0, row], table[1, row] = power
+            powers, u = np.take(table, run[cut] - lo, axis=1), u.astype(complex)
+            del table  # _compose, where a slice peaks, holds only its operands
+            u, v = _compose(*powers, u, v)
+            del powers
         sz = np.abs(u) ** 2 - np.abs(v) ** 2
         del u, v  # the slice's pairs are not held through its reduction
-        samples.extend(zip(thetas[cut], _weighted_sums(weights, -sz)))
+        samples.extend(zip(xs[cut], _weighted_sums(weights, -sz)))
+        del sz  # nor is its sz through the next slice's _compose
 
     return Signal(
         axis_label="theta",
@@ -537,13 +571,16 @@ def _echo_nodes(
     on ``spec`` (default: the exact default line of a train with simple or,
     when ``use_bb1``, BB1 refocusing pulses), after the bounds every
     train meets before any work: at most ``MAX_SAMPLES`` echoes, a finite
-    positive ``tau``, no amplitude-error distribution, at most
+    positive ``tau`` and a finite last echo time ``2 * tau * n_refocus``,
+    no amplitude-error distribution, at most
     ``MAX_MEMBER_ECHOES`` member-echoes, counted on the members it runs,
     and, on a line the caller passes, a finite delay phase ``delta * tau``."""
     if type(n_refocus) is not int or not 1 <= n_refocus <= MAX_SAMPLES:
         raise ValueError(f"n_refocus must be an integer in [1, {MAX_SAMPLES}]")
     if not (tau > 0) or not math.isfinite(tau):
         raise ValueError("tau must be positive")
+    if not math.isfinite(2.0 * tau * n_refocus):
+        raise ValueError("the last echo time 2 * tau * n_refocus must be finite")
     # n + 1 midpoints of the half period give every echo's mean exactly.  CP's
     # mirror x -> -x and CPMG's C2 about y fix the +y start and the y readout,
     # so a simple refocusing pulse's echoes are even in delta; a BB1 block's
@@ -705,8 +742,9 @@ def echo_train(
     echoes, optionally multiplied by ``exp(-t_k / t2_envelope)`` with
     ``t_k = 2 * tau * k``.  A train of more than ``MAX_SAMPLES`` echoes, or
     of more than ``MAX_MEMBER_ECHOES`` echoes times the members it runs, or
-    on a line whose delay phase ``delta * tau`` is not finite, is rejected
-    before propagation.
+    whose last echo time ``2 * tau * n_refocus`` is not finite, or on a line
+    whose delay phase ``delta * tau`` is not finite, is rejected before
+    propagation.
 
     The train is the one-row, one-mode case of the echo kernel
     (``_echo_amplitudes``): the CP cycle ``tau - refocusing pulse - tau``,

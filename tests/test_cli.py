@@ -325,6 +325,12 @@ class TestEchoCommand:
         assert out == ""
         assert err.splitlines() == ["error: a delay's phase delta * tau must be finite"]
 
+    def test_overflowing_echo_time_exits_2(self, capsys):
+        code, out, err = run(capsys, "echo", "--mode", "cp", "--n", "4", "--tau", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: the last echo time 2 * tau * n_refocus must be finite"]
+
     def test_default_nodes_exact_up_to_128_cycles(self, capsys):
         # at n = 128 the default line (129 midpoints of the half period, 65
         # of them run) must give the train of the former fixed 257-node

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 import time
 import tracemalloc
 import warnings
@@ -437,13 +438,60 @@ class TestRabi:
             rabi_trace(1e5 - 5e-8, 1.0, ZERO_WIDTH)
         assert len(rabi_trace(99999.0, 1.0, ZERO_WIDTH).samples) == MAX_SAMPLES
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        step=st.floats(1e-3, 10.0) | st.integers(1, 10000).map(lambda m: m / 1000),
+        multiple=st.integers(0, 2000),
+        slack=st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11]),
+        ulps=st.integers(-3, 3),
+    )
+    # max_angle = 0; the quotient max_angle / step lands on the wrong side of
+    # the rule's edge; steps beside max_angle / MAX_SAMPLES on either side
+    @example(step=0.25 * math.pi, multiple=0, slack=0.0, ulps=0)
+    @example(step=9.547, multiple=1908, slack=0.0, ulps=0)
+    @example(step=1.122, multiple=196, slack=0.0, ulps=-1)
+    @example(step=1.0, multiple=MAX_SAMPLES - 1, slack=1e-11, ulps=0)
+    @example(step=1.0, multiple=MAX_SAMPLES, slack=0.0, ulps=-1)
+    @example(step=0.1, multiple=MAX_SAMPLES, slack=0.0, ulps=-3)
+    @example(step=0.1, multiple=MAX_SAMPLES, slack=0.0, ulps=0)
+    @example(step=math.pi / 7, multiple=MAX_SAMPLES - 1, slack=0.0, ulps=3)
+    @example(step=5e-324, multiple=MAX_SAMPLES - 1, slack=0.0, ulps=0)
+    @example(step=5e-324, multiple=MAX_SAMPLES - 1, slack=0.0, ulps=1)
+    def test_sample_count_is_the_sampling_loops(self, step, multiple, slack, ulps):
+        # max_angle within a few ulps of where the rule's bound max_angle *
+        # (1 + 1e-12) meets multiple * step, or off it by a relative slack:
+        # the samples are the sampling loop's, and a count beyond
+        # MAX_SAMPLES is refused where the loop refused it
+        max_angle = multiple * step / (1 + 1e-12) * (1.0 + slack)
+        for _ in range(abs(ulps)):
+            max_angle = math.nextafter(max_angle, math.copysign(math.inf, ulps))
+        max_angle = max(max_angle, 0.0)
+        thetas = []
+        while len(thetas) * step <= max_angle * (1 + 1e-12):
+            if len(thetas) == MAX_SAMPLES:
+                with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
+                    rabi_trace(max_angle, step, ZERO_WIDTH)
+                return
+            thetas.append(len(thetas) * step)
+        samples = rabi_trace(max_angle, step, ZERO_WIDTH).samples
+        assert [x for x, _ in samples] == thetas
+
     def test_bb1_block_count_bounded(self):
-        # checked before any node is built, as the sample count is
+        # checked before any node is built, as the sample count is, and
+        # without a warning: the last of 15001 samples to 1.5e308 asks for
+        # ~4.8e307 blocks, more than an integer array cast takes
         bad_nodes = EnsembleSpec(Gaussian(0.0, 0.05), nodes=400)
         over = (MAX_REPETITIONS + 1.5) * math.pi
-        for max_angle, step in [(over, over), (1e9 * math.pi, 1e5 * math.pi)]:
-            with pytest.raises(ValueError, match=f"{MAX_REPETITIONS} BB1 pi blocks"):
-                rabi_trace(max_angle, step, bad_nodes, use_bb1=True)
+        cases = [
+            (over, over, bad_nodes),
+            (1e9 * math.pi, 1e5 * math.pi, bad_nodes),
+            (1.5e308, 1e304, GAUSS5),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for max_angle, step, spec in cases:
+                with pytest.raises(ValueError, match=f"{MAX_REPETITIONS} BB1 pi blocks"):
+                    rabi_trace(max_angle, step, spec, use_bb1=True)
         # the last sample of this trace needs exactly MAX_REPETITIONS blocks
         within = (MAX_REPETITIONS + 0.5) * math.pi
         with pytest.raises(ValueError, match="400 nodes"):
@@ -569,10 +617,11 @@ class TestRabi:
 
     def test_bb1_slice_holds_one_column_per_member_sample(self):
         # 41 nodes to 40 pi, two slices: a slice keeps only the pairs of its
-        # rotations, one spin-up column's worth, and composes each run of one
-        # block count in place (0.25 MB traced); full rotations plus a
-        # gathered per-sample power stack peaked at 0.859 MB traced (Python
-        # 3.11.7, numpy 2.4.6)
+        # rotations, one spin-up column's worth, and composes them with one
+        # gathered power pair per sample in one _compose call (0.443 MB
+        # traced); composing each run of one block count in place peaked at
+        # 0.231 MB, and full rotations plus a gathered per-sample matrix
+        # stack at 0.859 MB traced (Python 3.11.7, numpy 2.4.6)
         tracemalloc.start()
         try:
             rabi_trace(40 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=True)
@@ -580,6 +629,20 @@ class TestRabi:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6e6
+
+    def test_one_compose_per_slice(self, monkeypatch):
+        # 41 nodes to 40 pi, 80 + 81 samples: beside the block's propagation
+        # and its powers, each slice is composed with its powers at once
+        compose, callers = simulator._compose, []
+
+        def spy(*pairs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return compose(*pairs)
+
+        monkeypatch.setattr(simulator, "_compose", spy)
+        sig = rabi_trace(40 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=True)
+        assert len(sig.samples) == 161
+        assert [c for c in callers if c not in ("_power", "_propagate_nodes")] == ["rabi_trace"] * 2
 
 
 def split_sample(theta, use_bb1=True):
@@ -855,6 +918,14 @@ class TestEchoTrain:
         for tau in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive"):
                 echo_train("cp", 4, 0.1, tau=tau)
+
+    def test_overflowing_echo_time_refused(self):
+        # t_k = 2 * tau * k overflows at the last echo, refused naming tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"2 \* tau \* n_refocus must be finite"):
+                echo_train("cp", 4, 0.1, tau=1e308)
+        assert echo_train("cp", 1, 0.1, tau=8e307).x.tolist() == [1.6e308]
 
     def test_overflowing_default_line_rejected(self):
         # the default line's period 2*pi/tau overflows at tau = 1e-310
