@@ -44,6 +44,7 @@ from .simulator import (
     _echo_amplitudes,
     _echo_nodes,
     _propagate_nodes,
+    _refuse_overflow,
     echo_train,
 )
 from .su2 import RotationSpec, _fidelities, rotation
@@ -95,16 +96,15 @@ class FidelityScan:
 def _fidelities_over(theta: float, pulses, eps: np.ndarray, error=NO_ERROR) -> np.ndarray:
     """Fidelity of ``pulses`` under the phase offsets of ``error`` against the
     ideal ``theta`` rotation about x, for every amplitude error in ``eps``:
-    the engine propagates the identity over the whole array at once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _propagate_nodes(pulses, error, eps, np.zeros(eps.size))
-        # the target goes through the public `rotation`, one wrapper per call and
-        # none per node: perfbench's program_check needs su2.rotation.calls > 0;
-        # its first row is its pair
-        fidelities = _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix[0], a, b)
-    if not np.isfinite(fidelities).all():
-        raise ValueError("epsilon and theta must give finite rotation angles")
-    return fidelities
+    the engine propagates the identity over the whole array at once, after
+    the engine's one overflow rule has refused a pulse angle ``theta * (1 +
+    eps)`` that is not finite (a NaN error included)."""
+    _refuse_overflow(pulses, float(np.abs(1.0 + eps).max()), 0.0)
+    a, b = _propagate_nodes(pulses, error, eps, np.zeros(eps.size))
+    # the target goes through the public `rotation`, one wrapper per call and
+    # none per node: perfbench's program_check needs su2.rotation.calls > 0;
+    # its first row is its pair
+    return _fidelities(rotation(RotationSpec(theta, 0.0, 0.0)).matrix[0], a, b)
 
 
 def bb1_fidelity(

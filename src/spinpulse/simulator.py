@@ -81,7 +81,7 @@ from .errors import (
     ensemble_nodes,
 )
 from .sequence import MAX_REPETITIONS, Delay, Pulse, PulseProgram, Repeat, bb1_sequence
-from .su2 import _rotations
+from .su2 import UNITARITY_TOL, _rotations
 
 __all__ = [
     "SpinState",
@@ -172,7 +172,7 @@ class SpinState:
         v = np.ascontiguousarray(v)
         if not np.all(np.isfinite(v)):
             raise ValueError("amplitudes must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(v) - 1.0) > UNITARITY_TOL:
             raise ValueError("spin state must be normalized to within 1e-12")
         v.setflags(write=False)
         self._v = v
@@ -286,7 +286,7 @@ def propagate(
     A pulse whose angle ``theta * (1 + epsilon)`` or a delay whose phase
     ``delta * tau`` is not finite is refused before it is propagated.
     """
-    _refuse_overflow(program.elements, e.epsilon, float(delta))
+    _refuse_overflow(program.elements, abs(1.0 + e.epsilon), abs(float(delta)))
     up, down = (initial if initial is not None else SpinState.spin_up()).vector
     a, b = _propagate_nodes(program.elements, e, np.array([e.epsilon]), np.array([float(delta)]))
     v = np.concatenate([a * up + b * down, np.conj(a) * down - np.conj(b) * up])
@@ -297,14 +297,17 @@ _ANGLE_OVERFLOW = "a pulse's rotation angle theta * (1 + epsilon) must be finite
 _PHASE_OVERFLOW = "a delay's phase delta * tau must be finite"
 
 
-def _refuse_overflow(elements, epsilon: float, delta: float) -> None:
-    # the angles numpy would overflow on, refused before it warns
+def _refuse_overflow(elements, grow: float, reach: float) -> None:
+    """The one overflow rule, run by every engine entry before numpy warns: a
+    pulse angle ``theta * grow`` or delay phase ``reach * tau`` that is not
+    finite is refused, ``grow`` the members' largest ``|1 + eps|`` and
+    ``reach`` their largest ``|delta|`` (NaN if a member's is)."""
     for el in elements:
         if isinstance(el, Repeat):
-            _refuse_overflow(el.body, epsilon, delta)
-        elif isinstance(el, Pulse) and not math.isfinite(el.theta * (1.0 + epsilon)):
+            _refuse_overflow(el.body, grow, reach)
+        elif isinstance(el, Pulse) and not math.isfinite(el.theta * grow):
             raise ValueError(_ANGLE_OVERFLOW)
-        elif isinstance(el, Delay) and not math.isfinite(delta * el.tau):
+        elif isinstance(el, Delay) and not math.isfinite(reach * el.tau):
             raise ValueError(_PHASE_OVERFLOW)
 
 
@@ -388,21 +391,9 @@ def _extracted_sums(products: np.ndarray, top: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_count(max_angle: float, step: float) -> int:
-    """The sample count of ``rabi_trace``'s rule ``fl(k * step) <=
-    max_angle * (1 + 1e-12)``: the smallest k whose product exceeds that
-    bound (the products never decrease in k, so every smaller k is a
-    sample), refused beyond ``MAX_SAMPLES``.  The quotient ``bound / step``
-    only seeds the count; the rule's own products settle it."""
-    bound = max_angle * (1 + 1e-12)
-    if MAX_SAMPLES * step <= bound:
-        raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
-    count = min(int(bound / step) + 1, MAX_SAMPLES)
-    while (count - 1) * step > bound:
-        count -= 1
-    while count * step <= bound:
-        count += 1
-    return count
+# The relative slack of rabi_trace's two rules: the samples k * step <= max_angle
+# * _RABI_SLACK, each run as floor(theta / pi * _RABI_SLACK) BB1 pi blocks
+_RABI_SLACK = 1 + 1e-12
 
 
 def rabi_trace(
@@ -424,9 +415,9 @@ def rabi_trace(
     ``MAX_REPETITIONS`` pi blocks (the bound ``bb1_rabi_program`` enforces
     through its ``Repeat``).  A trace runs no delay, so an ensemble whose
     detuning distribution is not ``DELTA_ZERO`` is rejected.  Each is
-    rejected before any node is built; a trace whose largest pulse angle
-    ``theta * (1 + epsilon)`` on its nodes is not finite, before any
-    rotation is.
+    rejected before any node is built; a trace whose pulses (the BB1
+    block, or the last sample's pulse) have an angle ``theta * (1 +
+    epsilon)`` that is not finite on its nodes, before any rotation is.
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n =
     floor(theta_k / pi)`` within a relative 1e-12, as the sampling rule, so
@@ -439,22 +430,21 @@ def rabi_trace(
 
     The sample grid ``k * step``, the block counts and the remainders are
     built in numpy, by the same IEEE operations as for one sample alone,
-    after the sampling rule's count (``_sample_count``).  The samples run
-    as a block, cut by the block kernels' slice rule (``_slices``: 121
-    samples on 41 nodes run as 60 + 61).  A slice's remainder rotations
-    are one batched ``_rotations`` call of pairs ``(cos h, i sin h)``, ``h
-    = r(1+eps)/2``, each also its rotation's image of spin-up; the running
-    power is advanced to each block count of the slice in turn and written
-    to a per-slice table, one row per count, and the rotations are
-    composed with one table row per sample in one ``_compose`` call; and
-    ``-<sz> = |b|^2 - |a|^2`` of each pair is reduced to each sample's
-    correctly rounded sum
-    (``_weighted_sums``: a slice of at least
-    ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such as every slice of
-    a 41-node trace of 25 samples or more, by certified error-free
-    extraction, whose every sample is ``math.fsum``'s value; a smaller one
-    by ``math.fsum`` per sample).
-    Each sample equals, bit for bit, the power composed with ``R(r)``'s
+    the grid by the sampling rule itself: the ``k * step``, k up to
+    ``int(bound / step) + 1``, within its bound ``max_angle * (1 + 1e-12)``.
+    The samples run as a block, cut by the block kernels' slice rule
+    (``_slices``: 121 samples on 41 nodes run as 60 + 61).  A slice's
+    remainder rotations are one batched ``_rotations`` call of pairs ``(cos
+    h, i sin h)``, ``h = r(1+eps)/2``, each also its rotation's image of
+    spin-up; the running power is advanced to each block count of the
+    slice in turn and written to a per-slice table, one row per count, and
+    the rotations are composed with one table row per sample in one
+    ``_compose`` call; and ``-<sz> = |b|^2 - |a|^2`` of each pair is
+    reduced to each sample's correctly rounded sum (``_weighted_sums``: a
+    slice of at least ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such
+    as every slice of a 41-node trace of 25 samples or more, by certified
+    error-free extraction, whose every sample is ``math.fsum``'s value; a
+    smaller one by ``math.fsum`` per sample).  Each sample equals, bit for bit, the power composed with ``R(r)``'s
     pair and reduced by ``math.fsum`` for that sample alone, and a trace
     costs one numpy round per slice, plus the products that raise the
     power to each new block count when ``use_bb1`` is set.
@@ -463,23 +453,26 @@ def rabi_trace(
         raise ValueError("step must be positive")
     if not math.isfinite(max_angle) or max_angle < 0:
         raise ValueError("max_angle must be finite and >= 0")
-    count = _sample_count(max_angle, step)
-    # the last sample's block count, in Python: an array cast would warn on huge angles
-    if use_bb1 and int(math.floor((count - 1) * step / math.pi * (1 + 1e-12))) > MAX_REPETITIONS:
+    bound = max_angle * _RABI_SLACK
+    if MAX_SAMPLES * step <= bound:
+        raise ValueError(f"max_angle / step asks for more than {MAX_SAMPLES} samples")
+    # fl(k * step) never decreases in k, so the samples are a prefix of this grid
+    thetas = np.arange(int(bound / step) + 2) * step
+    thetas = thetas[thetas <= bound]
+    count = thetas.size
+    ns = np.floor(thetas / math.pi * _RABI_SLACK) if use_bb1 else np.zeros(count)
+    if ns[-1] > MAX_REPETITIONS:  # a float comparison: no integer cast to warn
         raise ValueError(f"max_angle asks for more than {MAX_REPETITIONS} BB1 pi blocks")
     if ensemble.detuning_dist != DELTA_ZERO:
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
-    thetas = np.arange(count) * step
-    # the largest pulse angle a trace runs: a BB1 block's 2pi, or its last sample
-    top = 2.0 * math.pi if use_bb1 else float(thetas[-1])
-    if not math.isfinite(top * float(np.abs(1.0 + eps).max())):
-        raise ValueError(_ANGLE_OVERFLOW)
-    ns = np.floor(thetas / math.pi * (1 + 1e-12)) if use_bb1 else np.zeros(count)
+    # the pulses a trace runs: the BB1 block (at most 2pi), or its last sample's
+    pulses = bb1_sequence(math.pi) if use_bb1 else [Pulse(float(thetas[-1]), 0.0)]
+    _refuse_overflow(pulses, float(np.abs(1.0 + eps).max()), 0.0)
     r = thetas - ns * math.pi
     r[r <= 1e-15] = 0.0
     if use_bb1:
-        block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta)
+        block = _propagate_nodes(pulses, NO_ERROR, eps, delta)
         power, blocks = (1.0, 0.0), 0  # the pair of B**n
         # each sample's run of equal block counts, and each run's count
         first = np.empty(count, bool)
@@ -594,9 +587,8 @@ def _echo_nodes(
     _, delta, weights = ensemble_nodes(line).T
     if n_refocus * delta.size > MAX_MEMBER_ECHOES:
         raise ValueError(f"n_refocus * members exceeds {MAX_MEMBER_ECHOES} member-echoes")
-    # the default line keeps |delta tau| <= pi/2
-    if spec is not None and not math.isfinite(float(np.abs(delta).max()) * tau):
-        raise ValueError(_PHASE_OVERFLOW)
+    if spec is not None:  # the default line keeps |delta tau| <= pi/2
+        _refuse_overflow([Delay(tau)], 1.0, float(np.abs(delta).max()))
     return line, delta, weights
 
 

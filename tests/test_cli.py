@@ -119,6 +119,12 @@ class TestFidelityCommand:
         code, out, _ = run(capsys, "fidelity", "--theta", "4pi", "--bb1")
         assert (code, out) == (0, "F=1.00000000000e+00 1-F=0.00000000000e+00\n")
 
+    def test_bb1_overflowing_angle_exit_2(self, capsys):
+        # the engine's one overflow message, as on every other entry
+        code, out, err = run(capsys, "fidelity", "--theta", "1pi", "--epsilon", "1e308", "--bb1")
+        assert (code, out) == (2, "")
+        assert err == "error: a pulse's rotation angle theta * (1 + epsilon) must be finite\n"
+
     def test_bb1_offset_of_a_quarter_turn_exit_2(self, capsys):
         code, _, err = run(capsys, "fidelity", "--theta", "1pi", "--bb1", "--dphi1", "0.5pi")
         assert code == 2
