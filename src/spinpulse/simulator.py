@@ -391,8 +391,8 @@ def _extracted_sums(products: np.ndarray, top: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-# The relative slack of rabi_trace's two rules: the samples k * step <= max_angle
-# * _RABI_SLACK, each run as floor(theta / pi * _RABI_SLACK) BB1 pi blocks
+# The relative slack of rabi_trace's two rules: it samples each k * step at
+# most max_angle * _RABI_SLACK, as floor(theta / pi * _RABI_SLACK) BB1 pi blocks
 _RABI_SLACK = 1 + 1e-12
 
 
