@@ -536,7 +536,10 @@ def eseem_ratio(spec: EseemRatioSpec) -> float:
     twice the magic angle it is ``sqrt(2) / t``, which diverges as the
     pulse becomes perfect because the doubled component vanishes there.
     The magic-angle form is returned as printed, so its sign follows the
-    sign of ``t``; take the magnitude if only sizes matter.
+    sign of ``t``; take the magnitude if only sizes matter.  Both forms are
+    taken as given, not derived or simulated here (a non-selective spin-3/2
+    Hahn echo does not reproduce them), and an inversion of the ratio into
+    a pulse error (ROADMAP item 9) inherits them.
     """
     t = spec.theta_eps
     if spec.mode == "magic" and t == 0.0:

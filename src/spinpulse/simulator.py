@@ -9,12 +9,12 @@ identity and returns only their final propagators, and ``propagate``,
 ``rabi_trace``, ``echo_train`` and the analysis fidelities all run
 through it.  A propagator is its Cayley-Klein pair ``(a, b)``, the first
 row of ``[[a, b], [-conj(b), conj(a)]]``: pairs compose in four complex
-products (``_compose``), and one power rule (``_power``) raises a
-``Repeat`` and a Rabi trace's BB1 block.  States and matrices appear
-only at the public boundary (``propagate``); the experiments read their
-samples from pairs.  Its pulse pairs come from the one batched rotation
-formula in ``su2``, and its members are the rows of
-``errors.ensemble_nodes``, the one member representation.  Ensemble
+products (``_compose``), and a ``Repeat`` is raised by squaring
+(``_power``).  States and matrices appear only at the public boundary
+(``propagate``); the experiments read their samples from pairs.  Its
+pulse pairs come from the one batched rotation formula in ``su2``, and
+its members are the rows of ``errors.ensemble_nodes``, the one member
+representation.  Ensemble
 reductions are correctly rounded, each the value ``math.fsum`` returns
 (``_weighted_sums``: ``math.fsum`` per row on small blocks, certified
 error-free extraction in numpy on large ones), so they do not depend on
@@ -37,11 +37,9 @@ Experiments:
   half.
 
 Both experiments are block kernels: they build their repeated block once
-on the engine and then advance by products.  ``rabi_trace`` raises the
-BB1 pi-block pair to each new block count by the power rule, takes the
-remainder rotations of many samples in one batched ``_rotations`` call,
-keeps their images of spin-up, and composes them, a slice at a time,
-with a table of the slice's block powers in one product.  The echo kernel
+on the engine and read every sample from its rotation in closed form
+(Rodrigues' formula): ``rabi_trace`` turns each remainder pulse's image
+of spin-up by ``n`` BB1 pi blocks in real arithmetic.  The echo kernel
 (``_echo_amplitudes``) runs one cycle, one rotor and a readout per
 mode: CPMG shifts every refocusing phase by pi/2 and every delay is a
 z-rotation, so the CPMG cycle is the CP cycle conjugated by Rz(pi/2),
@@ -126,11 +124,10 @@ MAX_MEMBER_ECHOES = 2**23
 # (16 B, at most 64 kB a slice), plus each mode's signed <sy> of the slice
 # and its reduction.  A fit's 31-error grid at n = 32 (16 kept echoes of
 # 31 x 17 members, CP and CPMG, sliced 5 + 5 + 6) peaks at 0.31 MB traced.
-# A Rabi trace slice keeps the pairs of its rotations, 24 B per
-# member-sample; a BB1 slice peaks in its one _compose at 128 B per
-# member-sample (the rotation pair and the gathered power pair, 64 B, and
-# the product's pair and temporaries, 64 B): a 41-node BB1 trace to 40 pi
-# (80 + 81 samples) peaks at 0.44 MB traced.
+# A Rabi trace slice keeps its -<sz> rows, 8 B per member-sample, read
+# from one cosine (simple, 16 B at its peak) or gathered from per-slice
+# tables (BB1, 32 B); its reduction adds 40 B: a 41-node BB1 trace to 40 pi
+# (80 + 81 samples) peaks at 0.21 MB traced.
 _SLICE_MEMBER_ECHOES = 2**12
 
 # Products per block from which _weighted_sums reduces by certified
@@ -420,34 +417,38 @@ def rabi_trace(
     epsilon)`` that is not finite on its nodes, before any rotation is.
 
     Sample ``theta_k = n*pi + r`` runs ``bb1_rabi_program(n, r)`` (``n =
-    floor(theta_k / pi)`` within a relative 1e-12, as the sampling rule, so
-    a multiple of pi runs whole blocks at any block count; ``n = 0`` for
-    simple pulses) as ``B**n R(r)``, with ``B`` the BB1 pi-block
-    pair built once per call.  ``n`` never decreases along the trace, so
-    ``B**n`` is a running product: a gap of ``g`` new blocks multiplies it
-    by ``B**g``, raised by squaring as a ``Repeat`` is (``_power``), so K
-    samples reaching n blocks cost O(K log n) pair products per member.
+    floor(theta_k / pi)`` within a relative 1e-12, as the sampling rule,
+    so a multiple of pi runs whole blocks at any block count), read by
+    Rodrigues' formula in real arithmetic: ``R(r)`` takes spin-up to ``v =
+    (0, sin x, cos x)``, ``x = r (1 + eps)``, and ``n`` blocks of the BB1
+    pi-block pair ``(a, b)``, built once on the engine, turn ``v`` by ``2n
+    alpha`` about ``k = (Im b, Re b, Im a) / sin alpha`` (``sin alpha =
+    hypot(Im a, |b|)``, ``alpha = atan2(sin alpha, Re a)``, ``k = 0`` for a
+    block of exactly +-I), so ``-<sz> = -(kz (k.v) + (vz - kz (k.v)) cos 2n
+    alpha - kx vy sin 2n alpha)``.  A simple trace reads ``-cos(theta_k (1
+    + eps))``.
 
-    The sample grid ``k * step``, the block counts and the remainders are
-    built in numpy, by the same IEEE operations as for one sample alone,
-    the grid by the sampling rule itself: the ``k * step``, k up to
-    ``int(bound / step) + 1``, within its bound ``max_angle * (1 + 1e-12)``.
-    The samples run as a block, cut by the block kernels' slice rule
-    (``_slices``: 121 samples on 41 nodes run as 60 + 61).  A slice's
-    remainder rotations are one batched ``_rotations`` call of pairs ``(cos
-    h, i sin h)``, ``h = r(1+eps)/2``, each also its rotation's image of
-    spin-up; the running power is advanced to each block count of the
-    slice in turn and written to a per-slice table, one row per count, and
-    the rotations are composed with one table row per sample in one
-    ``_compose`` call; and ``-<sz> = |b|^2 - |a|^2`` of each pair is
-    reduced to each sample's correctly rounded sum (``_weighted_sums``: a
-    slice of at least ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples, such
-    as every slice of a 41-node trace of 25 samples or more, by certified
-    error-free extraction, whose every sample is ``math.fsum``'s value; a
-    smaller one by ``math.fsum`` per sample).  Each sample equals, bit for bit, the power composed with ``R(r)``'s
-    pair and reduced by ``math.fsum`` for that sample alone, and a trace
-    costs one numpy round per slice, plus the products that raise the
-    power to each new block count when ``use_bb1`` is set.
+    The sample grid ``k * step``, k up to ``int(bound / step) + 1``, within
+    ``bound = max_angle * (1 + 1e-12)``, its block counts and remainders
+    are built in numpy by the IEEE operations of one sample alone, and run
+    as a block cut by the block kernels' slice rule (``_slices``: 121
+    samples on 41 nodes run as 60 + 61).  A BB1 slice takes its
+    trigonometry once per distinct remainder and block count (at most 12
+    and 21 on 41 nodes to 40 pi in 0.25 pi steps) and gathers one row of
+    each per sample.  Each sample's row is reduced to its correctly rounded
+    sum (``_weighted_sums``: certified extraction from
+    ``_EXTRACTED_SUM_MIN_PRODUCTS`` member-samples a slice, ``math.fsum``
+    below), so each sample equals, bit for bit, its reading taken alone and
+    reduced by ``math.fsum``.
+
+    A BB1 sample of ``n`` blocks lies within ``(56 n + 64) 2**-53`` (times
+    the weights' sum) of ``-<sz>`` of the normalized state of a 40-digit
+    product of the same float pulse pairs: the engine's block pair lies
+    within ``18 * 2**-53`` of its pulses' exact product, which turns the
+    Bloch vector by at most twice that per block; the reading of ``2n
+    alpha`` adds ``(12 + 2 pi) n 2**-53`` (two hypots, the atan2 and the
+    product ``n * 2 alpha``); the axis, the trigonometry, the readout and
+    the reduction stay under ``64 * 2**-53``.
     """
     if not (step > 0) or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -466,42 +467,35 @@ def rabi_trace(
     if ensemble.detuning_dist != DELTA_ZERO:
         raise ValueError("rabi_trace runs no delay; its detuning_dist must be DELTA_ZERO")
     eps, delta, weights = ensemble_nodes(ensemble).T
+    grow = 1.0 + eps
     # the pulses a trace runs: the BB1 block (at most 2pi), or its last sample's
     pulses = bb1_sequence(math.pi) if use_bb1 else [Pulse(float(thetas[-1]), 0.0)]
-    _refuse_overflow(pulses, float(np.abs(1.0 + eps).max()), 0.0)
-    r = thetas - ns * math.pi
-    r[r <= 1e-15] = 0.0
+    _refuse_overflow(pulses, float(np.abs(grow).max()), 0.0)
     if use_bb1:
-        block = _propagate_nodes(pulses, NO_ERROR, eps, delta)
-        power, blocks = (1.0, 0.0), 0  # the pair of B**n
-        # each sample's run of equal block counts, and each run's count
-        first = np.empty(count, bool)
-        first[0] = True
-        np.not_equal(ns[1:], ns[:-1], out=first[1:])
-        run = np.cumsum(first) - 1
-        counts = ns[first].astype(int).tolist()
+        r = thetas - ns * math.pi
+        r[r <= 1e-15] = 0.0
+        # the block's pair (a, b) turns the Bloch vector by 2 alpha about k (0 for +-I)
+        a, b = _propagate_nodes(pulses, NO_ERROR, eps, delta)
+        sin_a = np.hypot(a.imag, np.abs(b))
+        turn = 2.0 * np.arctan2(sin_a, a.real)
+        kx, ky, kz = np.array([b.imag, b.real, a.imag]) / np.where(sin_a > 0, sin_a, np.inf)
 
     samples, xs = [], thetas.tolist()
     for cut in _slices(count, eps.size):
-        # the image of spin-up of a pair (u, v) is its matrix's first column (u, -conj(v))
-        u, v = _rotations(r[cut, None], 0.0, eps)
-        if use_bb1:
-            # B**n of each of the slice's runs, then one row per sample,
-            # gathered contiguous (a strided gather costs _compose a temporary)
-            lo, hi = run[cut.start], run[cut.stop - 1] + 1
-            table = np.empty((2, hi - lo, eps.size), complex)
-            for row, n in enumerate(counts[lo:hi]):
-                if n > blocks:
-                    power, blocks = _power(*block, n - blocks, *power), n
-                table[0, row], table[1, row] = power
-            powers, u = np.take(table, run[cut] - lo, axis=1), u.astype(complex)
-            del table  # _compose, where a slice peaks, holds only its operands
-            u, v = _compose(*powers, u, v)
-            del powers
-        sz = np.abs(u) ** 2 - np.abs(v) ** 2
-        del u, v  # the slice's pairs are not held through its reduction
-        samples.extend(zip(xs[cut], _weighted_sums(weights, -sz)))
-        del sz  # nor is its sz through the next slice's _compose
+        if not use_bb1:
+            minus_sz = -np.cos(thetas[cut, None] * grow)
+        else:
+            # v = (0, sin x, cos x) per distinct remainder, 2n alpha per distinct count
+            rs, at = np.unique(r[cut], return_inverse=True)
+            n_s, n_at = np.unique(ns[cut], return_inverse=True)
+            x = rs[:, None] * grow
+            vy, vz = np.sin(x), np.cos(x)
+            kz_kv = kz * (ky * vy + kz * vz)
+            phase = n_s[:, None] * turn
+            minus_sz = (kx * vy)[at] * np.sin(phase)[n_at]
+            minus_sz -= kz_kv[at]
+            minus_sz -= (vz - kz_kv)[at] * np.cos(phase)[n_at]
+        samples.extend(zip(xs[cut], _weighted_sums(weights, minus_sz)))
 
     return Signal(
         axis_label="theta",

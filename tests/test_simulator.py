@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -517,6 +518,43 @@ class TestRabi:
         sig = rabi_trace(max_angle, step, spec, use_bb1=True)
         assert max_reference_miss(sig, spec) < 1e-13
 
+    @pytest.mark.parametrize(
+        "sigma,nodes,max_angle,step",
+        [
+            (0.12, 9, 40 * math.pi, 0.037 * math.pi),
+            (0.05, 41, 40 * math.pi, 0.25 * math.pi),
+            (0.01, 41, 20 * math.pi, 3.5),
+            (0.08, 9, 6.5, 0.3),
+        ],
+    )
+    def test_bb1_samples_within_the_stated_bound(self, sigma, nodes, max_angle, step):
+        mp = pytest.importorskip("mpmath")
+        spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=nodes)
+        assert_within_rabi_bound(mp, rabi_trace(max_angle, step, spec, use_bb1=True), spec)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            Gaussian(-1.0, 0.05),  # its centre node is eps = -1
+            Discrete(((-1.0, 0.5), (0.0, 0.5))),
+            Discrete(((1.0, 1.0),)),
+            Discrete(((3.0, 1.0),)),
+        ],
+    )
+    def test_blocks_at_plus_or_minus_identity(self, dist):
+        # at eps = -1 every pulse turns by 0, so the block is I exactly and
+        # has no axis; at eps = 1 and 3 it is -I and I within rounding, its
+        # axis set by the rounding alone
+        mp = pytest.importorskip("mpmath")
+        spec = EnsembleSpec(dist, nodes=41)
+        eps = ensemble_nodes(spec)[:, 0]
+        assert -1.0 in eps or eps.min() >= 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = rabi_trace(6 * math.pi, 0.25 * math.pi, spec, use_bb1=True)
+        assert len(sig.samples) == 25
+        assert_within_rabi_bound(mp, sig, spec)
+
     def test_detuning_distribution_rejected_before_nodes(self, monkeypatch):
         # a trace runs no delay: a detuning spread would multiply the
         # members for nothing
@@ -540,23 +578,23 @@ class TestRabi:
         assert sig.provenance["program"] == "simple"
 
     def test_bb1_trace_with_multi_block_gaps(self):
-        # 410 blocks between samples: the block power is raised by
-        # squaring, not by 410 running products
+        # 410 blocks between samples, each sample read at its own count
+        mp = pytest.importorskip("mpmath")
         sig = rabi_trace(4096 * math.pi, 409.6 * math.pi, GAUSS5, use_bb1=True)
         assert len(sig.samples) == 11
-        assert max_reference_miss(sig, GAUSS5) < 1e-11
+        assert_within_rabi_bound(mp, sig, GAUSS5)
 
     def test_bb1_block_count_at_a_large_multiple_of_pi(self):
         # 20870 pi / pi computes as 20870 - 3.6e-12, further below 20870
         # than an absolute 1e-12 reaches: the sample is 20870 blocks, not
-        # 20869 and a simple pi pulse
+        # 20869 and a simple pi pulse, which reads 7e-3 away
+        mp = pytest.importorskip("mpmath")
         spec = EnsembleSpec(Gaussian(0.0, 0.01), nodes=41)
         sig = rabi_trace(20870 * math.pi, 20870 * math.pi, spec, use_bb1=True)
-        eps, delta, weights = ensemble_nodes(spec).T
-        a, b = _propagate_nodes(bb1_rabi_program(20870, 0.0).elements, NO_ERROR, eps, delta)
-        want = math.fsum((weights * (np.abs(b) ** 2 - np.abs(a) ** 2)).tolist())
         assert len(sig.samples) == 2
-        assert abs(sig.samples[1][1] - want) < 1e-13
+        assert_within_rabi_bound(mp, sig, spec)
+        (short,) = mp_rabi_samples(mp, [(20869, math.pi)], spec)
+        assert abs(sig.samples[1][1] - short) > 5e-3
 
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize(
@@ -573,7 +611,7 @@ class TestRabi:
     def test_trace_equals_engine_samples_bitwise(self, max_angle, step, spec, use_bb1):
         # the last case holds more members than a slice: one sample per slice
         got = rabi_trace(max_angle, step, spec, use_bb1).samples
-        assert list(got) == engine_rabi_samples(max_angle, step, spec, use_bb1)
+        assert list(got) == rodrigues_rabi_samples(max_angle, step, spec, use_bb1)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -598,14 +636,15 @@ class TestRabi:
         max_angle = (samples - 1) * step
         got = rabi_trace(max_angle, step, spec, use_bb1).samples
         assert len(got) == samples
-        assert list(got) == engine_rabi_samples(max_angle, step, spec, use_bb1)
+        assert list(got) == rodrigues_rabi_samples(max_angle, step, spec, use_bb1)
 
     def test_memory_stays_within_the_per_sample_loop(self):
         # 2^14 members, beyond a slice: each sample is its own slice; one
         # block of all 41 samples peaks at 70 MB (simple) and 130 MB (BB1)
         spec = EnsembleSpec(sampled(Gaussian(0.0, 0.05), 2**14, 1))
         # the running per-sample product peaked at 2.894 MB (simple) and
-        # 4.989 MB (BB1) traced on this trace (Python 3.11.7, numpy 2.4.6)
+        # 4.989 MB (BB1) traced on this trace, and the sliced Rodrigues
+        # reading peaks at 1.978 and 3.822 MB (Python 3.11.7, numpy 2.4.6)
         for use_bb1, parent_peak in ((False, 2.894e6), (True, 4.989e6)):
             tracemalloc.start()
             try:
@@ -616,12 +655,13 @@ class TestRabi:
             assert peak <= parent_peak
 
     def test_bb1_slice_holds_one_column_per_member_sample(self):
-        # 41 nodes to 40 pi, two slices: a slice keeps only the pairs of its
-        # rotations, one spin-up column's worth, and composes them with one
-        # gathered power pair per sample in one _compose call (0.443 MB
-        # traced); composing each run of one block count in place peaked at
-        # 0.231 MB, and full rotations plus a gathered per-sample matrix
-        # stack at 0.859 MB traced (Python 3.11.7, numpy 2.4.6)
+        # 41 nodes to 40 pi, two slices: a slice reads its samples from
+        # tables of its distinct remainders and block counts, gathered per
+        # sample (0.208 MB traced); one _compose of the slice's rotation
+        # pairs with a gathered power pair per sample peaked at 0.443 MB,
+        # each run of one block count composed in place at 0.231 MB, and
+        # full rotations plus a gathered per-sample matrix stack at 0.859 MB
+        # (Python 3.11.7, numpy 2.4.6)
         tracemalloc.start()
         try:
             rabi_trace(40 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=True)
@@ -630,19 +670,25 @@ class TestRabi:
             tracemalloc.stop()
         assert peak <= 0.6e6
 
-    def test_one_compose_per_slice(self, monkeypatch):
-        # 41 nodes to 40 pi, 80 + 81 samples: beside the block's propagation
-        # and its powers, each slice is composed with its powers at once
-        compose, callers = simulator._compose, []
+    def test_no_pair_product_beyond_the_block(self, monkeypatch):
+        # 41 nodes to 40 pi, 80 + 81 samples: the block's own propagation
+        # composes its pulses, and every sample is read from its rotation
+        callers = []
 
-        def spy(*pairs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return compose(*pairs)
+        def spy(name):
+            kernel = getattr(simulator, name)
 
-        monkeypatch.setattr(simulator, "_compose", spy)
+            def recorded(*args):
+                callers.append((name, sys._getframe(1).f_code.co_name))
+                return kernel(*args)
+
+            monkeypatch.setattr(simulator, name, recorded)
+
+        spy("_compose")
+        spy("_power")
         sig = rabi_trace(40 * math.pi, 0.25 * math.pi, GAUSS5, use_bb1=True)
         assert len(sig.samples) == 161
-        assert [c for c in callers if c not in ("_power", "_propagate_nodes")] == ["rabi_trace"] * 2
+        assert callers == [("_compose", "_propagate_nodes")] * len(bb1_sequence(math.pi))
 
 
 def split_sample(theta, use_bb1=True):
@@ -654,29 +700,103 @@ def split_sample(theta, use_bb1=True):
     return n, r if r > 1e-15 else 0.0
 
 
-def engine_rabi_samples(max_angle, step, spec, use_bb1):
-    """A Rabi trace sample by sample: sample theta = n*pi + r is the
-    running power B**n of the engine's BB1 pi-block propagator B (``n = 0``
-    for simple pulses), raised gap by gap by the engine's pair power rule,
-    composed with R(r)'s pair, whose first column is the image of spin-up,
-    and reduced on its own."""
+def rodrigues_rabi_samples(max_angle, step, spec, use_bb1):
+    """A Rabi trace sample by sample, each read on its own and reduced by
+    ``math.fsum`` (``rodrigues_rabi_products``)."""
+    products = rodrigues_rabi_products(max_angle, step, spec, use_bb1)
+    return [(theta, math.fsum(row.tolist())) for theta, row in products]
+
+
+def rodrigues_rabi_products(max_angle, step, spec, use_bb1):
+    """A Rabi trace's weighted ``-<sz>`` rows, sample by sample, each read
+    on its own: a simple pulse takes spin-up to ``-<sz> = -cos(theta (1 +
+    eps))``; a BB1 sample's remainder pulse R(r) takes it to the Bloch
+    vector v = (0, sin x, cos x), x = r (1 + eps), and n pi blocks of the
+    engine's pair (a, b) turn v by 2 n alpha about k = (Im b, Re b, Im a) /
+    sin alpha (0 where sin alpha = 0), sin alpha = hypot(Im a, |b|), alpha
+    = atan2(sin alpha, Re a), so by Rodrigues' formula ``-<sz> = -(kz (k.v)
+    + (vz - kz (k.v)) cos 2n alpha - kx vy sin 2n alpha)``."""
     thetas = []
     while len(thetas) * step <= max_angle * (1 + 1e-12):
         thetas.append(len(thetas) * step)
     eps, delta, weights = ensemble_nodes(spec).T
-    block = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta)
-    (a, b), blocks = (1.0, 0.0), 0
+    a, b = _propagate_nodes(bb1_sequence(math.pi), NO_ERROR, eps, delta)
+    sin_a = np.hypot(a.imag, np.abs(b))
+    turn = 2.0 * np.arctan2(sin_a, a.real)
+    axis = np.array([b.imag, b.real, a.imag])
+    kx, ky, kz = np.divide(axis, sin_a, out=np.zeros_like(axis), where=sin_a > 0.0)
     samples = []
     for theta in thetas:
-        n, remainder = split_sample(theta, use_bb1)
-        if n > blocks:
-            (a, b), blocks = simulator._power(*block, n - blocks, a, b), n
-        u, v = _rotations(remainder, 0.0, eps)
         if use_bb1:
-            u, v = simulator._compose(a, b, u.astype(complex), v)
-        sz = np.abs(u) ** 2 - np.abs(v) ** 2
-        samples.append((theta, math.fsum((weights * -sz).tolist())))
+            n, remainder = split_sample(theta)
+            x = remainder * (1.0 + eps)
+            vy, vz = np.sin(x), np.cos(x)
+            parallel = kz * (ky * vy + kz * vz)
+            phase = n * turn
+            minus_sz = kx * vy * np.sin(phase) - parallel - (vz - parallel) * np.cos(phase)
+        else:
+            minus_sz = -np.cos(theta * (1.0 + eps))
+        samples.append((theta, weights * minus_sz))
     return samples
+
+
+def mp_rabi_samples(mp, blocks_and_remainders, spec):
+    """40-digit BB1 Rabi samples, one per ``(n, r)``: the engine's float
+    pulse pairs (``_rotations``) of the BB1 pi block, raised to n by
+    squaring, times the remainder pulse's, applied to spin-up, with
+    ``-<sz>`` read from the normalized state (the float pairs are unitary
+    only to rounding) and averaged with the ensemble's weights."""
+    eps, _, weights = ensemble_nodes(spec).T
+    remainders = np.array([r for _, r in blocks_and_remainders])
+    rem_c, rem_p = _rotations(remainders[:, None], 0.0, eps)
+
+    def compose(second, first):
+        (a2, b2), (a1, b1) = second, first
+        return a2 * a1 - b2 * mp.conj(b1), a2 * b1 + b2 * mp.conj(a1)
+
+    def pair(c, p):
+        return mp.mpf(float(c)), mp.mpc(complex(p))
+
+    def power(square, n):
+        out = (mp.mpf(1), mp.mpf(0))
+        while n:
+            out = compose(square, out) if n & 1 else out
+            n >>= 1
+            square = compose(square, square)
+        return out
+
+    sums = [mp.mpf(0)] * len(remainders)
+    with mp.workdps(40):
+        for m, e in enumerate(eps.tolist()):
+            block = (mp.mpf(1), mp.mpf(0))
+            for pulse in bb1_sequence(math.pi):
+                (c,), (p,) = _rotations(pulse.theta, pulse.phi, np.array([e]))
+                block = compose(pair(c, p), block)
+            powers = {}
+            for j, (n, _) in enumerate(blocks_and_remainders):
+                if n not in powers:
+                    powers[n] = power(block, n)
+                a, b = compose(powers[n], pair(rem_c[j, m], rem_p[j, m]))
+                up, down = abs(a) ** 2, abs(b) ** 2
+                sums[j] += mp.mpf(float(weights[m])) * (down - up) / (up + down)
+    return sums
+
+
+def rabi_bound(n):
+    """The stated bound of a BB1 Rabi sample of n pi blocks against the
+    40-digit reference of the same float pulses, weights summing to 1 (see
+    ``rabi_trace``)."""
+    return (56 * n + 64) * 2.0**-53
+
+
+def assert_within_rabi_bound(mp, sig, spec):
+    """Every sample of the BB1 trace ``sig`` within its stated bound of the
+    40-digit reference, scaled by the sum of the weights' magnitudes."""
+    split = [split_sample(theta) for theta, _ in sig.samples]
+    scale = math.fsum(np.abs(ensemble_nodes(spec)[:, 2]).tolist())
+    for (theta, value), (n, _), want in zip(sig.samples, split, mp_rabi_samples(mp, split, spec)):
+        miss = abs(mp.mpf(value) - want)
+        assert miss <= rabi_bound(n) * scale, (theta, float(miss))
 
 
 def max_reference_miss(sig, spec):
@@ -1531,6 +1651,14 @@ def cancelling_rows(rng, count, members):
     return rows
 
 
+def exact_sum_at_a_tie(terms):
+    """Whether the exact sum of ``terms`` is 0 or lies halfway between two
+    floats, where ``math.fsum`` rounds to even and no certificate decides."""
+    exact, rounded = sum(map(Fraction, terms)), math.fsum(terms)
+    beside = math.nextafter(rounded, math.copysign(math.inf, exact - Fraction(rounded)))
+    return exact == 0 or 2 * exact == Fraction(rounded) + Fraction(beside)
+
+
 def rabi_half_period_rows(count):
     """The 41 Gauss-Hermite weights of sigma 0.02 and the -<sz> of a
     simple pulse at (k + 1/2) pi on their nodes, k < count: each weighted
@@ -1637,8 +1765,10 @@ class TestWeightedSums:
     @pytest.mark.parametrize("use_bb1", [False, True])
     def test_nutation_traces_take_no_row_fallback(self, monkeypatch, sigma, max_pi, use_bb1):
         # both slices of a 41-node trace to 20 or 40 pi hold at least the
-        # threshold's products, so every sample is certified: math.fsum is
-        # never called (a sub-threshold echo block shows the count works)
+        # threshold's products, so every sample is certified, and math.fsum
+        # is never called, but on a sample whose exact sum is 0 or a rounding
+        # tie, which no certificate decides (one, the simple trace's 2.5 pi
+        # at sigma 0.02; a sub-threshold echo block shows the count works)
         calls = []
 
         class CountingMath:
@@ -1652,7 +1782,9 @@ class TestWeightedSums:
         monkeypatch.setattr(simulator, "math", CountingMath())
         spec = EnsembleSpec(Gaussian(0.0, sigma), nodes=41)
         trace = rabi_trace(max_pi * math.pi, 0.25 * math.pi, spec, use_bb1)
-        assert calls == []
-        assert list(trace.samples) == engine_rabi_samples(max_pi * math.pi, 0.25 * math.pi, spec, use_bb1)
+        products = rodrigues_rabi_products(max_pi * math.pi, 0.25 * math.pi, spec, use_bb1)
+        ties = sum(exact_sum_at_a_tie(row.tolist()) for _, row in products)
+        assert len(calls) == ties == (not use_bb1 and sigma == 0.02)
+        assert list(trace.samples) == [(theta, math.fsum(row.tolist())) for theta, row in products]
         echo_train("cp", 4, 0.1)
-        assert len(calls) == 4
+        assert len(calls) == ties + 4
