@@ -13,16 +13,17 @@ direct computation.
 
 ``estimate_rotation_error`` recovers the refocusing-pulse amplitude
 error from a CP/CPMG echo-train pair by fitting the per-even-echo ratio
-against the simulator's own decay model: a coarse grid, ranked on one
-bounded plain-sum echo block and reduced exactly only where the bound
-cannot decide, then Gauss-Newton steps in ``s = eps**2`` (the ratio is
-even in ``eps``) of one three-error block each.  Each block carries both
-modes from one echo-kernel run: CPMG shifts every refocusing phase by
-pi/2, so its cycle is the CP cycle conjugated by Rz(pi/2), with the same
-rotation angle and so the same rotor; only the readout differs.  The
-output is deterministic, and noise-free trains are recovered to
-rounding, to 1e-9 at ``eps = 0``, from n = 4 to 96 (from n = 128 the
-coarse grid can miss the minimum; see ``estimate_rotation_error``).
+against the simulator's own decay model, in stages: an exact coarse
+grid on the first ``min(n, 8)`` echoes, one block, then Gauss-Newton
+steps in ``s = eps**2`` (the ratio is even in ``eps``) of one
+three-error block each, on those echoes and then on twice as many per
+stage up to n, each stage starting from the last one's estimate.  Each
+block carries both modes from one echo-kernel run: CPMG shifts every
+refocusing phase by pi/2, so its cycle is the CP cycle conjugated by
+Rz(pi/2), with the same rotation angle and so the same rotor; only the
+readout differs.  The output is deterministic, and noise-free trains
+are recovered to rounding, to 1e-9 at ``eps = 0``, from n = 4 to 4095,
+the longest default-line pair.
 Dividing by CPMG removes any decay shared by both trains, such as a T2
 envelope.
 """
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -139,7 +139,8 @@ def scan_order(
     to 6 (the surviving leading order), an uncorrected pulse close to 2.
 
     Returns ``(scan, slope)``; ``slope`` is None when the scan is
-    degenerate (all infidelities below 1e-15, e.g. a zero-angle target).
+    degenerate: fewer than two infidelities above ``DEGENERATE_INFIDELITY``
+    = 1e-15, the only points the fit takes (a zero-angle target has none).
     """
     lo, hi = eps_range
     if not (0.0 < lo < hi <= 0.3):
@@ -290,31 +291,15 @@ def ensemble_mean_fidelity(sigma_theta: float) -> float:
 
 
 def _model_ratio(
-    eps: np.ndarray, n: int, tau: float, delta: np.ndarray, weights: np.ndarray,
-    bounded: bool = False,
-):
+    eps: np.ndarray, n: int, tau: float, delta: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
     """Even-echo CP/CPMG ratios of the simple-pulse model on the detuning
     nodes ``delta`` with ``weights``, one row per amplitude error in
     ``eps``: one echo-kernel run for both modes, which builds the CP cycle
     once, advances one rotor and reads each mode's even echoes from it
-    (the CPMG cycle is the CP cycle conjugated by Rz(pi/2)).
-
-    With ``bounded``, the blocks reduce by bounded plain sums, and the
-    result is the pair ``(lo, hi)`` of ends that enclose each ratio: the
-    lower CP end over the upper CPMG end, and the upper over the lower.
-    Both ends are NaN where the lower CPMG end is not positive."""
-    blocks = _echo_amplitudes(("cp", "cpmg"), n, eps, delta, weights, False, tau, 2, bounded)
-    if not bounded:
-        cp, cpmg = blocks
-        return cp / cpmg
-    (cp, cpmg), (cp_err, cpmg_err) = blocks
-    # round-to-nearest is monotone: a quotient of ends encloses the exact quotient
-    below = cpmg - cpmg_err
-    known = below > 0.0
-    lo, hi = np.full(cp.shape, np.nan), np.full(cp.shape, np.nan)
-    np.divide(np.maximum(cp - cp_err, 0.0), cpmg + cpmg_err, out=lo, where=known)
-    np.divide(cp + cp_err, below, out=hi, where=known)
-    return lo, hi
+    (the CPMG cycle is the CP cycle conjugated by Rz(pi/2))."""
+    cp, cpmg = _echo_amplitudes(("cp", "cpmg"), n, eps, delta, weights, False, tau, 2)
+    return cp / cpmg
 
 
 FIT_COARSE_POINTS = 31
@@ -328,12 +313,15 @@ FIT_STEP_TOL = 1e-12
 
 # Largest RMS misfit of the even-echo ratios a fit may return.  Noise-free
 # trains fit to below 2e-14, eps = 0 included (n 4-64, tau 0.5-1.5, eps
-# 0-0.29, with and without T2; every default-line pair at n = 96, tau 0.7
-# and 1.0, eps 0.005-0.295); trains recorded on another detuning ensemble,
-# or with an error beyond eps_max, leave about 0.1.  From n = 128 the fit
-# fails on some noise-free pairs inside eps_max (see
-# estimate_rotation_error).
+# 0-0.29, with and without T2; every default-line pair at n = 96 to 1000,
+# tau 0.7 and 1.0, eps 0.005-0.295, which the stages from 8 echoes reach
+# from a grid coarser than the basin of all n); trains recorded on another
+# detuning ensemble, or with an error beyond eps_max, leave about 0.1.
 FIT_MAX_RESIDUAL = 1e-2
+
+# Echoes of a fit's first stage, whose whole exact grid is one block of 4
+# kept echoes on 5 members; the later stages double them up to n
+_FIT_FIRST_ECHOES = 8
 
 
 def _gauss_newton(misfit, s: float, lo: float, hi: float) -> float:
@@ -361,98 +349,57 @@ def _gauss_newton(misfit, s: float, lo: float, hi: float) -> float:
                      "likely an ensemble mismatch, or an error beyond eps_max")
 
 
-def _grid_start(
-    grid: np.ndarray, data_ratio: np.ndarray, n: int, tau: float, delta: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[int, Callable[[], int]]:
-    """The grid index a fit starts from, ``np.argmin`` of the exact costs
-    ``np.mean((_model_ratio(grid, ...) - data_ratio) ** 2, axis=1)``, and a
-    call that returns the neighbour a second start takes: the one of lower
-    exact cost, the lower index on a tie.
-
-    Each cost is enclosed by the same expression taken on the bounded
-    ratio ends (round-to-nearest is monotone; a misfit interval that holds
-    0 squares to 0, and a NaN end gives ``[0, inf]``).  Only the points
-    whose lower end is at most the smallest upper end can be the minimum;
-    when there is more than one, they are reduced exactly in one block, the
-    others standing in as ``inf``.  A block row equals its error's row in
-    any block, and ``np.mean`` reduces each row on its own, so the start is
-    the exact grid's, its first-index and NaN rules included.  The
-    neighbours are reduced exactly only when the call is made.
-    """
-
-    def cost(points: np.ndarray) -> np.ndarray:
-        misfit = _model_ratio(grid[points], n, tau, delta, weights) - data_ratio
-        return np.mean(misfit**2, axis=1)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio_lo, ratio_hi = _model_ratio(grid, n, tau, delta, weights, bounded=True)
-        m_lo, m_hi = ratio_lo - data_ratio, ratio_hi - data_ratio
-        sq_lo, sq_hi = m_lo**2, m_hi**2
-        lo = np.mean(np.where((m_lo <= 0.0) & (m_hi >= 0.0), 0.0, np.minimum(sq_lo, sq_hi)), axis=1)
-        hi = np.mean(np.maximum(sq_lo, sq_hi), axis=1)
-    unknown = np.isnan(lo) | np.isnan(hi)
-    lo[unknown], hi[unknown] = 0.0, math.inf
-    (candidates,) = np.nonzero(lo <= hi.min())
-    if candidates.size == 1:
-        i = int(candidates[0])
-    else:
-        exact = np.full(grid.size, math.inf)
-        exact[candidates] = cost(candidates)
-        i = int(np.argmin(exact))
-
-    def neighbour() -> int:
-        if i == 0 or i == grid.size - 1:
-            return 1 if i == 0 else i - 1
-        below, above = cost(np.array([i - 1, i + 1])).tolist()
-        return i + 1 if above < below else i - 1
-
-    return i, neighbour
-
-
 def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> tuple[float, float]:
     """Best-fit refocusing-pulse amplitude error from a CP/CPMG pair.
 
     Fits the per-even-echo amplitude ratio CP/CPMG against the simulated
     simple-pulse decay model in ``|eps|``, whose echo blocks reduce only
-    the even echoes.  A ``FIT_COARSE_POINTS``-point grid on
-    ``[0, eps_max]``, ranked on bounded plain sums (``_grid_start``; the
-    start is the exact grid's best point, bit for bit), brackets the best
-    grid point by its neighbours, ``[lo, hi]``.  Gauss-Newton refines
-    from it in ``s = eps**2``, where the Jacobian of the even ratio does not
-    vanish at 0: each step runs ``sqrt`` of ``b, s, b + 2h`` as one block
-    (``h = FIT_STEP``, ``b = max(s - h, lo**2)``) and is clamped into
-    ``[lo**2, hi**2]``.  The fit ends at a step of at most ``FIT_STEP_TOL``
-    in ``eps``, at a bracket edge a clamped step does not leave, or at the
-    previous point when a step does not lower the cost; a vanishing
-    Jacobian or no end within ``FIT_MAX_STEPS`` raises ``ValueError``.  A
-    residual above 1e-12 is refined again from the better neighbour, the
-    lower residual kept: with n = 4 or 8 a minimum beside an echo's zero
-    crossing can hold the first start.  Noise-free trains are recovered
-    to 1e-12, and to 1e-9 at ``eps = 0``, up to n = 96.  From n = 128 the
-    minimum's basin, about +-0.004 in ``eps`` at n = 128, is narrower than
-    the grid step ``eps_max / 30``, and the grid can start the fit in
-    another valley: on noise-free default-line pairs (tau 0.7 and 1.0, eps
-    0.005-0.295 in steps of 0.01, ``eps_max = 0.3``) the fit raised
-    ``ValueError`` on 0/60 pairs at n = 96, 8/60 at 128, 36/60 at 160
-    and 60/60 at 200.  Any decay envelope common to both trains divides
-    out of the ratio.  For trains recorded with composite refocusing
-    pulses the estimate reads as the residual error of the corrected
-    rotation.
+    the even echoes, in stages of ``m`` echoes.  Echo k does not depend on
+    the echoes after it, and the default line of an m-cycle train is exact
+    for each of its echoes, so a stage fits the first m echoes of the pair
+    with the m-echo model on its own line.  The first stage takes ``m =
+    min(n, 8)``: the exact costs of a ``FIT_COARSE_POINTS``-point grid on
+    ``[0, eps_max]``, one block, give the best grid point (``np.argmin``,
+    the first on a tie), bracketed by its neighbours, ``[lo, hi]``.
+    Gauss-Newton refines from it in ``s = eps**2``, where the Jacobian of
+    the even ratio does not vanish at 0: each step runs ``sqrt`` of ``b,
+    s, b + 2h`` as one block (``h = FIT_STEP``, ``b = max(s - h,
+    lo**2)``) and is clamped into ``[lo**2, hi**2]``.  Each later stage
+    doubles ``m``, to at most n, and refines from the previous ``s`` in
+    ``[0, eps_max**2]``.  The minimum's basin narrows about as 1/m (+-0.004
+    in ``eps`` at m = 128, below the grid step ``eps_max / 30``), and a
+    stage's estimate lies inside the basin of twice as many echoes
+    (continuation in the echo count; Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, SIAM, 2003).  A refinement ends at a
+    step of at most ``FIT_STEP_TOL`` in ``eps``, at a bracket edge a
+    clamped step does not leave, or at the previous point when a step does
+    not lower the cost; a vanishing Jacobian or no end within
+    ``FIT_MAX_STEPS`` raises ``ValueError``.  A residual above 1e-12 is
+    fitted again, every stage, from the grid neighbour of lower cost (the
+    lower on a tie), the lower residual kept: with m = 4 or 8 a minimum
+    beside an echo's zero crossing can hold the first start.  Noise-free
+    default-line trains are recovered to 1e-12, and to 1e-9 at ``eps =
+    0``, from n = 4 to 4095: every pair at tau 0.7 and 1.0, eps 0.005-0.295
+    in steps of 0.01, fits at n = 128, 160, 200, 400 and 1000, where a
+    start on a grid of all n echoes refused 8, 36, 60 and 60 of the 60 at n
+    = 128, 160, 200 and 400.  Any decay envelope common to both trains
+    divides out of the ratio.  For trains recorded with composite
+    refocusing pulses the estimate reads as the residual error of the
+    corrected rotation.
 
     Both trains must sample the echo times ``t_k = 2*tau*k`` (to a
     relative 1e-9), with ``tau`` read from the first CP echo.
 
     Returns ``(eps_hat, residual)`` as floats, where ``residual`` is the
     RMS misfit of the even-echo ratios at the optimum, from one
-    ``echo_train`` pair.  A residual above ``FIT_MAX_RESIDUAL`` raises
-    ``ValueError``: the model does not describe the data, so ``eps_hat``
-    would be a wrong answer, and so does a residual that is NaN.  An
-    ``eps_max`` outside ``(0, 1)``, or a pair beyond a bound of
-    ``echo_train`` (``MAX_SAMPLES`` echoes, ``MAX_MEMBER_ECHOES``
-    member-echoes of the simple-pulse default line, which refuses
-    ``n > 4095``, a ``tau`` that is not finite and positive), raises
-    ``ValueError`` before any train is simulated.
+    ``echo_train`` pair of all n echoes.  A residual above
+    ``FIT_MAX_RESIDUAL`` raises ``ValueError``: the model does not describe
+    the data, so ``eps_hat`` would be a wrong answer, and so does a
+    residual that is NaN.  An ``eps_max`` outside ``(0, 1)``, or a pair
+    beyond a bound of ``echo_train`` (``MAX_SAMPLES`` echoes,
+    ``MAX_MEMBER_ECHOES`` member-echoes of the simple-pulse default line,
+    which refuses ``n > 4095``, a ``tau`` that is not finite and
+    positive), raises ``ValueError`` before any train is simulated.
     """
     if not 0.0 < eps_max < 1.0:
         raise ValueError(f"eps_max must lie in (0, 1), got {eps_max!r}")
@@ -472,17 +419,29 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
         raise ValueError("CPMG amplitudes must be positive to form the ratio")
     data_ratio = cp.values[1::2] / data_cpmg
 
-    def misfit(eps: np.ndarray) -> np.ndarray:
-        return _model_ratio(eps, n, tau, delta, weights) - data_ratio
+    def stage(m: int, line: tuple[np.ndarray, np.ndarray]):
+        """The misfit of the first ``m`` echoes on ``line``, that of ``m`` cycles."""
+        return lambda eps: _model_ratio(eps, m, tau, *line) - data_ratio[: m // 2]
+
+    echoes = [min(n, _FIT_FIRST_ECHOES)]
+    while echoes[-1] < n:
+        echoes.append(min(2 * echoes[-1], n))
+    # the full-n line, built above, serves the last stage
+    lines = [_echo_nodes(m, tau)[1:] for m in echoes[:-1]] + [(delta, weights)]
+    stages = [stage(m, line) for m, line in zip(echoes, lines)]
 
     grid = np.linspace(0.0, eps_max, FIT_COARSE_POINTS)
-    i, neighbour = _grid_start(grid, data_ratio, n, tau, delta, weights)
+    cost = np.mean(stages[0](grid) ** 2, axis=1)
+    i = int(np.argmin(cost))
     j_lo, j_hi = max(i - 1, 0), min(i + 1, FIT_COARSE_POINTS - 1)
     lo, hi = float(grid[j_lo]) ** 2, float(grid[j_hi]) ** 2
 
     def fit_from(j: int) -> tuple[float, float]:
-        """(residual, eps_hat) of the refinement from grid point ``j``."""
-        eps = math.sqrt(_gauss_newton(misfit, float(grid[j]) ** 2, lo, hi))
+        """(residual, eps_hat) of the stages from grid point ``j``."""
+        s = _gauss_newton(stages[0], float(grid[j]) ** 2, lo, hi)
+        for misfit in stages[1:]:
+            s = _gauss_newton(misfit, s, 0.0, eps_max**2)
+        eps = math.sqrt(s)
         fit_cp, fit_cpmg = (echo_train(mode, n, eps, tau=tau) for mode in ("cp", "cpmg"))
         model = fit_cp.values[1::2] / fit_cpmg.values[1::2]
         return math.sqrt(float(np.mean((model - data_ratio) ** 2))), eps
@@ -491,7 +450,10 @@ def estimate_rotation_error(cp: Signal, cpmg: Signal, eps_max: float = 0.3) -> t
     if residual > 1e-12:
         # echo magnitudes fold the model where an echo crosses zero, and a minimum
         # beside the fold can hold the first start; a second that fails is dropped
-        other = neighbour()
+        if i in (0, FIT_COARSE_POINTS - 1):
+            other = 1 if i == 0 else i - 1
+        else:
+            other = i + 1 if cost[i + 1] < cost[i - 1] else i - 1
         try:
             residual, eps_hat = min((residual, eps_hat), fit_from(other))
         except ValueError:

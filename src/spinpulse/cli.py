@@ -160,7 +160,7 @@ def cmd_scan(args) -> int:
     _emit_rows(args, rows, slope=slope)
     if slope is None:
         floor = f"{DEGENERATE_INFIDELITY:g}"
-        _status(args, f"degenerate scan: all infidelities below {floor}; no slope fitted")
+        _status(args, f"degenerate scan: fewer than two infidelities above {floor}; no slope fitted")
     else:
         _status(args, f"fitted log-log slope = {slope:.4f}")
     return 0

@@ -18,9 +18,7 @@ representation.  Ensemble
 reductions are correctly rounded, each the value ``math.fsum`` returns
 (``_weighted_sums``: ``math.fsum`` per row on small blocks, certified
 error-free extraction in numpy on large ones), so they do not depend on
-node order and results are bit-identical run to run; only the
-rotation-error fit's grid, which ranks and returns nothing, takes plain
-sums with a bound on their distance from the correctly rounded ones.
+node order and results are bit-identical run to run.
 
 Experiments:
 
@@ -51,10 +49,10 @@ mode's readout weight.  It runs a block of amplitude errors at once
 error fit runs its grid and each refinement step, CP and CPMG, as one
 call, and ``echo_train`` is its one-error, one-mode case.
 Both cut their block by one slice rule (``_slices``) and reduce each
-slice to one correctly rounded sum per row (``_weighted_sums``; the
-fit's grid takes bounded plain sums) before the next is advanced, so a
-block never holds more than one slice; ``rabi_trace`` and
-``_echo_amplitudes`` state their slice shapes and reductions.
+slice to one correctly rounded sum per row (``_weighted_sums``) before
+the next is advanced, so a block never holds more than one slice;
+``rabi_trace`` and ``_echo_amplitudes`` state their slice shapes and
+reductions.
 
 Echo detection is phase-sensitive, at the phase the ideal sequence
 sets: the ideal CP or CPMG train (simple or BB1 pi pulses) keeps every
@@ -122,8 +120,9 @@ MAX_MEMBER_ECHOES = 2**23
 # block, which _slices cuts into the fewest such slices of near-equal size:
 # the echo slice buffer holds one complex rotor power per kept member-echo
 # (16 B, at most 64 kB a slice), plus each mode's signed <sy> of the slice
-# and its reduction.  A fit's 31-error grid at n = 32 (16 kept echoes of
-# 31 x 17 members, CP and CPMG, sliced 5 + 5 + 6) peaks at 0.31 MB traced.
+# and its reduction.  A fit at n = 32 peaks at 0.12 MB traced: its grid (4
+# kept echoes of 31 x 5 members, CP and CPMG) is one slice, and so is each
+# Gauss-Newton block (at most 16 kept echoes of 3 x 17 members).
 # A Rabi trace slice keeps its -<sz> rows, 8 B per member-sample, read
 # from one cosine (simple, 16 B at its peak) or gathered from per-slice
 # tables (BB1, 32 B); its reduction adds 40 B: a 41-node BB1 trace to 40 pi
@@ -595,8 +594,7 @@ def _echo_amplitudes(
     use_bb1: bool,
     tau: float,
     stride: int = 1,
-    bounded: bool = False,
-):
+) -> np.ndarray:
     """Echo amplitudes, before any T2 envelope, of echoes ``stride``,
     ``2 * stride``, ... of an ``n``-cycle train of every mode in ``modes``
     (``"cp"``, ``"cpmg"``) at every amplitude error in ``eps_values``: row
@@ -628,10 +626,10 @@ def _echo_amplitudes(
     kept or not.  Against a 40-digit evaluation of the same inputs, no echo
     of an n-echo train missed by more than about ``n * 2**-53`` (n up to
     20000, near-identity cycles included).  The kept echoes are cut by the
-    block kernels' slice rule (``_slices``: the fit's grid at n = 32 runs
-    5 + 5 + 6 echoes, and no echo kept means no slice), and each slice is
-    reduced, every mode at once, before the next is advanced, so only the
-    returned array grows with ``n``.  Each member's arithmetic does not
+    block kernels' slice rule (``_slices``: a train at n = 400 on its 201
+    members runs 20 slices of 20 echoes, and no echo kept means no slice),
+    and each slice is reduced, every mode at once, before the next is
+    advanced, so only the returned array grows with ``n``.  Each member's arithmetic does not
     depend on the others, on the other modes or on ``stride``, so a row
     equals, bit for bit, the kept echoes of the train run in that mode at
     that amplitude error alone.
@@ -641,17 +639,7 @@ def _echo_amplitudes(
     ``math.fsum`` below ``_EXTRACTED_SUM_MIN_PRODUCTS`` products (a train
     at n = 32, 32 x 17, or a fit's two-mode Gauss-Newton block at n = 16,
     48 x 9) and by certified error-free extraction from it (that block at
-    n = 32, 96 x 17); or, when ``bounded`` (the fit's grid, which only
-    ranks), by the plain weighted sum ``flat @ weights`` of its signed
-    ``<sy>`` rows.
-    Then the result is the pair ``(amps, beta)`` of plain amplitudes and
-    bounds, and each ``math.fsum`` amplitude lies in ``amps +- beta``, for
-    any order BLAS sums in: ``beta = 2 (M + 3) 2**-53 (|flat| @ |weights|)`` covers
-    the dot product's ``gamma_M`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 2002, section 3.1), the rounding of
-    each product, which ``math.fsum`` adds exactly, and its final
-    rounding; the factor 2 covers the rounding of ``beta`` and of the
-    ends ``amps +- beta``.
+    n = 32, 96 x 17, or a fit's 31-error grid at n = 8, 248 x 5).
     """
     count_eps, members = eps_values.size, delta.size
     pulses = bb1_sequence(math.pi) if use_bb1 else [Pulse(math.pi, 0.0)]
@@ -673,7 +661,7 @@ def _echo_amplitudes(
     powers, power = np.empty((rows, z.size), complex), np.ones(z.size, complex)
 
     shape = (len(modes), kept, count_eps)
-    sums, scales = np.empty(shape), np.empty(shape)
+    sums = np.empty(shape)
     for cut in cuts:
         count = cut.stop - cut.start
         for j in range(count):
@@ -681,16 +669,8 @@ def _echo_amplitudes(
                 power = np.multiply(power, z, out=powers[j])
         # the ideal train keeps every echo on +-y: each mode's signed <sy> of each member
         flat = (1.0 - r[:, None] * (1.0 - powers[:count].real)).reshape(-1, members)
-        block = (len(modes), count, count_eps)
-        if bounded:
-            sums[:, cut] = (flat @ weights).reshape(block)
-            scales[:, cut] = (np.abs(flat) @ np.abs(weights)).reshape(block)
-        else:
-            sums[:, cut] = np.reshape(_weighted_sums(weights, flat), block)
-    amps = np.abs(sums.transpose(0, 2, 1))
-    if bounded:
-        return amps, (2.0 * (members + 3) * 2.0**-53) * scales.transpose(0, 2, 1)
-    return amps
+        sums[:, cut] = np.reshape(_weighted_sums(weights, flat), (len(modes), count, count_eps))
+    return np.abs(sums.transpose(0, 2, 1))
 
 
 def echo_train(
@@ -739,7 +719,7 @@ def echo_train(
     and echo k is read from that pair's rotation in closed form: ``<sy> = 1
     - r (1 - Re z**k)``, with the rotor ``z = exp(2i alpha)`` of the cycle's
     rotation angle ``2 alpha``, ``z**k`` advanced by one complex product per
-    echo and taken in slices of bounded size, and the mode's readout weight
+    echo and taken in slices of limited size, and the mode's readout weight
     ``r`` (Rodrigues' formula).  The CPMG cycle is the CP cycle conjugated
     by Rz(pi/2), the same angle about an axis turned by pi/2 about z, so CP
     reads ``r = 1 - n_y**2`` of the CP axis and CPMG ``r = 1 - n_x**2``.

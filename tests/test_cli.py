@@ -168,6 +168,16 @@ class TestScanCommand:
         assert json.loads(out)["meta"]["config"]["slope"] is None
         assert "degenerate" in err
 
+    def test_degenerate_rule_is_the_stated_one(self, capsys):
+        # the last of these five infidelities, 3.44e-15, lies above 1e-15, but
+        # the slope needs two such points
+        code, out, err = run(capsys, "scan", "--theta", "1pi", "--lo", "0.001", "--hi", "0.003",
+                             "--points", "5", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["config"]["slope"] is None
+        assert sum(row["infidelity"] > 1e-15 for row in doc["data"]) == 1
+        assert "fewer than two infidelities above 1e-15" in err
 
     def test_point_count_above_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "scan", "--theta", "1pi", "--points", "10000000")
@@ -522,9 +532,8 @@ class TestEchoCommand:
         assert "eps_max must lie in (0, 1)" in err
 
     def test_estimate_error_flat_model_exits_2(self, capsys, tmp_path, monkeypatch):
-        def flat(eps, n, tau, delta, weights, bounded=False):
-            ones = np.ones((eps.size, n // 2))
-            return (ones, ones) if bounded else ones
+        def flat(eps, n, tau, delta, weights):
+            return np.ones((eps.size, n // 2))
 
         monkeypatch.setattr(analysis, "_model_ratio", flat)
         for mode in ("cp", "cpmg"):

@@ -1201,39 +1201,6 @@ class TestEchoTrain:
             )
             assert block.tolist() == alone.tolist()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        mode=st.sampled_from(["cp", "cpmg"]),
-        line=st.sampled_from(["default", "legendre", "discrete"]),
-        n=st.integers(1, 41),
-        stride=st.sampled_from([1, 2]),
-        count=st.integers(1, 40),
-        size=st.integers(16, 600),
-        tau=st.sampled_from([0.7, 1.0]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_bounded_sums_enclose_the_exact_amplitudes(
-        self, mode, line, n, stride, count, size, tau, seed
-    ):
-        # the fit's grid ranks on plain sums: each exact (math.fsum) amplitude
-        # lies between the clipped ends amps - beta and amps + beta
-        spec = {
-            "default": None,
-            "legendre": EnsembleSpec(DELTA_ZERO, Uniform(-3.0, 3.0), nodes=min(size, 128)),
-            "discrete": sampled_line(size, seed),
-        }[line]
-        _, delta, weights = simulator._echo_nodes(n, tau, spec)
-        eps = np.random.default_rng(seed).uniform(-0.3, 0.3, count)
-        exact = simulator._echo_amplitudes((mode,), n, eps, delta, weights, False, tau, stride)
-        amps, beta = simulator._echo_amplitudes(
-            (mode,), n, eps, delta, weights, False, tau, stride, bounded=True
-        )
-        assert amps.shape == beta.shape == exact.shape
-        assert np.all(np.maximum(amps - beta, 0.0) <= exact)
-        assert np.all(exact <= amps + beta)
-        if line == "default":
-            assert np.all(beta < 1e-13)
-
     @pytest.mark.parametrize("use_bb1", [False, True])
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])
     def test_ideal_axis_equals_reference_member_axis(self, mode, use_bb1):
@@ -1484,13 +1451,15 @@ class TestSliceRule:
         assert reduced == sizes
 
     def test_fit_grid_slices(self, monkeypatch):
-        # the fit's grid at n = 32: 16 kept echoes of 31 errors x 17 members
-        # as 5 + 5 + 6; its Gauss-Newton blocks of 3 errors take one slice
+        # the fit's grid at n = 32 is its first stage's, 4 kept echoes of 31
+        # errors x 5 members, one slice; its Gauss-Newton blocks of 3 errors
+        # on 8, 16 and 32 echoes (5, 9 and 17 members) take one slice each
         cp, cpmg = (echo_train(mode, 32, 0.1) for mode in ("cp", "cpmg"))
         blocks, _ = self.cuts(monkeypatch, lambda: estimate_rotation_error(cp, cpmg))
-        assert blocks[0] == (16, 527, [5, 5, 6])
-        steps = [sizes for _, width, sizes in blocks if width == 3 * 17]
-        assert steps and all(sizes == [16] for sizes in steps)
+        assert blocks[0] == (4, 155, [4])
+        for kept, members in ((4, 5), (8, 9), (16, 17)):
+            steps = [sizes for _, width, sizes in blocks if width == 3 * members]
+            assert steps and all(sizes == [kept] for sizes in steps)
 
     @pytest.mark.parametrize("mode", ["cp", "cpmg"])
     def test_a_block_of_no_kept_echo_takes_no_slice(self, monkeypatch, mode):
